@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidArgumentError, StateError
 from .fields import FieldPath, Grid, MixedNormSpec, lpq_norm, smoothstep
 from .geometry import Ball, SpaceTimeRect
-from .solver import CoefficientModel
+from .solver import CoefficientModel, g_along_path
 
 ZERO_FLOOR = 1e-30
 
@@ -132,35 +132,28 @@ def _martingale_increments(path: FieldPath, cm: CoefficientModel,
     steps = path.step_indices(lo, hi)
     if steps.size == 0 or cm.m == 0:
         return steps, np.zeros(steps.size)
-    xs = grid.coords_flat()
     phi2 = fam.sample(grid, k + 1) ** 2
     shift = a * (1.0 - 2.0 ** (-k - 1))
-    vol = grid.cell_volume()
-    incr = np.empty(steps.size)
-    for idx, j in enumerate(steps):
-        v = np.clip(path.values[j] - shift, 0.0, None) * phi2
-        gv = np.asarray(cm.g(float(path.times[j]), xs, path.values[j]), dtype=float)
-        pairings = vol * np.sum(gv * v[None, :], axis=1)
-        incr[idx] = eps * float(np.dot(pairings, path.noise[j]))
-    return steps, incr
+
+    def pairings(block, gv):
+        v = np.clip(path.values[block] - shift, 0.0, None) * phi2
+        return np.sum(gv * v, axis=-1).T
+
+    p = grid.cell_volume() * g_along_path(path, cm, steps, pairings)
+    return steps, eps * np.sum(p * path.noise[steps], axis=1)
+
+
+def _running_sup(incr: np.ndarray) -> float:
+    """sup over s <= t of sum(incr[s:t]): prefix sums, starting from 0,
+    minus their running minimum; always >= 0 because s = t is allowed."""
+    prefix = np.concatenate([[0.0], np.cumsum(incr)])
+    return float(np.max(prefix - np.minimum.accumulate(prefix)))
 
 
 def martingale_sup(path: FieldPath, cm: CoefficientModel, fam: CutoffFamily,
                    k: int, a: float, eps: float = 1.0) -> float:
-    """X*_k: sup over s <= t in I_k of the martingale increment X_t - X_s.
-
-    Single pass: running maximum of (prefix sum - running minimum of
-    prefix sums); always >= 0 because s = t is allowed.
-    """
-    _, incr = _martingale_increments(path, cm, fam, k, a, eps)
-    best = 0.0
-    prefix = 0.0
-    low = 0.0
-    for xi in incr:
-        prefix += float(xi)
-        low = min(low, prefix)
-        best = max(best, prefix - low)
-    return best
+    """X*_k: sup over s <= t in I_k of the martingale increment X_t - X_s."""
+    return _running_sup(_martingale_increments(path, cm, fam, k, a, eps)[1])
 
 
 def windowed_qv(path: FieldPath, cm: CoefficientModel, fam: CutoffFamily,
@@ -229,8 +222,9 @@ def iteration_trace(path: FieldPath, cm: CoefficientModel, fam: CutoffFamily,
     energies = []
     for k in range(params.K + 1):
         U = truncation_energy(path, fam, k, a)
-        X = martingale_sup(path, cm, fam, k, a, eps) if cm.m > 0 else 0.0
-        qv = windowed_qv(path, cm, fam, k, a, eps) if cm.m > 0 else 0.0
+        _, incr = _martingale_increments(path, cm, fam, k, a, eps)
+        X = _running_sup(incr)
+        qv = float(np.sum(incr * incr))
         denom = eps * eps * U * U
         qv_bound = qv / denom if denom > 0.0 else 0.0
         c_hat = None

@@ -10,10 +10,7 @@ interval.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -84,6 +81,14 @@ class Grid:
 
     def cell_volume(self) -> float:
         return self.dx**self.n
+
+
+def step_mask(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    """Mask over the steps of uniform `times` (one entry per step) whose
+    left endpoint lies in (t_lo, t_hi], with a tolerance of 1e-9 steps."""
+    eps = 1e-9 * float(times[1] - times[0])
+    t = times[:-1]
+    return (t > t_lo + eps) & (t <= t_hi + eps)
 
 
 def _finite_or_raise(values: np.ndarray, what: str):
@@ -167,9 +172,7 @@ class FieldPath:
 
     def step_indices(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Steps whose left endpoint lies in (t_lo, t_hi]."""
-        eps = 1e-9 * self.dt
-        t = self.times[:-1]
-        return np.nonzero((t > t_lo + eps) & (t <= t_hi + eps))[0]
+        return np.nonzero(step_mask(self.times, t_lo, t_hi))[0]
 
     def time_index(self, t: float) -> int:
         """Nearest snapshot index to an absolute time."""
@@ -353,43 +356,3 @@ def interpolation_check(path: FieldPath, alpha: float, beta: float, q: float,
     return InterpolationReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, eps=eps,
                                young_constant=young, gamma=gamma,
                                sup_term=sup_term, low_norm_term=low_term)
-
-
-def snapshot_to_csv(snap: FieldSnapshot, path: str):
-    """Write node coordinates and values as CSV."""
-    xs = snap.grid.coords_flat()
-    flat = snap.flat()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{d + 1}" for d in range(snap.grid.n)] + ["value"])
-        for i in range(snap.grid.size):
-            w.writerow([repr(float(xs[d][i])) for d in range(snap.grid.n)]
-                       + [repr(float(flat[i]))])
-
-
-def export_path(path: FieldPath, directory: str, stride: int = 1):
-    """Write every stride-th snapshot plus a small manifest to a directory."""
-    if stride < 1:
-        raise InvalidArgumentError(f"stride must be >= 1, got {stride}")
-    os.makedirs(directory, exist_ok=True)
-    indices = list(range(0, path.steps + 1, stride))
-    if indices[-1] != path.steps:
-        indices.append(path.steps)
-    files = []
-    for j in indices:
-        name = f"snapshot_{j:06d}.csv"
-        snapshot_to_csv(path.snapshot(j), os.path.join(directory, name))
-        files.append({"index": j, "t": float(path.times[j]), "file": name})
-    manifest = {
-        "n": path.grid.n,
-        "dx": path.grid.dx,
-        "extent": path.grid.extent,
-        "dt": path.dt,
-        "steps": path.steps,
-        "scheme": path.scheme,
-        "snapshots": files,
-    }
-    tmp = os.path.join(directory, "path_manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    os.replace(tmp, os.path.join(directory, "path_manifest.json"))

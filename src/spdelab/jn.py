@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import FieldPath, Grid, moment_product, smoothstep
 from .geometry import SpaceTimeRect
-from .solver import CoefficientModel
+from .solver import CoefficientModel, g_along_path
 
 # master spatial weight: 1 on the half-radius ball, 0 outside 3/4, in
 # the rescaled coordinate xi = (y - center) / (2 radius)
@@ -124,17 +124,6 @@ class MartingaleSeries:
     ratio: float
 
 
-def _compensator_coefs(lf: LogField, cm: CoefficientModel, w2: np.ndarray,
-                       j: int) -> np.ndarray:
-    """Per-channel weighted averages of g_i(u) / (max(u,0) + mu) at step j."""
-    grid = lf.grid
-    xs = grid.coords_flat()
-    u = lf.path.values[j]
-    gv = np.asarray(cm.g(float(lf.path.times[j]), xs, u), dtype=float)
-    gt = gv / (np.clip(u, 0.0, None) + lf.mu)[None, :]
-    return np.sum(gt * w2[None, :], axis=1) / np.sum(w2)
-
-
 def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
                       sign: int) -> tuple:
     """Step indices and compensator increments on one side of the center.
@@ -144,7 +133,9 @@ def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
     reversed time with negated increments.  Returned arrays: snapshot
     indices visited after each increment (length K) and the increments
     (length K), so the compensator before visiting index[k] is the
-    prefix sum of the first k increments.
+    prefix sum of the first k increments.  Each increment pairs the
+    recorded noise with the w2-weighted averages of g_i(u) / (max(u,0) + mu)
+    at the start of its step.
     """
     path = lf.path
     if cm.m > 0 and path.noise is None:
@@ -163,23 +154,19 @@ def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
         sources = visited + 1          # reversed: start of the reversed step
         noise_rows = visited
         flip = -1.0
-    incr = np.zeros(visited.size)
-    if cm.m > 0:
-        for k in range(visited.size):
-            coefs = _compensator_coefs(lf, cm, w2, int(sources[k]))
-            incr[k] = flip * float(np.dot(coefs, path.noise[int(noise_rows[k])]))
-    return visited, incr
+    if cm.m == 0 or visited.size == 0:
+        return visited, np.zeros(visited.size)
+
+    def averages(block, gv):
+        gt = gv / (np.clip(path.values[block], 0.0, None) + lf.mu)
+        return np.sum(gt * w2, axis=-1).T / np.sum(w2)
+
+    coefs = g_along_path(path, cm, sources, averages)
+    return visited, flip * np.sum(coefs * path.noise[noise_rows], axis=1)
 
 
-def noise_martingale(lf: LogField, cm: CoefficientModel, cube: Cube) -> MartingaleSeries:
-    """Forward compensator M on the upper half of the cube.
-
-    M(0) = 0 at the cube's time center; values are reported at step
-    offsets together with the cumulative realized quadratic variation
-    and the worst QV(t)/t ratio over the covered offsets.
-    """
+def _martingale_series(lf: LogField, cube: Cube, visited, incr) -> MartingaleSeries:
     path = lf.path
-    visited, incr = _increment_series(lf, cm, cube, +1)
     jc = path.time_index(cube.l)
     offsets = np.concatenate([[0.0], path.times[visited] - path.times[jc]])
     values = np.concatenate([[0.0], np.cumsum(incr)])
@@ -189,17 +176,25 @@ def noise_martingale(lf: LogField, cm: CoefficientModel, cube: Cube) -> Martinga
     return MartingaleSeries(offsets=offsets, values=values, qv=qv, ratio=ratio)
 
 
-def _side_average(lf: LogField, cm: CoefficientModel, cube: Cube, sign: int,
-                  a_c: float) -> float:
-    """Mean over one cube half of sqrt((h - M - a)^+), compensated in time."""
-    grid = lf.grid
-    nodes = grid.node_mask(cube.ball())
+def noise_martingale(lf: LogField, cm: CoefficientModel, cube: Cube) -> MartingaleSeries:
+    """Forward compensator M on the upper half of the cube.
+
+    M(0) = 0 at the cube's time center; values are reported at step
+    offsets together with the cumulative realized quadratic variation
+    and the worst QV(t)/t ratio over the covered offsets.
+    """
+    return _martingale_series(lf, cube, *_increment_series(lf, cm, cube, +1))
+
+
+def _side_average(lf: LogField, cube: Cube, visited, incr, a_c: float) -> float:
+    """Mean over one cube half of sqrt((h - M - a)^+), compensated in time,
+    from that half's increment series."""
+    nodes = lf.grid.node_mask(cube.ball())
     if not np.any(nodes):
         raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")
-    visited, incr = _increment_series(lf, cm, cube, sign)
     if visited.size == 0:
         raise EmptyRegionError("cube half spans no time steps at this resolution")
-    comp = np.concatenate([[0.0], np.cumsum(incr)])[1:]
+    comp = np.cumsum(incr)
     sub = lf.values[np.ix_(visited, np.nonzero(nodes)[0])]
     excess = np.clip(sub - comp[:, None] - a_c, 0.0, None)
     return float(np.mean(np.sqrt(excess)))
@@ -208,8 +203,8 @@ def _side_average(lf: LogField, cm: CoefficientModel, cube: Cube, sign: int,
 def local_bmo_check(lf: LogField, cm: CoefficientModel, cube: Cube) -> tuple:
     """One-sided oscillation averages (upper, lower) for a cube."""
     a_c = cube_average(lf, cube, cube.l)
-    return (_side_average(lf, cm, cube, +1, a_c),
-            _side_average(lf, cm, cube, -1, a_c))
+    return tuple(_side_average(lf, cube, *_increment_series(lf, cm, cube, sign), a_c)
+                 for sign in (+1, -1))
 
 
 @dataclass(frozen=True)
@@ -233,9 +228,10 @@ def cube_stats(lf: LogField, cm: CoefficientModel, cube: Cube) -> CubeStats:
     jhi = path.time_index(cube.time_hi)
     window = np.arange(jlo, jhi + 1)
     h_vals = lf.values[window] @ w2 / np.sum(w2)
-    m_series = noise_martingale(lf, cm, cube)
-    plus_avg = _side_average(lf, cm, cube, +1, a_c)
-    minus_avg = _side_average(lf, cm, cube, -1, a_c)
+    upper = _increment_series(lf, cm, cube, +1)
+    m_series = _martingale_series(lf, cube, *upper)
+    plus_avg = _side_average(lf, cube, *upper, a_c)
+    minus_avg = _side_average(lf, cube, *_increment_series(lf, cm, cube, -1), a_c)
     return CubeStats(cube=cube, a_c=a_c,
                      h_offsets=path.times[window] - cube.l, h_values=h_vals,
                      m_series=m_series, plus_avg=plus_avg, minus_avg=minus_avg,

@@ -29,7 +29,7 @@ from .errors import (
     InvalidArgumentError,
     ModelInvalidError,
 )
-from .fields import FieldPath, Grid, inf_on, sup_on
+from .fields import FieldPath, Grid, inf_on, step_mask, sup_on
 from .geometry import SpaceTimeRect
 from .solver import (
     ModelParams,
@@ -98,6 +98,13 @@ class ExperimentSpec:
         u0 = make_initial_condition(self.ic_kind, self.grid, self.ic_amplitude,
                                     self.ic_width, self.ic_seed)
         return cm, u0
+
+
+def _region_rows(grid: Grid, times: np.ndarray, rect: SpaceTimeRect) -> tuple:
+    """Node indices of rect's ball and a mask over snapshots 0..M marking
+    the left endpoints of the steps in rect's time interval."""
+    nodes = np.nonzero(grid.node_mask(rect.ball))[0]
+    return nodes, np.append(step_mask(times, rect.t_lo, rect.t_hi), False)
 
 
 class _RegionRecorder:
@@ -187,14 +194,8 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
     M = times.size - 1
     N = spec.n_paths
 
-    eps = 1e-9 * dt
-    region_meta = []
-    for name, rect in spec.regions.items():
-        nodes = np.nonzero(grid.node_mask(rect.ball))[0]
-        step_mask = np.zeros(M + 1, dtype=bool)
-        js = np.arange(M)
-        step_mask[js[(times[js] > rect.t_lo + eps) & (times[js] <= rect.t_hi + eps)]] = True
-        region_meta.append((name, nodes, step_mask))
+    region_meta = [(name, *_region_rows(grid, times, rect))
+                   for name, rect in spec.regions.items()]
 
     sup = {name: np.full(N, np.nan) for name, _, _ in region_meta}
     inf = {name: np.full(N, np.nan) for name, _, _ in region_meta}
@@ -457,15 +458,7 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
         u0b = np.stack([
             make_initial_condition("random_positive", g, seed=seed + 1 + d).flat()
             for d in range(n_data)])
-        eps = 1e-9 * dt
-        M = times.size - 1
-        recs = []
-        for rect in (Q, P):
-            nodes = np.nonzero(g.node_mask(rect.ball))[0]
-            mask = np.zeros(M + 1, dtype=bool)
-            js = np.arange(M)
-            mask[js[(times[js] > rect.t_lo + eps) & (times[js] <= rect.t_hi + eps)]] = True
-            recs.append(_RegionRecorder(nodes, mask, n_data))
+        recs = [_RegionRecorder(*_region_rows(g, times, rect), n_data) for rect in (Q, P)]
         res = integrate_batch(g, cm, cfg, u0b, times, None, observers=recs)
         if np.any(res.failed):
             raise InsufficientDataError("deterministic comparison path failed to integrate")

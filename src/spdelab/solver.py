@@ -51,9 +51,11 @@ class CoefficientModel:
     """Callable coefficients (A, f, g) plus their declared bounds.
 
     a, f, g take (t, xs, u) where xs is the tuple of flat coordinate
-    arrays and u is a flat state array, possibly batched with a leading
-    axis.  a is None for the identity matrix; f or g is None when that
-    term vanishes.  g returns an array of shape (m,) + u.shape.  a_deps
+    arrays of length S.  Either t is a scalar and u has shape (S,) or
+    (B, S), or t is a (J, 1) column of step times and u has shape (J, S),
+    one stored state per row; results broadcast against u, and g returns
+    an array of shape (m,) + u.shape.  a is None for the identity
+    matrix; f or g is None when that term vanishes.  a_deps
     lists which of {"t", "u"} the diffusion coefficient actually reads;
     the integrator reuses its sparse factorization accordingly and may
     pass u=None when "u" is absent.
@@ -691,6 +693,56 @@ class TestFunction:
         return self.grid.cell_volume() * np.sum(fields * self.values, axis=-1)
 
 
+# bytes of the (m, J, S) array of g values that g_along_path evaluates at once
+_G_BLOCK_BYTES = 64 << 20
+
+
+def g_along_path(path: FieldPath, cm: CoefficientModel, steps, reduce) -> np.ndarray:
+    """Per-step reductions along a stored path, with g at left endpoints.
+
+    steps is a nonempty index array, in any order.  For each block of
+    consecutive entries, cm.g is called once with t as a (J, 1) column of
+    step times and u as the (J, S) stored states, and reduce(block, gv)
+    maps the block's step indices and that (m, J, S) array (None when
+    m = 0) to an array whose leading axis runs over the block.  The
+    blocks' results are concatenated in the order of `steps`.  Blocks keep
+    gv under _G_BLOCK_BYTES; every reduction is per step, so the result
+    does not depend on where the blocks split.
+    """
+    steps = np.asarray(steps, dtype=int)
+    size = max(1, _G_BLOCK_BYTES // (8 * max(cm.m, 1) * path.grid.size))
+    xs = path.grid.coords_flat()
+    out = []
+    for lo in range(0, steps.size, size):
+        block = steps[lo:lo + size]
+        gv = None
+        if cm.m > 0:
+            gv = np.asarray(cm.g(path.times[block][:, None], xs, path.values[block]),
+                            dtype=float)
+        out.append(reduce(block, gv))
+    return np.concatenate(out)
+
+
+def _drift_terms(path: FieldPath, cm: CoefficientModel, phi: TestFunction,
+                 block, after) -> tuple:
+    """Per-step pairings <L_A u, phi> and <f, phi> over a block of steps.
+
+    A and f are taken at the left endpoint; L_A is applied to the state
+    at step j + after (0: left endpoint, 1: right endpoint).
+    """
+    grid = path.grid
+    xs = grid.coords_flat()
+    t = path.times[block][:, None]
+    u = path.values[block]
+    coef = _coef_fields(cm, grid, xs, t, u)
+    diffusion = phi.pair(apply_operator(grid, coef, path.values[block + after]))
+    forcing = np.zeros(block.size)
+    if cm.f is not None:
+        forcing = phi.pair(np.broadcast_to(np.asarray(cm.f(t, xs, u), dtype=float),
+                                           u.shape))
+    return diffusion, forcing
+
+
 def weak_residual(path: FieldPath, cm: CoefficientModel, phi: TestFunction,
                   s: float, t: float) -> float:
     """Absolute defect of the weak formulation between times s and t.
@@ -704,36 +756,18 @@ def weak_residual(path: FieldPath, cm: CoefficientModel, phi: TestFunction,
         raise InvalidArgumentError(f"need s < t with at least one step, got {s}, {t}")
     if cm.m > 0 and path.noise is None:
         raise StateError("path has no recorded noise increments")
-    grid = path.grid
-    xs = grid.coords_flat()
-    dt = path.dt
-    window = np.arange(js, jt)
-    states = path.values[window]
 
+    def terms(block, gv):
+        diffusion, forcing = _drift_terms(path, cm, phi, block, 0)
+        noise = np.zeros(block.size)
+        if gv is not None:
+            noise = np.sum(phi.pair(gv).T * path.noise[block], axis=1)
+        return np.stack([diffusion, forcing, noise], axis=1)
+
+    diffusion, forcing, noise = np.sum(g_along_path(path, cm, np.arange(js, jt), terms),
+                                       axis=0)
     lhs = float(phi.pair(path.values[jt] - path.values[js]))
-    time_free = "t" not in cm.a_deps
-    if time_free and "u" not in cm.a_deps:
-        coef = _coef_fields(cm, grid, xs, float(path.times[js]), None)
-        lw = apply_operator(grid, coef, states)
-        diffusion = -dt * float(np.sum(phi.pair(lw)))
-    else:
-        acc = 0.0
-        for k, j in enumerate(window):
-            coef = _coef_fields(cm, grid, xs, float(path.times[j]), states[k])
-            acc += float(phi.pair(apply_operator(grid, coef, states[k])))
-        diffusion = -dt * acc
-    fterm = 0.0
-    if cm.f is not None:
-        fv = np.stack([np.broadcast_to(
-            np.asarray(cm.f(float(path.times[j]), xs, states[k]), dtype=float),
-            (grid.size,)) for k, j in enumerate(window)])
-        fterm = dt * float(np.sum(phi.pair(fv)))
-    gterm = 0.0
-    if cm.m > 0:
-        for k, j in enumerate(window):
-            gv = np.asarray(cm.g(float(path.times[j]), xs, states[k]), dtype=float)
-            gterm += float(np.sum(phi.pair(gv) * path.noise[j]))
-    return abs(lhs + diffusion - fterm - gterm)
+    return float(abs(lhs - path.dt * diffusion - path.dt * forcing - noise))
 
 
 @dataclass(frozen=True)
@@ -758,27 +792,24 @@ def qv_check(path: FieldPath, cm: CoefficientModel, phi: TestFunction) -> QvRepo
     """
     if cm.m > 0 and path.noise is None:
         raise StateError("path has no recorded noise increments")
-    grid = path.grid
-    xs = grid.coords_flat()
     dt = path.dt
-    phi2 = TestFunction(grid, phi.values**2)
-    empirical = pairing = squared = 0.0
-    implicit = path.scheme == "semi-implicit"
-    for j in range(path.steps):
-        t = float(path.times[j])
-        uj, ujp = path.values[j], path.values[j + 1]
-        coef = _coef_fields(cm, grid, xs, t, uj)
-        drift = dt * float(phi.pair(apply_operator(grid, coef, ujp if implicit else uj)))
-        if cm.f is not None:
-            drift += dt * float(phi.pair(np.broadcast_to(
-                np.asarray(cm.f(t, xs, uj), dtype=float), (grid.size,))))
-        incr = float(phi.pair(ujp - uj)) - drift
-        empirical += incr * incr
-        if cm.m > 0:
-            gv = np.asarray(cm.g(t, xs, uj), dtype=float)
-            pairing += dt * float(np.sum(phi.pair(gv) ** 2))
-            squared += dt * float(np.sum(phi2.pair(gv * gv)))
-    return QvReport(empirical_qv=empirical, pairing_qv=pairing, squared_qv=squared)
+    phi2 = TestFunction(path.grid, phi.values**2)
+    after = 1 if path.scheme == "semi-implicit" else 0
+
+    def terms(block, gv):
+        diffusion, forcing = _drift_terms(path, cm, phi, block, after)
+        incr = (phi.pair(path.values[block + 1] - path.values[block])
+                - (dt * diffusion + dt * forcing))
+        pairing = squared = np.zeros(block.size)
+        if gv is not None:
+            pairing = dt * np.sum(phi.pair(gv) ** 2, axis=0)
+            squared = dt * np.sum(phi2.pair(gv * gv), axis=0)
+        return np.stack([incr * incr, pairing, squared], axis=1)
+
+    empirical, pairing, squared = np.sum(
+        g_along_path(path, cm, np.arange(path.steps), terms), axis=0)
+    return QvReport(empirical_qv=float(empirical), pairing_qv=float(pairing),
+                    squared_qv=float(squared))
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,11 @@ def levelset_fractions(lf: LogField, cube: Cube, alphas) -> tuple:
         steps = lf.path.step_indices(rect.t_lo, rect.t_hi)
         if steps.size == 0:
             raise EmptyRegionError("cube eighth spans no time steps at this resolution")
-        excess = orient * (lf.values[np.ix_(steps, nodes)] - a_c)
-        out.append(np.array([float(np.mean(excess > al)) for al in alphas]))
+        excess = np.sort(orient * (lf.values[np.ix_(steps, nodes)] - a_c), axis=None)
+        # NaN sorts last and exceeds no alpha
+        finite = excess[:excess.size - np.count_nonzero(np.isnan(excess))]
+        above = finite.size - np.searchsorted(finite, alphas, side="right")
+        out.append(above / excess.size)
     return a_c, out[0], out[1]
 
 

@@ -15,10 +15,14 @@ L_A is the conservative finite-difference divergence-form operator with
 face-averaged coefficients, so the total mass sum(u) dx^n is conserved
 exactly when f = g = 0.
 
-Batches of paths are stepped together: all per-path arithmetic is
-row-local and the sparse factorization is shared whenever A does not
-depend on the state, so results are bit-identical however paths are
-grouped into batches.
+Batches of paths are stepped together and all per-path arithmetic is
+row-local, so results are bit-identical however paths are grouped into
+batches.  The implicit solve depends on what A reads: A free of t and u
+and constant in space makes I - dt L_A circulant, and it is solved by a
+real FFT; any other A free of u shares one sparse factorization per call
+(per step when A reads t); A that reads u is factored per path and step.
+The FFT solve carries roundoff of order 1e-16 max|u|, so nodes where u is
+nearly 0 may come out slightly negative.
 """
 from __future__ import annotations
 
@@ -54,11 +58,17 @@ class CoefficientModel:
     arrays of length S.  Either t is a scalar and u has shape (S,) or
     (B, S), or t is a (J, 1) column of step times and u has shape (J, S),
     one stored state per row; results broadcast against u, and g returns
-    an array of shape (m,) + u.shape.  a is None for the identity
-    matrix; f or g is None when that term vanishes.  a_deps
-    lists which of {"t", "u"} the diffusion coefficient actually reads;
-    the integrator reuses its sparse factorization accordingly and may
-    pass u=None when "u" is absent.
+    an array of shape (m,) + u.shape.  a is the scalar coefficient
+    (A = a I), None for the identity; f or g is None when that term
+    vanishes.  a_deps lists which of {"t", "u"} the diffusion coefficient
+    actually reads; the integrator may pass u=None when "u" is absent.
+    When a_deps is empty and a takes one value on the whole grid, the
+    implicit solve is an FFT; otherwise the integrator reuses a sparse
+    factorization as far as a_deps allows.
+
+    sigma, when not None, declares multiplicative noise
+    g_i(t, x, u) = sigma_i(x) u: it maps xs to an (m, S) array, and the
+    integrator evaluates it once per batch instead of calling g each step.
     """
 
     n: int
@@ -68,7 +78,7 @@ class CoefficientModel:
     iota: float
     growth: float
     m: int
-    a_form: str = "scalar"
+    sigma: Callable | None = None
     a_deps: frozenset = frozenset()
     label: str = ""
 
@@ -81,8 +91,6 @@ class CoefficientModel:
             raise InvalidArgumentError(f"growth bound must be >= 0, got {self.growth}")
         if self.m < 0 or (self.g is None and self.m != 0):
             raise InvalidArgumentError("channel count m inconsistent with g")
-        if self.a_form not in ("scalar", "matrix"):
-            raise InvalidArgumentError(f"a_form must be scalar or matrix, got {self.a_form}")
 
 
 @dataclass
@@ -287,18 +295,21 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
         raise InvalidArgumentError(f"unknown f_kind {p.f_kind!r}")
 
     # noise
+    sigma = None
     if p.g_kind == "zero" or p.m == 0 or (p.g_kind == "trig" and p.lambda_g == 0.0):
         g_fn, m_eff = None, 0
     elif p.g_kind == "trig":
         if p.m < 1:
             raise InvalidArgumentError(f"channel count m must be >= 1, got {p.m}")
-        lam = float(p.lambda_g)
 
-        def g_fn(t, xs, u, _lam=lam, _m=int(p.m)):
-            sig = _trig_profiles(_m, n, extent, xs)
+        def sigma(xs, _lam=float(p.lambda_g), _m=int(p.m)):
+            return _lam * _trig_profiles(_m, n, extent, xs)
+
+        def g_fn(t, xs, u):
+            sig = sigma(xs)
             if u.ndim == 1:
-                return _lam * sig * u
-            return _lam * sig[:, None, :] * u[None, :, :]
+                return sig * u
+            return sig[:, None, :] * u[None, :, :]
 
         m_eff = int(p.m)
     elif p.g_kind == "expr":
@@ -317,7 +328,7 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
     growth = p.growth_bound if p.growth_bound is not None else p.lambda_f + p.lambda_g
     label = f"a={p.a_kind},f={p.f_kind},g={p.g_kind}"
     return CoefficientModel(n=n, a=a_fn, f=f_fn, g=g_fn, iota=float(p.iota),
-                            growth=float(growth), m=m_eff, a_form="scalar",
+                            growth=float(growth), m=m_eff, sigma=sigma,
                             a_deps=a_deps, label=label)
 
 
@@ -350,22 +361,8 @@ def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
 
         if cm.a is None:
             lo_ev = hi_ev = np.ones(per)
-        elif cm.a_form == "scalar":
-            av = np.broadcast_to(np.asarray(cm.a(t, xs, u), dtype=float), (per,))
-            lo_ev = hi_ev = av
         else:
-            arr = np.asarray(cm.a(t, xs, u), dtype=float)
-            if arr.shape == (cm.n, cm.n):
-                arr = np.broadcast_to(arr[..., None], (cm.n, cm.n, per))
-            if cm.n == 1:
-                lo_ev = hi_ev = arr[0, 0]
-            else:
-                if np.max(np.abs(arr[0, 1] - arr[1, 0])) > 1e-12:
-                    raise ModelInvalidError("coefficient matrix is not symmetric",
-                                            witness=(t,))
-                half = 0.5 * (arr[0, 0] + arr[1, 1])
-                rad = np.sqrt((0.5 * (arr[0, 0] - arr[1, 1])) ** 2 + arr[0, 1] ** 2)
-                lo_ev, hi_ev = half - rad, half + rad
+            lo_ev = hi_ev = np.broadcast_to(np.asarray(cm.a(t, xs, u), dtype=float), (per,))
         lo_margin = min(lo_margin, float(np.min(lo_ev - cm.iota)))
         hi_margin = min(hi_margin, float(np.min(1.0 / cm.iota - hi_ev)))
         tol_e = 1e-9 / cm.iota
@@ -399,66 +396,40 @@ def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
 # ---------------------------------------------------------------------------
 # discrete operator
 
-def _coef_fields(cm: CoefficientModel, grid: Grid, xs, t: float, u):
-    """Normalize the diffusion coefficient to per-entry flat arrays."""
+def _coef_fields(cm: CoefficientModel, grid: Grid, xs, t: float, u) -> np.ndarray:
+    """The scalar diffusion coefficient as a flat array, (S,) or u.shape."""
     S = grid.size
-    tail = (S,) if u is None or np.ndim(u) <= 1 else (np.shape(u)[0], S)
     if cm.a is None:
-        one = np.ones(S)
-        return (one,) if grid.n == 1 else (one, one, None)
-    raw = cm.a(t, xs, u)
-    if cm.a_form == "scalar":
-        a = np.broadcast_to(np.asarray(raw, dtype=float), tail)
-        return (a,) if grid.n == 1 else (a, a, None)
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape == (cm.n, cm.n):
-        arr = np.broadcast_to(arr[..., None], (cm.n, cm.n, S))
-    if grid.n == 1:
-        return (arr[0, 0],)
-    a01 = arr[0, 1]
-    if not np.any(a01):
-        a01 = None
-    return (arr[0, 0], arr[1, 1], a01)
+        return np.ones(S)
+    tail = (S,) if u is None or np.ndim(u) <= 1 else (np.shape(u)[0], S)
+    return np.broadcast_to(np.asarray(cm.a(t, xs, u), dtype=float), tail)
 
 
-def apply_operator(grid: Grid, coef, v: np.ndarray) -> np.ndarray:
+def apply_operator(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conservative divergence-form L applied to flat states (..., S)."""
     dx2 = grid.dx**2
     if grid.n == 1:
-        a = coef[0]
         af = 0.5 * (a + np.roll(a, -1, axis=-1))
         afm = np.roll(af, 1, axis=-1)
         return (af * (np.roll(v, -1, -1) - v) - afm * (v - np.roll(v, 1, -1))) / dx2
 
     N = grid.npts
     w = v.reshape(v.shape[:-1] + (N, N))
+    am = a.reshape(a.shape[:-1] + (N, N))
     out = np.zeros_like(w)
-    for axis, a in ((-2, coef[0]), (-1, coef[1])):
-        am = a.reshape(a.shape[:-1] + (N, N))
+    for axis in (-2, -1):
         af = 0.5 * (am + np.roll(am, -1, axis=axis))
         out += af * (np.roll(w, -1, axis) - w) \
             - np.roll(af, 1, axis) * (w - np.roll(w, 1, axis))
-    if len(coef) == 3 and coef[2] is not None:
-        c = coef[2].reshape(coef[2].shape[:-1] + (N, N))
-        af0 = 0.5 * (c + np.roll(c, -1, -2))
-        cross1 = (np.roll(w, -1, -1) + np.roll(np.roll(w, -1, -2), -1, -1)
-                  - np.roll(w, 1, -1) - np.roll(np.roll(w, -1, -2), 1, -1)) / 4.0
-        flux0 = af0 * cross1
-        out += flux0 - np.roll(flux0, 1, -2)
-        af1 = 0.5 * (c + np.roll(c, -1, -1))
-        cross0 = (np.roll(w, -1, -2) + np.roll(np.roll(w, -1, -1), -1, -2)
-                  - np.roll(w, 1, -2) - np.roll(np.roll(w, -1, -1), 1, -2)) / 4.0
-        flux1 = af1 * cross0
-        out += flux1 - np.roll(flux1, 1, -1)
     return (out / dx2).reshape(v.shape)
 
 
-def _implicit_matrix(grid: Grid, coef, dt: float):
-    """Sparse I - dt L for shared (unbatched) coefficient fields."""
+def _implicit_matrix(grid: Grid, a: np.ndarray, dt: float):
+    """Sparse I - dt L for a shared (unbatched) coefficient field."""
     lam = dt / grid.dx**2
     if grid.n == 1:
         N = grid.size
-        a = np.broadcast_to(coef[0], (N,)).astype(float)
+        a = np.broadcast_to(a, (N,)).astype(float)
         af = 0.5 * (a + np.roll(a, -1))
         afm = np.roll(af, 1)
         idx = np.arange(N)
@@ -467,16 +438,11 @@ def _implicit_matrix(grid: Grid, coef, dt: float):
         vals = np.concatenate([1.0 + lam * (af + afm), -lam * af, -lam * afm])
         return sparse.csc_matrix((vals, (rows, cols)), shape=(N, N))
 
-    if len(coef) == 3 and coef[2] is not None:
-        raise InvalidArgumentError(
-            "semi-implicit stepping supports diagonal coefficient matrices in 2d; "
-            "use scheme='explicit' for cross terms")
     N = grid.npts
     S = grid.size
-    a00 = np.broadcast_to(coef[0], (S,)).reshape(N, N)
-    a11 = np.broadcast_to(coef[1], (S,)).reshape(N, N)
-    af0 = 0.5 * (a00 + np.roll(a00, -1, 0))
-    af1 = 0.5 * (a11 + np.roll(a11, -1, 1))
+    am = np.broadcast_to(a, (S,)).reshape(N, N)
+    af0 = 0.5 * (am + np.roll(am, -1, 0))
+    af1 = 0.5 * (am + np.roll(am, -1, 1))
     af0m = np.roll(af0, 1, 0)
     af1m = np.roll(af1, 1, 1)
     i0, i1 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
@@ -491,6 +457,35 @@ def _implicit_matrix(grid: Grid, coef, dt: float):
     vals = np.concatenate([diag, -lam * af0.ravel(), -lam * af0m.ravel(),
                            -lam * af1.ravel(), -lam * af1m.ravel()])
     return sparse.csc_matrix((vals, (rows, cols)), shape=(S, S))
+
+
+def _circulant_solve(grid: Grid, c: float, dt: float):
+    """Batched solve of I - dt L for the constant coefficient c, by real FFT.
+
+    The matrix is circulant (block-circulant in 2d); its eigenvalue at
+    wavenumber k is 1 + lam c (2 - 2 cos(2 pi k / N)), summed over both
+    axes in 2d, with lam = dt / dx^2.  Each row is transformed on its own.
+    """
+    N = grid.npts
+    symbol = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(N) / N)
+    lam_c = dt / grid.dx**2 * c
+    if grid.n == 1:
+        eig = 1.0 + lam_c * symbol[:N // 2 + 1]
+        return lambda rhs: np.fft.irfft(np.fft.rfft(rhs) / eig, n=N)
+    eig = 1.0 + lam_c * (symbol[:, None] + symbol[None, :N // 2 + 1])
+
+    def solve(rhs):
+        w = rhs.reshape(rhs.shape[:-1] + (N, N))
+        return np.fft.irfft2(np.fft.rfft2(w) / eig, s=(N, N)).reshape(rhs.shape)
+    return solve
+
+
+def _shared_solve(grid: Grid, a: np.ndarray, dt: float, constant_ok: bool):
+    """Solver rhs (B, S) -> (B, S) of I - dt L for one coefficient field."""
+    if constant_ok and np.all(a == a[0]):
+        return _circulant_solve(grid, float(a[0]), dt)
+    lu = splu(_implicit_matrix(grid, a, dt))
+    return lambda rhs: lu.solve(rhs.T).T
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +553,27 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
 
     state_free = "u" not in cm.a_deps
     time_free = "t" not in cm.a_deps
-    lu = None
+    noisy = cm.m > 0 and dWb is not None
+    sig = np.asarray(cm.sigma(xs), dtype=float) if noisy and cm.sigma is not None else None
+    solve = None
     for j in range(M):
         t = float(times[j])
-        rhs = u.copy()
+        if sig is not None:
+            rhs = u * (1.0 + np.einsum("bm,ms->bs", dWb[:, j, :], sig))
+        else:
+            rhs = u.copy()
         if cm.f is not None:
             rhs += dt * np.broadcast_to(np.asarray(cm.f(t, xs, u), dtype=float), (B, S))
-        if cm.m > 0 and dWb is not None:
+        if noisy and sig is None:
             gj = np.asarray(cm.g(t, xs, u), dtype=float)
             rhs += np.einsum("mbs,bm->bs", gj, dWb[:, j, :])
 
         if implicit:
             if state_free:
-                if lu is None or not time_free:
-                    lu = splu(_implicit_matrix(grid, _coef_fields(cm, grid, xs, t, None), dt))
-                unew = lu.solve(rhs.T).T
+                if solve is None or not time_free:
+                    solve = _shared_solve(grid, _coef_fields(cm, grid, xs, t, None), dt,
+                                          constant_ok=time_free)
+                unew = solve(rhs)
             else:
                 unew = np.empty_like(rhs)
                 for b in range(B):
@@ -585,9 +586,7 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
             coef = _coef_fields(cm, grid, xs, t, u if not state_free else None)
             unew = rhs + dt * apply_operator(grid, coef, u)
 
-        with np.errstate(invalid="ignore"):
-            bad = ~np.all(np.isfinite(unew), axis=1)
-            bad |= np.any(np.abs(unew) > BLOWUP_LIMIT, axis=1)
+        bad = ~np.all(np.abs(unew) <= BLOWUP_LIMIT, axis=1)
         fresh = bad & ~failed
         if np.any(fresh):
             fail_step[fresh] = j

@@ -9,11 +9,11 @@ from spdelab.errors import (DomainError, EmptyRegionError,
                             InsufficientDataError, InvalidArgumentError)
 from spdelab.fields import FieldPath, Grid
 from spdelab.geometry import Ball, SpaceTimeRect
-from spdelab.jn import (cube_average, cube_stats, fit_decay, hierarchy_stats,
-                        levelset_decay, levelset_fractions, local_bmo_check,
-                        log_field, master_cutoff, moment_tail_value,
-                        noise_martingale, reverse_cs_tail, stability_spread,
-                        tail_quantiles)
+from spdelab.jn import (LogField, cube_average, cube_stats, fit_decay,
+                        hierarchy_stats, levelset_decay, levelset_fractions,
+                        local_bmo_check, log_field, master_cutoff,
+                        moment_tail_value, noise_martingale, reverse_cs_tail,
+                        stability_spread, tail_quantiles)
 from spdelab.solver import ModelParams, build_model
 
 
@@ -157,6 +157,44 @@ def test_levelset_fractions_synthetic_oracle(grid64):
         levelset_fractions(lf, ROOT, alphas=[])
     with pytest.raises(InvalidArgumentError):
         levelset_fractions(lf, ROOT, alphas=[-1.0])
+
+
+def levelset_fractions_by_alpha(lf, cube, alphas):
+    """Reference: one comparison pass over the excess per alpha."""
+    parts = subcubes(cube)
+    a_c = cube_average(lf, cube, cube.l)
+    nodes = np.nonzero(lf.grid.node_mask(cube.ball()))[0]
+    out = []
+    for rect, orient in ((parts.d_plus, +1.0), (parts.d_minus, -1.0)):
+        steps = lf.path.step_indices(rect.t_lo, rect.t_hi)
+        excess = orient * (lf.values[np.ix_(steps, nodes)] - a_c)
+        out.append(np.array([float(np.mean(excess > al)) for al in alphas]))
+    return a_c, out[0], out[1]
+
+
+def test_levelset_fractions_match_per_alpha_loop(long_path):
+    # ties at an alpha, repeated values and NaN entries (which exceed no
+    # alpha) on both eighths; the fractions must agree bit for bit
+    lf = log_field(long_path, 1e-4)
+    parts = subcubes(ROOT)
+    nodes = np.nonzero(lf.grid.node_mask(ROOT.ball()))[0]
+    up = long_path.step_indices(parts.d_plus.t_lo, parts.d_plus.t_hi)
+    lo = long_path.step_indices(parts.d_minus.t_lo, parts.d_minus.t_hi)
+    h = lf.values.copy()
+    h[up[0], nodes[:4]] = h[up[1], nodes[5]]
+    h[up[2], nodes[3]] = np.nan
+    h[lo[1], nodes[7]] = np.nan
+    lf = LogField(path=lf.path, mu=lf.mu, values=h, clamp_fraction=lf.clamp_fraction)
+    a_c = cube_average(lf, ROOT, ROOT.l)
+    ties = [h[up[1], nodes[5]] - a_c, a_c - h[lo[0], nodes[2]]]
+    assert min(ties) > 0.0
+    alphas = np.sort(np.concatenate([np.geomspace(0.01, 3.0, 24), ties]))
+    got = levelset_fractions(lf, ROOT, alphas)
+    want = levelset_fractions_by_alpha(lf, ROOT, alphas)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(g, w)
+    assert np.any(want[1] > 0.0) and np.any(want[2] > 0.0)
 
 
 def test_fit_decay_recovers_exact_exponential():

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from importlib import metadata
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,18 +68,6 @@ except metadata.PackageNotFoundError:  # running from a source tree
 COMMANDS = ("solve", "ensemble", "harnack", "positivity", "moser",
             "degiorgi", "jn", "cubes", "norms")
 
-_SECTION_KEYS = {
-    "grid": {"n", "npts", "extent"},
-    "model": {"a", "f", "g", "lambda_f", "lambda_g", "iota", "m", "a_seed",
-              "a_value", "a_expr", "f_expr", "g_expr", "growth_bound"},
-    "solver": {"dt", "scheme", "tol", "f0", "amplitude", "width", "ic_seed",
-               "horizon"},
-    "regions": None,  # keys are user-chosen region names
-    "montecarlo": {"paths", "seed", "chunk", "gammas", "floor", "alphas",
-                   "mu", "nu", "depth"},
-    "output": {"plot"},
-}
-
 DEFAULT_REGIONS = {
     "Q": SpaceTimeRect(0.0625, 0.25, Ball((0.0,), 0.5)),
     "P": SpaceTimeRect(0.5, 1.0, Ball((0.0,), 0.5)),
@@ -87,6 +76,79 @@ DEFAULT_REGIONS = {
 
 # ---------------------------------------------------------------------------
 # config text <-> ExperimentSpec
+
+def _floats(raw: str) -> tuple:
+    toks = raw.replace(",", " ").split()
+    if not toks:
+        raise ValueError("expected at least one number")
+    return tuple(float(t) for t in toks)
+
+
+def _dt(raw: str):
+    return None if raw.lower() == "auto" else float(raw)
+
+
+def _optional(show):
+    """Printer that leaves the key out when the value is None."""
+    return lambda v: None if v is None else show(v)
+
+
+class _Key(NamedTuple):
+    """One config key: the spec field it sets and how its value is written."""
+
+    section: str
+    key: str
+    field: str | None  # "<owner>.<attr>", owner one of grid, model, solver, spec
+    parse: Callable | None  # raw text -> value
+    show: Callable | None  # value -> text, or None to leave the key out
+    default: object = dataclasses.MISSING  # only where the owner has none
+
+
+_INT, _FLOAT, _STR = (int, str), (float, repr), (str, str)
+_FLOATS = (_floats, lambda v: ", ".join(repr(x) for x in v))
+
+# Key validation, parsing and the canonical text all follow this table, in
+# its order. A key the text leaves out takes its owner's field default.
+_KEYS = (
+    _Key("grid", "n", "grid.n", *_INT, default=1),
+    _Key("grid", "npts", "grid.npts", *_INT, default=128),
+    _Key("grid", "extent", "grid.extent", *_FLOAT),
+    _Key("model", "a", "model.a_kind", *_STR),
+    _Key("model", "f", "model.f_kind", *_STR),
+    _Key("model", "g", "model.g_kind", *_STR),
+    _Key("model", "lambda_f", "model.lambda_f", *_FLOAT),
+    _Key("model", "lambda_g", "model.lambda_g", *_FLOAT),
+    _Key("model", "iota", "model.iota", *_FLOAT),
+    _Key("model", "m", "model.m", *_INT),
+    _Key("model", "a_seed", "model.a_seed", *_INT),
+    _Key("model", "a_value", "model.a_value", *_FLOAT),
+    _Key("model", "a_expr", "model.a_expr", str, _optional(str)),
+    _Key("model", "f_expr", "model.f_expr", str, _optional(str)),
+    _Key("model", "g_expr", "model.g_expr", str, _optional(str)),
+    _Key("model", "growth_bound", "model.growth_bound", float, _optional(repr)),
+    _Key("solver", "dt", "solver.dt", _dt, lambda v: "auto" if v is None else repr(v)),
+    _Key("solver", "scheme", "solver.scheme", *_STR),
+    # accepted and ignored, so manifests that still carry it replay
+    _Key("solver", "tol", None, None, None),
+    _Key("solver", "f0", "spec.ic_kind", *_STR),
+    _Key("solver", "amplitude", "spec.ic_amplitude", *_FLOAT),
+    _Key("solver", "width", "spec.ic_width", *_FLOAT),
+    _Key("solver", "ic_seed", "spec.ic_seed", *_INT),
+    _Key("solver", "horizon", "spec.horizon", *_FLOAT),
+    _Key("montecarlo", "paths", "spec.n_paths", *_INT),
+    _Key("montecarlo", "seed", "spec.master_seed", *_INT),
+    _Key("montecarlo", "chunk", "spec.chunk", *_INT),
+    _Key("montecarlo", "gammas", "spec.gammas", *_FLOATS),
+    _Key("montecarlo", "floor", "spec.floor", *_FLOAT),
+    _Key("montecarlo", "alphas", "spec.alphas", *_FLOATS),
+    _Key("montecarlo", "mu", "spec.mu", *_FLOAT),
+    _Key("montecarlo", "nu", "spec.nu", *_FLOAT),
+    _Key("montecarlo", "depth", "spec.depth", *_INT),
+)
+
+# [regions] keys are user-chosen names, so the table has no rows for it
+_SECTIONS = ("grid", "model", "solver", "regions", "montecarlo")
+
 
 def _tokenize(text: str):
     """INI text -> {section: {key: (raw value, line number)}}.
@@ -103,8 +165,8 @@ def _tokenize(text: str):
             if not line.endswith("]"):
                 raise ConfigError(f"unterminated section header {line!r}", line=ln)
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
-                hint = difflib.get_close_matches(name, _SECTION_KEYS, n=1, cutoff=0.5)
+            if name not in _SECTIONS:
+                hint = difflib.get_close_matches(name, _SECTIONS, n=1, cutoff=0.5)
                 msg = f"unknown section [{name}]"
                 if hint:
                     msg += f"; did you mean [{hint[0]}]?"
@@ -118,37 +180,18 @@ def _tokenize(text: str):
             raise ConfigError("key outside any [section]", line=ln)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        known = _SECTION_KEYS[current]
-        if known is not None and key not in known:
-            hint = difflib.get_close_matches(key, known, n=1, cutoff=0.5)
-            msg = f"unknown key {key!r} in [{current}]"
-            if hint:
-                msg += f"; did you mean {hint[0]!r}?"
-            raise ConfigError(msg, line=ln)
+        if current != "regions":
+            known = [k.key for k in _KEYS if k.section == current]
+            if key not in known:
+                hint = difflib.get_close_matches(key, known, n=1, cutoff=0.5)
+                msg = f"unknown key {key!r} in [{current}]"
+                if hint:
+                    msg += f"; did you mean {hint[0]!r}?"
+                raise ConfigError(msg, line=ln)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", line=ln)
         sections[current][key] = (val, ln)
     return sections
-
-
-def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _floats(raw: str) -> tuple:
-    toks = raw.replace(",", " ").split()
-    if not toks:
-        raise ValueError("expected at least one number")
-    return tuple(float(t) for t in toks)
-
-
-def _dt(raw: str):
-    return None if raw.lower() == "auto" else float(raw)
 
 
 def _region(raw: str) -> SpaceTimeRect:
@@ -166,25 +209,28 @@ def _region(raw: str) -> SpaceTimeRect:
         f"{{t_lo, t_hi, center, radius}}, got {sorted(keys)}")
 
 
-def _take(sections, section: str, key: str, conv, default):
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        return default
-    raw, ln = entry
+def _rejected(build) -> bool:
+    """True when build() raises InvalidArgumentError."""
     try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {exc}", line=ln) from None
+        build()
+    except InvalidArgumentError:
+        return True
+    return False
 
 
-def _line_of(sections, section: str, *keys):
-    for key in keys:
-        entry = sections.get(section, {}).get(key)
-        if entry is not None:
-            return entry[1]
-    return None
+def _construct(make, base: dict, given: list):
+    """make(**base) with the (attr, value, line) triples of given applied.
+
+    A rejection is reported at the line of the first given key whose value
+    alone, on top of base, is rejected, and at no line when none is.
+    """
+    try:
+        return make(**{**base, **{attr: value for attr, value, _ in given}})
+    except InvalidArgumentError as exc:
+        line = None if _rejected(lambda: make(**base)) else next(
+            (ln for attr, value, ln in given
+             if _rejected(lambda: make(**{**base, attr: value}))), None)
+        raise ConfigError(str(exc), line=line) from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -196,78 +242,49 @@ def parse_config(text: str) -> ExperimentSpec:
     checked eagerly so a bad model fails here, not mid-run.
     """
     sections = _tokenize(text)
-
-    try:
-        grid = Grid.regular(_take(sections, "grid", "n", int, 1),
-                            _take(sections, "grid", "npts", int, 128),
-                            _take(sections, "grid", "extent", float, 2.0))
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc), line=_line_of(sections, "grid", "npts", "n", "extent")) from None
-
-    model = ModelParams(
-        a_kind=_take(sections, "model", "a", str, "identity"),
-        f_kind=_take(sections, "model", "f", str, "zero"),
-        g_kind=_take(sections, "model", "g", str, "trig"),
-        lambda_f=_take(sections, "model", "lambda_f", float, 0.0),
-        lambda_g=_take(sections, "model", "lambda_g", float, 0.5),
-        iota=_take(sections, "model", "iota", float, 1.0),
-        m=_take(sections, "model", "m", int, 4),
-        a_seed=_take(sections, "model", "a_seed", int, 0),
-        a_value=_take(sections, "model", "a_value", float, 1.0),
-        a_expr=_take(sections, "model", "a_expr", str, None),
-        f_expr=_take(sections, "model", "f_expr", str, None),
-        g_expr=_take(sections, "model", "g_expr", str, None),
-        growth_bound=_take(sections, "model", "growth_bound", float, None),
-    )
-    try:
-        solver = SolverConfig(dt=_take(sections, "solver", "dt", _dt, None),
-                              scheme=_take(sections, "solver", "scheme", str, "semi-implicit"),
-                              tol=_take(sections, "solver", "tol", float, 1e-10))
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc), line=_line_of(sections, "solver", "scheme", "dt", "tol")) from None
-
-    region_items = sections.get("regions", {})
-    if region_items:
-        regions = {}
-        for name, (raw, ln) in region_items.items():
+    base = {"grid": {}, "model": {}, "solver": {}, "spec": {}}
+    given = {owner: [] for owner in base}
+    for k in _KEYS:
+        if k.field is None:
+            continue
+        owner, attr = k.field.split(".")
+        if k.default is not dataclasses.MISSING:
+            base[owner][attr] = k.default
+        entry = sections.get(k.section, {}).get(k.key)
+        if entry is not None:
+            raw, ln = entry
             try:
-                regions[name] = _region(raw)
+                given[owner].append((attr, k.parse(raw), ln))
             except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad region {name!r}: {exc}", line=ln) from None
-    else:
-        regions = dict(DEFAULT_REGIONS) if grid.n == 1 else {
-            name: SpaceTimeRect(r.t_lo, r.t_hi, Ball((0.0, 0.0), r.ball.radius))
-            for name, r in DEFAULT_REGIONS.items()}
+                raise ConfigError(f"bad value for [{k.section}] {k.key}: {exc}",
+                                  line=ln) from None
 
-    try:
-        spec = ExperimentSpec(
-            grid=grid, model=model, solver=solver,
-            ic_kind=_take(sections, "solver", "f0", str, "bump"),
-            ic_amplitude=_take(sections, "solver", "amplitude", float, 1.0),
-            ic_width=_take(sections, "solver", "width", float, 1.0),
-            ic_seed=_take(sections, "solver", "ic_seed", int, 0),
-            horizon=_take(sections, "solver", "horizon", float, 1.0),
-            n_paths=_take(sections, "montecarlo", "paths", int, 200),
-            master_seed=_take(sections, "montecarlo", "seed", int, 2024),
-            regions=regions,
-            chunk=_take(sections, "montecarlo", "chunk", int, 64),
-            gammas=_take(sections, "montecarlo", "gammas", _floats,
-                         ExperimentSpec.__dataclass_fields__["gammas"].default),
-            floor=_take(sections, "montecarlo", "floor", float, 0.0),
-            alphas=_take(sections, "montecarlo", "alphas", _floats,
-                         ExperimentSpec.__dataclass_fields__["alphas"].default),
-            mu=_take(sections, "montecarlo", "mu", float, 1e-4),
-            nu=_take(sections, "montecarlo", "nu", float, 1.0),
-            depth=_take(sections, "montecarlo", "depth", int, 1),
-        )
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc), line=_line_of(sections, "solver", "horizon", "f0")) from None
+    grid = _construct(Grid.regular, base["grid"], given["grid"])
+    model = _construct(ModelParams, base["model"], given["model"])
+    solver = _construct(SolverConfig, base["solver"], given["solver"])
+
+    named = []
+    for name, (raw, ln) in sections.get("regions", {}).items():
+        try:
+            named.append((name, _region(raw), ln))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad region {name!r}: {exc}", line=ln) from None
+    defaults = {} if named else dict(DEFAULT_REGIONS) if grid.n == 1 else {
+        name: SpaceTimeRect(r.t_lo, r.t_hi, Ball((0.0, 0.0), r.ball.radius))
+        for name, r in DEFAULT_REGIONS.items()}
+    spec = _construct(ExperimentSpec, {**base["spec"], "grid": grid, "model": model,
+                                       "solver": solver, "regions": defaults},
+                      given["spec"])
+    if named:
+        spec = _construct(lambda **regions: dataclasses.replace(spec, regions=regions),
+                          {}, named)
 
     if "P" in spec.regions and "Q" in spec.regions:
         try:
             validate_windows(spec.regions["P"], spec.regions["Q"])
         except InvalidArgumentError as exc:
-            raise ConfigError(str(exc), line=_line_of(sections, "regions", "P", "Q")) from None
+            lines = {name: ln for name, _, ln in named}
+            raise ConfigError(str(exc), line=lines.get("P", lines.get("Q"))) from None
     try:
         spec.build()
     except InvalidArgumentError as exc:
@@ -275,63 +292,27 @@ def parse_config(text: str) -> ExperimentSpec:
     return spec
 
 
+def _value(spec: ExperimentSpec, field: str):
+    owner, attr = field.split(".")
+    return getattr(spec if owner == "spec" else getattr(spec, owner), attr)
+
+
 def print_config(spec: ExperimentSpec) -> str:
     """Canonical config text; parse_config(print_config(s)) == s."""
-    p, s = spec.model, spec.solver
-    lines = [
-        "[grid]",
-        f"n = {spec.grid.n}",
-        f"npts = {spec.grid.npts}",
-        f"extent = {spec.grid.extent!r}",
-        "",
-        "[model]",
-        f"a = {p.a_kind}",
-        f"f = {p.f_kind}",
-        f"g = {p.g_kind}",
-        f"lambda_f = {p.lambda_f!r}",
-        f"lambda_g = {p.lambda_g!r}",
-        f"iota = {p.iota!r}",
-        f"m = {p.m}",
-        f"a_seed = {p.a_seed}",
-        f"a_value = {p.a_value!r}",
-    ]
-    for key, val in (("a_expr", p.a_expr), ("f_expr", p.f_expr), ("g_expr", p.g_expr)):
-        if val is not None:
-            lines.append(f"{key} = {val}")
-    if p.growth_bound is not None:
-        lines.append(f"growth_bound = {p.growth_bound!r}")
-    lines += [
-        "",
-        "[solver]",
-        "dt = auto" if s.dt is None else f"dt = {s.dt!r}",
-        f"scheme = {s.scheme}",
-        f"tol = {s.tol!r}",
-        f"f0 = {spec.ic_kind}",
-        f"amplitude = {spec.ic_amplitude!r}",
-        f"width = {spec.ic_width!r}",
-        f"ic_seed = {spec.ic_seed}",
-        f"horizon = {spec.horizon!r}",
-        "",
-        "[regions]",
-    ]
-    for name, rect in spec.regions.items():
-        lines.append(f"{name} = " + json.dumps(
-            {"t_lo": rect.t_lo, "t_hi": rect.t_hi,
-             "center": list(rect.ball.center), "radius": rect.ball.radius}))
-    lines += [
-        "",
-        "[montecarlo]",
-        f"paths = {spec.n_paths}",
-        f"seed = {spec.master_seed}",
-        f"chunk = {spec.chunk}",
-        "gammas = " + ", ".join(repr(g) for g in spec.gammas),
-        f"floor = {spec.floor!r}",
-        "alphas = " + ", ".join(repr(a) for a in spec.alphas),
-        f"mu = {spec.mu!r}",
-        f"nu = {spec.nu!r}",
-        f"depth = {spec.depth}",
-    ]
-    return "\n".join(lines) + "\n"
+    lines = []
+    for section in _SECTIONS:
+        lines += ["", f"[{section}]"]
+        if section == "regions":
+            lines += [f"{name} = " + json.dumps(
+                {"t_lo": rect.t_lo, "t_hi": rect.t_hi,
+                 "center": list(rect.ball.center), "radius": rect.ball.radius})
+                for name, rect in spec.regions.items()]
+        for k in _KEYS:
+            if k.section == section and k.field is not None:
+                text = k.show(_value(spec, k.field))
+                if text is not None:
+                    lines.append(f"{k.key} = {text}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 # ---------------------------------------------------------------------------

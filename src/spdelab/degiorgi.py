@@ -83,12 +83,8 @@ class CutoffFamily:
 
     def sample(self, grid: Grid, k: int) -> np.ndarray:
         """Flat node samples of the k-th profile."""
-        xs = grid.coords_flat()
-        rho = np.abs(xs[0])
-        for d in range(1, grid.n):
-            rho = np.maximum(rho, np.abs(xs[d]))
         inner, outer = self._radii(k)
-        return smoothstep(inner, outer, rho)
+        return smoothstep(inner, outer, grid.max_dist())
 
 
 def truncate(path: FieldPath, k: int, a: float) -> FieldPath:

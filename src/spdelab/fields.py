@@ -47,6 +47,8 @@ class Grid:
 
     @classmethod
     def regular(cls, n: int, npts: int, extent: float = 2.0) -> "Grid":
+        if int(npts) < 1:
+            raise InvalidArgumentError(f"npts must be positive, got {npts}")
         return cls(n, 2.0 * float(extent) / int(npts), float(extent))
 
     @property
@@ -71,6 +73,15 @@ class Grid:
             return (c,)
         g0, g1 = np.meshgrid(c, c, indexing="ij")
         return (g0.ravel(), g1.ravel())
+
+    def max_dist(self, center=0.0) -> np.ndarray:
+        """max_d |x_d - center_d| over the flattened nodes."""
+        xs = self.coords_flat()
+        c = np.broadcast_to(np.asarray(center, dtype=float), (self.n,))
+        rho = np.abs(xs[0] - c[0])
+        for d in range(1, self.n):
+            rho = np.maximum(rho, np.abs(xs[d] - c[d]))
+        return rho
 
     def node_mask(self, ball: Ball) -> np.ndarray:
         if ball.dim != self.n:

@@ -92,11 +92,7 @@ def _cube_weights(grid: Grid, cube: Cube):
             raise InvalidArgumentError(
                 f"enlarged ball of radius {1.5 * cube.z} at {cube.w} exits the box "
                 f"[-{grid.extent}, {grid.extent})")
-    xs = grid.coords_flat()
-    xi = np.abs(xs[0] - cube.w[0])
-    for d in range(1, grid.n):
-        xi = np.maximum(xi, np.abs(xs[d] - cube.w[d]))
-    w2 = master_cutoff(xi / (2.0 * cube.z)) ** 2
+    w2 = master_cutoff(grid.max_dist(cube.w) / (2.0 * cube.z)) ** 2
     vnorm = grid.cell_volume() * float(np.sum(w2))
     if vnorm <= 0.0:
         raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")

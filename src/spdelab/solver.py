@@ -95,20 +95,21 @@ class CoefficientModel:
 
 @dataclass
 class SolverConfig:
-    """Stepping controls; dt=None selects the parabolic default dx^2/2."""
+    """Stepping controls: the time step and the scheme.
+
+    dt=None selects the parabolic default dx^2/2. scheme is
+    "semi-implicit" (implicit in the diffusion, explicit in drift and
+    noise) or "explicit". A solved path always records its noise.
+    """
 
     dt: float | None = None
     scheme: str = "semi-implicit"
-    tol: float = 1e-10
-    record_noise: bool = True
 
     def __post_init__(self):
         if self.scheme not in ("semi-implicit", "explicit"):
             raise InvalidArgumentError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and not (self.dt > 0.0):
             raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
-        if not (self.tol > 0.0):
-            raise InvalidArgumentError(f"tol must be positive, got {self.tol}")
 
     def step_size(self, grid: Grid) -> float:
         return self.dt if self.dt is not None else grid.dx**2 / 2.0
@@ -641,9 +642,8 @@ def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
     if res.failed[0]:
         raise BlowUpError(f"path blew up at step {int(res.fail_step[0])}",
                           step_index=int(res.fail_step[0]))
-    noise = dW if cfg.record_noise else None
     key = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return FieldPath(grid, times, res.history[0], noise=noise, seed_key=key,
+    return FieldPath(grid, times, res.history[0], noise=dW, seed_key=key,
                      scheme=cfg.scheme)
 
 
@@ -665,10 +665,7 @@ class TestFunction:
             raise InvalidArgumentError("test function has non-finite values")
         if np.any(v < 0.0):
             raise InvalidArgumentError("test function must be nonnegative")
-        xs = self.grid.coords_flat()
-        margin = np.zeros(self.grid.size, dtype=bool)
-        for c in xs:
-            margin |= np.abs(c) >= self.grid.extent - 2.0 * self.grid.dx
+        margin = self.grid.max_dist() >= self.grid.extent - 2.0 * self.grid.dx
         if np.any(v[margin] != 0.0):
             raise InvalidArgumentError(
                 "test function must vanish within two nodes of the wrap seam")
@@ -679,13 +676,7 @@ class TestFunction:
     @classmethod
     def bump(cls, grid: Grid, center=0.0, radius: float = 1.0,
              height: float = 1.0) -> "TestFunction":
-        xs = grid.coords_flat()
-        ctr = np.zeros(grid.n) if np.isscalar(center) and center == 0.0 else \
-            np.asarray(center, dtype=float).reshape(-1)
-        rho = np.abs(xs[0] - ctr[0])
-        for d in range(1, grid.n):
-            rho = np.maximum(rho, np.abs(xs[d] - ctr[d]))
-        return cls(grid, height * smoothstep(radius / 2.0, radius, rho))
+        return cls(grid, height * smoothstep(radius / 2.0, radius, grid.max_dist(center)))
 
     def pair(self, fields: np.ndarray):
         """Discrete L2 pairing dx^n sum(phi * field) over the last axis."""
@@ -833,9 +824,7 @@ def make_initial_condition(kind: str, grid: Grid, amplitude: float = 1.0,
     if not (amplitude > 0.0):
         raise InvalidArgumentError(f"amplitude must be positive, got {amplitude}")
     xs = grid.coords_flat()
-    rho = np.abs(xs[0])
-    for d in range(1, grid.n):
-        rho = np.maximum(rho, np.abs(xs[d]))
+    rho = grid.max_dist()
     if kind == "bump":
         vals = amplitude * np.clip(1.0 - (rho / width) ** 2, 0.0, None) ** 2
     elif kind == "constant":

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,53 @@ chunk = 4
 gammas = 1, 4, 16
 """
 
+# every key set to a value other than its default
+EVERY_KEY = """\
+[grid]
+n = 2
+npts = 16
+extent = 1.5
+
+[model]
+a = expr
+f = expr
+g = expr
+lambda_f = 0.2
+lambda_g = 0.3
+iota = 0.5
+m = 1
+a_seed = 7
+a_value = 0.75
+a_expr = 1 + 0.25*sin(pi*x1)*cos(pi*x2)
+f_expr = 0.1*u*cos(t)
+g_expr = 0.2*u*sin(x1)
+growth_bound = 0.6
+
+[solver]
+dt = 0.002
+scheme = explicit
+f0 = random_positive
+amplitude = 2.5
+width = 0.75
+ic_seed = 3
+horizon = 2.0
+
+[regions]
+Q = {"t_lo": 0.25, "t_hi": 0.5, "center": [0.0, 0.0], "radius": 0.5}
+P = {"t_lo": 1.0, "t_hi": 2.0, "center": [0.25, 0.0], "radius": 0.75}
+
+[montecarlo]
+paths = 17
+seed = 99
+chunk = 5
+gammas = 1.5, 3.0
+floor = 0.01
+alphas = 0.1, 0.2, 0.4
+mu = 0.001
+nu = 2.0
+depth = 2
+"""
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -68,6 +116,72 @@ def test_round_trip_is_identity():
         assert parse_config(canon) == spec
         # printing is idempotent on its own output
         assert print_config(parse_config(canon)) == canon
+
+
+def _key_values(text):
+    return dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+
+
+def test_every_key_round_trips():
+    spec = parse_config(EVERY_KEY)
+    canon = print_config(spec)
+    assert parse_config(canon) == spec
+    assert print_config(parse_config(canon)) == canon
+    # the config really sets every key the canonical text writes, each to
+    # a value other than its default
+    given, written = _key_values(EVERY_KEY), _key_values(canon)
+    defaults = _key_values(print_config(parse_config("")))
+    assert set(written) == set(given)
+    for key in set(given) - {"Q", "P"}:
+        assert written[key] != defaults.get(key), key
+
+
+def test_tol_from_old_manifests_is_ignored():
+    canon = print_config(parse_config(CUSTOM))
+    old = canon.replace("scheme = semi-implicit\n",
+                        "scheme = semi-implicit\ntol = 1e-10\n")
+    assert "tol = 1e-10" in old and "tol" not in canon
+    assert parse_config(old) == parse_config(canon)
+    assert print_config(parse_config(old)) == canon
+
+
+def test_output_section_is_unknown():
+    with pytest.raises(ConfigError, match=r"line 1: unknown section \[output\]"):
+        parse_config("[output]\nplot = true\n")
+
+
+def test_rejected_value_reported_at_its_own_line():
+    cases = [
+        ("[solver]\nhorizon = 1.0\n\n[montecarlo]\nchunk = 0\n", 5),
+        ("[solver]\nf0 = bump\n[montecarlo]\nfloor = -1\n", 4),
+        ("[solver]\ndt = -1\nscheme = explicit\n", 2),
+        ("[montecarlo]\npaths = 0\n", 2),
+        ("[grid]\nn = 2\nnpts = 0\n", 3),
+    ]
+    for text, line in cases:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.line == line, (text, str(info.value))
+
+
+def _readme_example():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("A config that exercises most sections:\n", 1)[1]
+    lines = []
+    for line in block.splitlines()[1:]:
+        if line and not line.startswith("    "):
+            break
+        lines.append(line[4:])
+    return "\n".join(lines).strip() + "\n"
+
+
+def test_readme_example_parses_and_round_trips():
+    text = _readme_example()
+    assert text.startswith("[grid]") and "[montecarlo]" in text
+    spec = parse_config(text)
+    canon = print_config(spec)
+    assert parse_config(canon) == spec
+    assert print_config(parse_config(canon)) == canon
 
 
 def test_cylinder_region_form():

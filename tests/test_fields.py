@@ -43,6 +43,18 @@ def test_grid_regular():
     assert g2.shape == (16, 16)
     assert g2.size == 256
     assert g2.cell_volume() == pytest.approx(g2.dx**2)
+    with pytest.raises(InvalidArgumentError, match="npts"):
+        Grid.regular(1, 0)
+
+
+@pytest.mark.parametrize("n, center", [(1, 0.0), (1, (0.3,)), (2, 0.0),
+                                       (2, (0.25, -0.5))])
+def test_max_dist_matches_coordinate_loop(n, center):
+    g = Grid.regular(n, 16, 1.5)
+    xs = g.coords_flat()
+    c = np.broadcast_to(np.asarray(center, dtype=float), (n,))
+    want = np.max(np.stack([np.abs(x - cd) for x, cd in zip(xs, c)]), axis=0)
+    assert np.array_equal(g.max_dist(center), want)
 
 
 def test_path_shape_validation(grid32):

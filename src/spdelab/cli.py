@@ -260,7 +260,16 @@ def parse_config(text: str) -> ExperimentSpec:
                                   line=ln) from None
 
     grid = _construct(Grid.regular, base["grid"], given["grid"])
-    model = _construct(ModelParams, base["model"], given["model"])
+
+    def model_params(**params):
+        p = ModelParams(**params)
+        try:
+            build_model(p, grid.n, grid.extent)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"model rejected: {exc}") from None
+        return p
+
+    model = _construct(model_params, base["model"], given["model"])
     solver = _construct(SolverConfig, base["solver"], given["solver"])
 
     named = []

@@ -19,10 +19,14 @@ Batches of paths are stepped together and all per-path arithmetic is
 row-local, so results are bit-identical however paths are grouped into
 batches.  The implicit solve depends on what A reads: A free of t and u
 and constant in space makes I - dt L_A circulant, and it is solved by a
-real FFT; any other A free of u shares one sparse factorization per call
-(per step when A reads t); A that reads u is factored per path and step.
-The FFT solve carries roundoff of order 1e-16 max|u|, so nodes where u is
-nearly 0 may come out slightly negative.
+real FFT; any other A free of t and u shares one sparse factorization per
+call.  A that reads t or u needs a new matrix every step.  In 1d that
+matrix is cyclic tridiagonal, solved by LAPACK dgtsv with a
+Sherman-Morrison correction: one call per step for all rows when A reads
+t only, one call per path and step when A reads u.  In 2d it is factored
+by sparse LU, per step or per path and step.  The FFT solve carries
+roundoff of order 1e-16 max|u|, so nodes where u is nearly 0 may come out
+slightly negative.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -40,6 +45,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     ModelInvalidError,
+    NumericError,
     StateError,
 )
 from .fields import FieldPath, FieldSnapshot, Grid, smoothstep
@@ -63,8 +69,11 @@ class CoefficientModel:
     vanishes.  a_deps lists which of {"t", "u"} the diffusion coefficient
     actually reads; the integrator may pass u=None when "u" is absent.
     When a_deps is empty and a takes one value on the whole grid, the
-    implicit solve is an FFT; otherwise the integrator reuses a sparse
-    factorization as far as a_deps allows.
+    implicit solve is an FFT; when it is empty otherwise, one sparse
+    factorization serves the whole call.  A that reads t is evaluated once
+    per step and A that reads u once per step on the whole batch; in 1d
+    both are solved as cyclic tridiagonal systems, in 2d by a sparse
+    factorization per step or per path and step.
 
     sigma, when not None, declares multiplicative noise
     g_i(t, x, u) = sigma_i(x) u: it maps xs to an (m, S) array, and the
@@ -481,10 +490,57 @@ def _circulant_solve(grid: Grid, c: float, dt: float):
     return solve
 
 
-def _shared_solve(grid: Grid, a: np.ndarray, dt: float, constant_ok: bool):
-    """Solver rhs (B, S) -> (B, S) of I - dt L for one coefficient field."""
-    if constant_ok and np.all(a == a[0]):
+def _cyclic_parts(grid: Grid, a: np.ndarray, dt: float) -> tuple:
+    """1d I - dt L for coefficient rows a (..., N), split for Sherman-Morrison.
+
+    The periodic matrix is symmetric: diagonal 1 + lam (af_i + af_{i-1}),
+    entry -lam af_i between nodes i and i + 1 (mod N), so both corners hold
+    c = -lam af_{N-1}.  It equals T + w v^T with w = (gamma, 0, ..., 0, c),
+    v = (1, 0, ..., 0, c / gamma) and gamma = -d_0, where T is tridiagonal
+    with off-diagonal e and diagonal d (d_0 doubled, d_{N-1} less c^2/gamma).
+    Returns (e, d, gamma, c), each with the leading axes of a.
+    """
+    lam = dt / grid.dx**2
+    af = 0.5 * (a + np.roll(a, -1, axis=-1))
+    d = 1.0 + lam * (af + np.roll(af, 1, axis=-1))
+    off = -lam * af
+    gamma, c = -d[..., 0], off[..., -1]
+    d[..., 0] -= gamma
+    d[..., -1] -= c * c / gamma
+    return off[..., :-1], d, gamma, c
+
+
+def _cyclic_solve(parts: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve (T + w v^T) x = rhs for one matrix from _cyclic_parts, rhs (K, N).
+
+    One LAPACK dgtsv call solves T against w and every row of rhs as its
+    columns, so it always has at least 2 columns; columns never mix, so a
+    row's result does not depend on the other rows.
+    """
+    e, d, gamma, c = parts
+    b = np.zeros((rhs.shape[0] + 1, rhs.shape[1]))
+    b[0, 0], b[0, -1] = gamma, c
+    b[1:] = rhs
+    x, info = dgtsv(e, d, e, b.T, overwrite_b=True)[3:]
+    if info != 0:
+        raise NumericError(f"tridiagonal solve failed: LAPACK dgtsv info = {info}")
+    z, y = x.T[0], x.T[1:]
+    ratio = c / gamma
+    scale = (y[:, 0] + ratio * y[:, -1]) / (1.0 + z[0] + ratio * z[-1])
+    return y - scale[:, None] * z
+
+
+def _shared_solve(grid: Grid, a: np.ndarray, dt: float, reused: bool):
+    """Solver rhs (B, S) -> (B, S) of I - dt L for one coefficient field.
+
+    reused: the solver serves every step of the call (A reads neither t
+    nor u), so a factorization pays off; otherwise it serves one step.
+    """
+    if reused and np.all(a == a[0]):
         return _circulant_solve(grid, float(a[0]), dt)
+    if not reused and grid.n == 1:
+        parts = _cyclic_parts(grid, a, dt)
+        return lambda rhs: _cyclic_solve(parts, rhs)
     lu = splu(_implicit_matrix(grid, a, dt))
     return lambda rhs: lu.solve(rhs.T).T
 
@@ -573,16 +629,18 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
             if state_free:
                 if solve is None or not time_free:
                     solve = _shared_solve(grid, _coef_fields(cm, grid, xs, t, None), dt,
-                                          constant_ok=time_free)
+                                          reused=time_free)
                 unew = solve(rhs)
             else:
-                unew = np.empty_like(rhs)
-                for b in range(B):
-                    if failed[b]:
-                        unew[b] = np.nan
-                        continue
-                    coef = _coef_fields(cm, grid, xs, t, u[b])
-                    unew[b] = splu(_implicit_matrix(grid, coef, dt)).solve(rhs[b])
+                coef = _coef_fields(cm, grid, xs, t, u)
+                unew = np.full_like(rhs, np.nan)
+                if grid.n == 1:
+                    e, d, gamma, c = _cyclic_parts(grid, coef, dt)
+                    for b in np.flatnonzero(~failed):
+                        unew[b] = _cyclic_solve((e[b], d[b], gamma[b], c[b]), rhs[b:b + 1])[0]
+                else:
+                    for b in np.flatnonzero(~failed):
+                        unew[b] = splu(_implicit_matrix(grid, coef[b], dt)).solve(rhs[b])
         else:
             coef = _coef_fields(cm, grid, xs, t, u if not state_free else None)
             unew = rhs + dt * apply_operator(grid, coef, u)

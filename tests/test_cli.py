@@ -164,6 +164,18 @@ def test_rejected_value_reported_at_its_own_line():
         assert info.value.line == line, (text, str(info.value))
 
 
+def test_rejected_model_reported_at_its_key_line():
+    # the single-key rule: a bad expression is only read once its kind
+    # key selects it, so that key's line is reported
+    cases = [
+        ("[model]\niota = 2\n", 2, "iota must lie in"),
+        ("[model]\nlambda_f = 0.1\nf = expr\nf_expr = u**2\n", 3, "'u\\*\\*2'"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ConfigError, match=f"line {line}: model rejected: .*{message}"):
+            parse_config(text)
+
+
 def _readme_example():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text().split("A config that exercises most sections:\n", 1)[1]

@@ -1,11 +1,13 @@
 """The implicit step kernel against the general paths it shortcuts.
 
 A free of t and u and constant in space is solved by FFT instead of a
-sparse LU; noise declared through `sigma` is formed from profiles built
-once per batch instead of a g call per step.  Each shortcut is checked
-against the general computation, the choice of solve is pinned by
-counting factorizations, and every path keeps the rule that its result
-does not depend on which paths share its batch.
+sparse LU; in 1d, A that reads t or u is solved as a cyclic tridiagonal
+system by LAPACK with a Sherman-Morrison correction; noise declared
+through `sigma` is formed from profiles built once per batch instead of a
+g call per step.  Each shortcut is checked against the general
+computation, the choice of solve is pinned by counting factorizations and
+LAPACK calls, and every path keeps the rule that its result does not
+depend on which paths share its batch.
 """
 import dataclasses
 import math
@@ -15,9 +17,11 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from spdelab import solver
+from spdelab.errors import NumericError
 from spdelab.fields import FieldSnapshot, Grid
 from spdelab.solver import (ModelParams, SolverConfig, _circulant_solve,
-                            _coef_fields, _implicit_matrix, build_model,
+                            _coef_fields, _cyclic_parts, _cyclic_solve,
+                            _implicit_matrix, build_model,
                             draw_increments, integrate_batch,
                             make_initial_condition, path_seed,
                             periodic_heat_kernel, solve_path, time_axis)
@@ -25,6 +29,12 @@ from spdelab.solver import (ModelParams, SolverConfig, _circulant_solve,
 CONSTANT_A = {
     "identity": ModelParams(),
     "constant": ModelParams(a_kind="constant", a_value=0.5, iota=0.5),
+}
+# A that the integrator solves anew every step
+REFACTORED_A = {
+    "random_elliptic": ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
+    "t-dependent": ModelParams(a_kind="expr", a_expr="1 + 0*t"),
+    "u-dependent": ModelParams(a_kind="expr", a_expr="1 + 0.5*u/(1+abs(u))", iota=0.5),
 }
 
 
@@ -73,34 +83,69 @@ def test_fft_solve_matches_sparse_lu(n, npts, kind, rng):
     close(_circulant_solve(grid, float(a[0]), dt)(rhs), want)
 
 
+# ---------------------------------------------------------------------------
+# cyclic tridiagonal solve
+
+@pytest.mark.parametrize("npts", [4, 5, 8, 64, 128])
+@pytest.mark.parametrize("iota", [1.0, 0.5, 0.1])
+def test_cyclic_solve_matches_sparse_lu(npts, iota, rng):
+    grid = Grid.regular(1, npts)
+    dt = 2.0 * grid.dx**2
+    rhs = rng.normal(size=(5, npts))
+    # one field shared by every row
+    a = rng.uniform(iota, 1.0 / iota, size=npts)
+    want = splu(_implicit_matrix(grid, a, dt)).solve(rhs.T).T
+    close(_cyclic_solve(_cyclic_parts(grid, a, dt), rhs), want)
+    # one field per row, split in one call and solved row by row
+    rows = rng.uniform(iota, 1.0 / iota, size=(5, npts))
+    e, d, gamma, c = _cyclic_parts(grid, rows, dt)
+    for b in range(5):
+        want = splu(_implicit_matrix(grid, rows[b], dt)).solve(rhs[b])
+        close(_cyclic_solve((e[b], d[b], gamma[b], c[b]), rhs[b:b + 1])[0], want)
+
+
+def test_cyclic_solve_raises_on_lapack_failure():
+    # T has an exactly zero pivot at its second node: dgtsv reports info = 2
+    parts = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), -1.0, 0.0)
+    with pytest.raises(NumericError, match="info = 2"):
+        _cyclic_solve(parts, np.ones((2, 4)))
+
+
 M_STEPS = 8        # steps of the runs that count factorizations
 B_ROWS = 3
 
-# expected splu calls per integrate_batch call of M_STEPS steps on B_ROWS rows
+# expected splu calls per integrate_batch call of M_STEPS steps on B_ROWS
+# rows in 1d and in 2d, and dgtsv calls in 1d (2d never calls dgtsv)
 FACTORIZATIONS = {
-    "identity": (ModelParams(), 0),
-    "constant": (ModelParams(a_kind="constant", a_value=0.5, iota=0.5), 0),
-    "constant-expr": (ModelParams(a_kind="expr", a_expr="0.75", iota=0.5), 0),
-    "x-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5), 1),
-    "t-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*t"), M_STEPS),
-    "random_elliptic": (ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2), M_STEPS),
-    "u-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*u"), M_STEPS * B_ROWS),
+    "identity": (ModelParams(), (0, 0, 0)),
+    "constant": (ModelParams(a_kind="constant", a_value=0.5, iota=0.5), (0, 0, 0)),
+    "constant-expr": (ModelParams(a_kind="expr", a_expr="0.75", iota=0.5), (0, 0, 0)),
+    "x-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5),
+                    (1, 1, 0)),
+    "t-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*t"),
+                    (0, M_STEPS, M_STEPS)),
+    "random_elliptic": (ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
+                        (0, M_STEPS, M_STEPS)),
+    "u-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*u"),
+                    (0, M_STEPS * B_ROWS, M_STEPS * B_ROWS)),
 }
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", sorted(FACTORIZATIONS))
 def test_solve_path_is_chosen_by_coefficient(monkeypatch, n, name):
-    params, want = FACTORIZATIONS[name]
+    params, (splu_1d, splu_2d, dgtsv_1d) = FACTORIZATIONS[name]
     grid = grid_for(n)
     cm = build_model(params, n, grid.extent)
-    calls = []
+    calls, lapack_calls = [], []
     monkeypatch.setattr(solver, "splu", counting(solver.splu, calls))
+    monkeypatch.setattr(solver, "dgtsv", counting(solver.dgtsv, lapack_calls))
     u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS)
     times = times[:M_STEPS + 1]
     integrate_batch(grid, cm, SolverConfig(), u0b, times,
                     dW[:, :M_STEPS], keep_history=True)
-    assert len(calls) == want
+    assert len(calls) == (splu_1d if n == 1 else splu_2d)
+    assert len(lapack_calls) == (dgtsv_1d if n == 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +206,43 @@ def test_batch_equals_rows_bitwise(n, kind):
         row = integrate_batch(grid, cm, cfg, u0b[b:b + 1], times, dW[b:b + 1],
                               keep_history=True)
         np.testing.assert_array_equal(row.history[0], whole.history[b])
+
+
+@pytest.mark.parametrize("kind", sorted(REFACTORED_A))
+def test_refactored_a_batch_equals_rows_bitwise(kind):
+    grid = grid_for(1)
+    cm = build_model(REFACTORED_A[kind], 1, grid.extent)
+    u0b, times, dW = batch_inputs(grid, cm, rows=5)
+    cfg = SolverConfig()
+    whole = integrate_batch(grid, cm, cfg, u0b, times, dW, keep_history=True)
+    assert not np.any(whole.failed)
+    for b in range(u0b.shape[0]):
+        row = integrate_batch(grid, cm, cfg, u0b[b:b + 1], times, dW[b:b + 1],
+                              keep_history=True)
+        np.testing.assert_array_equal(row.history[0], whole.history[b])
+
+
+@pytest.mark.parametrize("kind", ["random_elliptic", "u-dependent"])
+def test_blowup_isolation_under_refactored_a(kind):
+    # the cubic blow-up of test_solver's batch test: row 0 turns NaN, and
+    # neither the shared LAPACK call nor the Sherman-Morrison correction
+    # may carry it into row 1, which must stay exactly 0
+    grid = grid_for(1)
+    params = dataclasses.replace(REFACTORED_A[kind], f_kind="expr", f_expr="u * u * u",
+                                 g_kind="zero", m=0, growth_bound=1e9)
+    cm = build_model(params, 1, grid.extent)
+    times = time_axis(0.0, 40.0, 0.5)
+    u0b = np.zeros((3, grid.size))
+    u0b[0] = 50.0
+    u0b[2] = make_initial_condition("bump", grid, amplitude=0.1).flat()
+    res = integrate_batch(grid, cm, SolverConfig(dt=0.5), u0b, times, None,
+                          keep_history=True)
+    assert list(res.failed) == [True, False, False]
+    assert np.all(np.isnan(res.history[0, res.fail_step[0] + 1:]))
+    assert np.all(res.history[1] == 0.0)
+    alone = integrate_batch(grid, cm, SolverConfig(dt=0.5), u0b[2:], times, None,
+                            keep_history=True)
+    np.testing.assert_array_equal(alone.history[0], res.history[2])
 
 
 def test_state_dependent_a_ignores_batch_grouping():

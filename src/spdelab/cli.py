@@ -8,6 +8,10 @@ because all randomness is counter-seeded and CSV floats are written
 with repr, reproduces every result file byte for byte no matter how
 many threads are used.
 
+A subcommand is added by one row of SUBCOMMANDS: its runner, its help
+line and any flags of its own. The runner writes its files through a
+RunFiles, which lists each of them in the manifest automatically.
+
 Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
 from __future__ import annotations
@@ -64,9 +68,6 @@ try:
     VERSION = metadata.version("spdelab")
 except metadata.PackageNotFoundError:  # running from a source tree
     VERSION = "0.1.0"
-
-COMMANDS = ("solve", "ensemble", "harnack", "positivity", "moser",
-            "degiorgi", "jn", "cubes", "norms")
 
 DEFAULT_REGIONS = {
     "Q": SpaceTimeRect(0.0625, 0.25, Ball((0.0,), 0.5)),
@@ -281,8 +282,13 @@ def parse_config(text: str) -> ExperimentSpec:
     defaults = {} if named else dict(DEFAULT_REGIONS) if grid.n == 1 else {
         name: SpaceTimeRect(r.t_lo, r.t_hi, Ball((0.0, 0.0), r.ball.radius))
         for name, r in DEFAULT_REGIONS.items()}
-    spec = _construct(ExperimentSpec, {**base["spec"], "grid": grid, "model": model,
-                                       "solver": solver, "regions": defaults},
+    def experiment(**fields):
+        spec = ExperimentSpec(**fields)
+        spec.build()  # the initial condition, built from [solver] keys
+        return spec
+
+    spec = _construct(experiment, {**base["spec"], "grid": grid, "model": model,
+                                   "solver": solver, "regions": defaults},
                       given["spec"])
     if named:
         spec = _construct(lambda **regions: dataclasses.replace(spec, regions=regions),
@@ -294,10 +300,6 @@ def parse_config(text: str) -> ExperimentSpec:
         except InvalidArgumentError as exc:
             lines = {name: ln for name, _, ln in named}
             raise ConfigError(str(exc), line=lines.get("P", lines.get("Q"))) from None
-    try:
-        spec.build()
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"model rejected: {exc}") from None
     return spec
 
 
@@ -407,21 +409,38 @@ def svg_line_chart(path: str, xs, series, labels, title: str,
         fh.write("\n".join(out) + "\n")
 
 
+class RunFiles:
+    """The result files of one run: joins each name onto the run directory,
+    records it for the manifest's `results`, and writes charts only under --plot."""
+
+    def __init__(self, outdir: str, plot: bool):
+        self.outdir, self.plot, self.names = outdir, plot, []
+
+    def _path(self, name: str) -> str:
+        self.names.append(name)
+        return os.path.join(self.outdir, name)
+
+    def csv(self, name: str, header, rows):
+        write_csv(self._path(name), header, rows)
+
+    def chart(self, name: str, *args, **kwargs):
+        if self.plot:
+            svg_line_chart(self._path(name), *args, **kwargs)
+
+
 def _failure_roster(ens) -> dict:
-    idx = np.nonzero(ens.failed)[0]
-    return {"count": int(idx.size),
+    """The manifest's failures: the failed paths of ens, none without one."""
+    idx = [] if ens is None else np.nonzero(ens.failed)[0]
+    return {"count": len(idx),
             "paths": [int(i) for i in idx],
             "steps": [int(ens.fail_steps[i]) for i in idx],
-            "invalid": bool(ens.invalid)}
-
-
-_NO_FAILURES = {"count": 0, "paths": [], "steps": [], "invalid": False}
+            "invalid": ens is not None and bool(ens.invalid)}
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (result file names, failure roster)
+# subcommands; each writes through a RunFiles and returns its Ensemble or None
 
-def cmd_solve(spec, outdir, args):
+def cmd_solve(spec, out, args):
     """Deterministic heat benchmark: L2 error against the periodized kernel
     at three resolutions, time step locked to dx^2/2 so both error terms
     scale together."""
@@ -441,20 +460,15 @@ def cmd_solve(spec, outdir, args):
         rows.append((npts, g.dx, path.dt, err,
                      None if prev_err is None else prev_err / err))
         prev_err = err
-    write_csv(os.path.join(outdir, "resolution_study.csv"),
-              ["npts", "dx", "dt", "l2_error", "error_ratio"], rows)
-    results = ["resolution_study.csv"]
-    if args.plot:
-        svg_line_chart(os.path.join(outdir, "resolution_study.svg"),
-                       [r[0] for r in rows], [[r[3] for r in rows]], ["l2 error"],
-                       "heat benchmark", "nodes", "l2 error", logx=True)
-        results.append("resolution_study.svg")
+    out.csv("resolution_study.csv", ["npts", "dx", "dt", "l2_error", "error_ratio"], rows)
+    out.chart("resolution_study.svg",
+              [r[0] for r in rows], [[r[3] for r in rows]], ["l2 error"],
+              "heat benchmark", "nodes", "l2 error", logx=True)
     print(f"error ratios per refinement: "
           f"{', '.join(repr(r[4]) for r in rows[1:])}")
-    return results, _NO_FAILURES
 
 
-def cmd_ensemble(spec, outdir, args):
+def cmd_ensemble(spec, out, args):
     ens = run_ensemble(spec, threads=args.threads)
     names = sorted(spec.regions)
     header = ["path", "failed", "fail_step"]
@@ -468,10 +482,10 @@ def cmd_ensemble(spec, outdir, args):
             row += [float(ens.sup[name][i]), float(ens.inf[name][i])]
         row.append(float(ens.neg_energy[i]))
         rows.append(row)
-    write_csv(os.path.join(outdir, "paths.csv"), header, rows)
+    out.csv("paths.csv", header, rows)
     print(f"{ens.n_ok}/{spec.n_paths} paths completed"
           + (" (run flagged invalid)" if ens.invalid else ""))
-    return ["paths.csv"], _failure_roster(ens)
+    return ens
 
 
 def _named_regions(spec, *names):
@@ -484,36 +498,40 @@ def _named_regions(spec, *names):
     return out
 
 
-def cmd_harnack(spec, outdir, args):
+def _path_zero(spec):
+    """The spec's coefficient model and its path 0 over the whole horizon."""
+    cm, u0 = spec.build()
+    return cm, solve_path(u0, cm, spec.solver, spec.horizon,
+                          seed=path_seed(spec.master_seed, 0))
+
+
+def cmd_harnack(spec, out, args):
     Q, P = _named_regions(spec, "Q", "P")
     validate_windows(P, Q)
     ens = run_ensemble(spec, threads=args.threads)
     a = median_sup(ens, Q)
     curve = harnack_curve(ens, P, Q, a, spec.gammas)
     violations = indicator_monotonicity(ens, P, Q, a, spec.gammas)
-    write_csv(os.path.join(outdir, "harnack_curve.csv"),
-              ["gamma", "hits", "trials", "p_hat", "ci_lo", "ci_hi"],
-              [(g, e.hits, e.trials, e.p_hat, e.ci_lo, e.ci_hi) for g, e in curve])
-    write_csv(os.path.join(outdir, "harnack_summary.csv"),
-              ["threshold_a", "n_paths", "n_ok", "n_failed",
-               "monotonicity_violations", "invalid"],
-              [(a, spec.n_paths, ens.n_ok, int(np.sum(ens.failed)),
-                violations, ens.invalid)])
-    results = ["harnack_curve.csv", "harnack_summary.csv"]
-    if args.plot:
-        svg_line_chart(os.path.join(outdir, "harnack_curve.svg"),
-                       [g for g, _ in curve],
-                       [[e.p_hat for _, e in curve], [e.ci_hi for _, e in curve]],
-                       ["p_hat", "ci_hi"], "joint tail vs ratio threshold",
-                       "gamma", "probability", logx=True)
-        results.append("harnack_curve.svg")
+    out.csv("harnack_curve.csv",
+            ["gamma", "hits", "trials", "p_hat", "ci_lo", "ci_hi"],
+            [(g, e.hits, e.trials, e.p_hat, e.ci_lo, e.ci_hi) for g, e in curve])
+    out.csv("harnack_summary.csv",
+            ["threshold_a", "n_paths", "n_ok", "n_failed",
+             "monotonicity_violations", "invalid"],
+            [(a, spec.n_paths, ens.n_ok, int(np.sum(ens.failed)),
+              violations, ens.invalid)])
+    out.chart("harnack_curve.svg",
+              [g for g, _ in curve],
+              [[e.p_hat for _, e in curve], [e.ci_hi for _, e in curve]],
+              ["p_hat", "ci_hi"], "joint tail vs ratio threshold",
+              "gamma", "probability", logx=True)
     last_g, last = curve[-1]
     print(f"a = {a!r}; p_hat({last_g:g}) = {last.p_hat!r} "
           f"[{last.ci_lo!r}, {last.ci_hi!r}]; monotonicity violations: {violations}")
-    return results, _failure_roster(ens)
+    return ens
 
 
-def cmd_positivity(spec, outdir, args):
+def cmd_positivity(spec, out, args):
     if "P" in spec.regions:
         region = spec.regions["P"]
     elif len(spec.regions) == 1:
@@ -524,37 +542,36 @@ def cmd_positivity(spec, outdir, args):
     ens = run_ensemble(spec, threads=args.threads)
     rep = positivity_scan(ens, region, spec.floor)
     ok_ids = np.nonzero(ens.ok)[0]
-    write_csv(os.path.join(outdir, "positivity_paths.csv"),
-              ["path", "region_min", "neg_energy"],
-              [(int(i), float(m), float(ens.neg_energy[i]))
-               for i, m in zip(ok_ids, rep.mins)])
-    write_csv(os.path.join(outdir, "positivity_summary.csv"),
-              ["floor", "n_at_or_below", "worst_neg_energy",
-               "initial_energy", "n_failed"],
-              [(rep.floor, rep.n_at_or_below, rep.worst_neg_energy,
-                rep.initial_energy, rep.n_failed)])
+    out.csv("positivity_paths.csv",
+            ["path", "region_min", "neg_energy"],
+            [(int(i), float(m), float(ens.neg_energy[i]))
+             for i, m in zip(ok_ids, rep.mins)])
+    out.csv("positivity_summary.csv",
+            ["floor", "n_at_or_below", "worst_neg_energy",
+             "initial_energy", "n_failed"],
+            [(rep.floor, rep.n_at_or_below, rep.worst_neg_energy,
+              rep.initial_energy, rep.n_failed)])
     print(f"{rep.n_at_or_below} of {rep.mins.size} paths reached the floor "
           f"{rep.floor!r}; worst negative-part energy {rep.worst_neg_energy!r}")
-    return ["positivity_paths.csv", "positivity_summary.csv"], _failure_roster(ens)
+    return ens
 
 
-def cmd_moser(spec, outdir, args):
+def cmd_moser(spec, out, args):
     Q, P = _named_regions(spec, "Q", "P")
     rep = comparison_experiment(spec.grid, P, Q, n_data=50,
                                 seed=spec.master_seed, horizon=spec.horizon)
-    write_csv(os.path.join(outdir, "comparison_ratios.csv"),
-              ["data_index", "ratio", "ratio_refined"],
-              [(d, float(rep.ratios[d]), float(rep.ratios_refined[d]))
-               for d in range(rep.ratios.size)])
-    write_csv(os.path.join(outdir, "comparison_summary.csv"),
-              ["max_ratio", "max_ratio_refined", "relative_change"],
-              [(rep.max_ratio, rep.max_ratio_refined, rep.relative_change)])
+    out.csv("comparison_ratios.csv",
+            ["data_index", "ratio", "ratio_refined"],
+            [(d, float(rep.ratios[d]), float(rep.ratios_refined[d]))
+             for d in range(rep.ratios.size)])
+    out.csv("comparison_summary.csv",
+            ["max_ratio", "max_ratio_refined", "relative_change"],
+            [(rep.max_ratio, rep.max_ratio_refined, rep.relative_change)])
     print(f"max sup/inf ratio {rep.max_ratio!r}, refined {rep.max_ratio_refined!r} "
           f"(relative change {rep.relative_change!r})")
-    return ["comparison_ratios.csv", "comparison_summary.csv"], _NO_FAILURES
 
 
-def cmd_degiorgi(spec, outdir, args):
+def cmd_degiorgi(spec, out, args):
     n = spec.grid.n
     if spec.horizon < 1.0:
         raise InvalidArgumentError(
@@ -562,9 +579,7 @@ def cmd_degiorgi(spec, outdir, args):
     if spec.grid.extent < 1.5:
         raise InvalidArgumentError(
             "the cutoff family needs the box to cover |x| <= 3/2")
-    cm, u0 = spec.build()
-    path = solve_path(u0, cm, spec.solver, spec.horizon,
-                      seed=path_seed(spec.master_seed, 0))
+    cm, path = _path_zero(spec)
     lo, hi = time_window(0)
     base = sup_on(path, SpaceTimeRect(lo, hi, Ball((0.0,) * n, 1.0)))
     if base <= 0.0:
@@ -572,25 +587,22 @@ def cmd_degiorgi(spec, outdir, args):
             "field is nonpositive on the base window; no level to truncate at")
     params = IterationParams(a=0.5 * base)
     trace = iteration_trace(path, cm, CutoffFamily(n), params)
-    write_csv(os.path.join(outdir, "iteration_trace.csv"),
-              ["k", "energy", "mart_sup", "qv_bound", "c_hat"],
-              [(r.k, r.energy, r.mart_sup, r.qv_bound, r.c_hat)
-               for r in trace.rows])
-    write_csv(os.path.join(outdir, "iteration_summary.csv"),
-              ["a", "eps", "delta", "decayed", "c_hat_max"],
-              [(trace.a, trace.eps, trace.delta, trace.decayed, trace.c_hat_max)])
+    out.csv("iteration_trace.csv",
+            ["k", "energy", "mart_sup", "qv_bound", "c_hat"],
+            [(r.k, r.energy, r.mart_sup, r.qv_bound, r.c_hat) for r in trace.rows])
+    out.csv("iteration_summary.csv",
+            ["a", "eps", "delta", "decayed", "c_hat_max"],
+            [(trace.a, trace.eps, trace.delta, trace.decayed, trace.c_hat_max)])
     print(f"a = {trace.a!r}; U_K/U_0 = "
           f"{(trace.rows[-1].energy / trace.rows[0].energy if trace.rows[0].energy else 0.0)!r};"
           f" decayed: {trace.decayed}")
-    return ["iteration_trace.csv", "iteration_summary.csv"], _NO_FAILURES
 
 
-def cmd_jn(spec, outdir, args):
+def cmd_jn(spec, out, args):
     n = spec.grid.n
     H = spec.horizon
     root = Cube(l=H / 2.0, s=H / 8.0, z=math.sqrt(H / 8.0), w=(0.0,) * n)
-    cm, u0 = spec.build()
-    path = solve_path(u0, cm, spec.solver, H, seed=path_seed(spec.master_seed, 0))
+    cm, path = _path_zero(spec)
     lf = log_field(path, spec.mu)
     hier = build_core(root, spec.depth)
 
@@ -598,9 +610,9 @@ def cmd_jn(spec, outdir, args):
     for level, k, st in hierarchy_stats(lf, cm, hier, per_level_limit=32):
         cube_rows.append((level, k, st.cube.l, st.cube.s, st.a_c,
                           st.plus_avg, st.minus_avg, st.qv_ratio))
-    write_csv(os.path.join(outdir, "jn_cubes.csv"),
-              ["level", "index", "time_center", "scale", "a_c",
-               "upper_avg", "lower_avg", "qv_ratio"], cube_rows)
+    out.csv("jn_cubes.csv",
+            ["level", "index", "time_center", "scale", "a_c",
+             "upper_avg", "lower_avg", "qv_ratio"], cube_rows)
 
     # the decay fit uses ensemble-median fractions: one path's fractions
     # are too quantized at desk scale to survive the band filter
@@ -622,36 +634,32 @@ def cmd_jn(spec, outdir, args):
     med_lo = np.median(frac_lo[ens.ok], axis=0)
     fit_plus = fit_decay(alphas, med_up, band=(0.05, 0.9))
     fit_minus = fit_decay(alphas, med_lo, band=(0.05, 0.9))
-    write_csv(os.path.join(outdir, "jn_levelsets.csv"),
-              ["alpha", "upper_fraction", "lower_fraction"],
-              [(float(a), float(fp), float(fm)) for a, fp, fm in
-               zip(alphas, med_up, med_lo)])
-    write_csv(os.path.join(outdir, "jn_summary.csv"),
-              ["side", "decay_rate", "amplitude", "r_squared", "clamp_fraction"],
-              [("upper", fit_plus.decay_rate, fit_plus.amplitude,
-                fit_plus.r_squared, lf.clamp_fraction),
-               ("lower", fit_minus.decay_rate, fit_minus.amplitude,
-                fit_minus.r_squared, lf.clamp_fraction)])
+    out.csv("jn_levelsets.csv",
+            ["alpha", "upper_fraction", "lower_fraction"],
+            [(float(a), float(fp), float(fm)) for a, fp, fm in
+             zip(alphas, med_up, med_lo)])
+    out.csv("jn_summary.csv",
+            ["side", "decay_rate", "amplitude", "r_squared", "clamp_fraction"],
+            [("upper", fit_plus.decay_rate, fit_plus.amplitude,
+              fit_plus.r_squared, lf.clamp_fraction),
+             ("lower", fit_minus.decay_rate, fit_minus.amplitude,
+              fit_minus.r_squared, lf.clamp_fraction)])
     quantiles = tail_quantiles(values[ens.ok])
-    write_csv(os.path.join(outdir, "jn_tails.csv"),
-              ["eps", "k_hat", "mu", "nu"],
-              [(eps, q, spec.mu, spec.nu)
-               for eps, q in sorted(quantiles.items(), reverse=True)])
-    results = ["jn_cubes.csv", "jn_levelsets.csv", "jn_summary.csv", "jn_tails.csv"]
-    if args.plot:
-        svg_line_chart(os.path.join(outdir, "jn_levelsets.svg"),
-                       list(alphas), [list(med_up), list(med_lo)],
-                       ["upper", "lower"], "level-set fractions",
-                       "alpha", "fraction")
-        results.append("jn_levelsets.svg")
+    out.csv("jn_tails.csv",
+            ["eps", "k_hat", "mu", "nu"],
+            [(eps, q, spec.mu, spec.nu)
+             for eps, q in sorted(quantiles.items(), reverse=True)])
+    out.chart("jn_levelsets.svg",
+              list(alphas), [list(med_up), list(med_lo)],
+              ["upper", "lower"], "level-set fractions", "alpha", "fraction")
     print(f"decay rates: upper {fit_plus.decay_rate!r} "
           f"(r^2 {fit_plus.r_squared!r}), lower {fit_minus.decay_rate!r} "
           f"(r^2 {fit_minus.r_squared!r})")
-    return results, _failure_roster(ens)
+    return ens
 
 
-def cmd_cubes(spec, outdir, args):
-    depth = args.depth if getattr(args, "depth", None) is not None else spec.depth
+def cmd_cubes(spec, out, args):
+    depth = args.depth if args.depth is not None else spec.depth
     n = spec.grid.n
     root = unit_cube(n)
     core = build_core(root, depth)
@@ -664,18 +672,15 @@ def cmd_cubes(spec, outdir, args):
         all_match &= (c == ce and e == ee)
         rows.append((j, core.levels[j].s, core.levels[j].z, c, ce, e, ee,
                      count_bound(n, j)))
-    write_csv(os.path.join(outdir, "cube_counts.csv"),
-              ["level", "s", "z", "core_count", "core_expected",
-               "extended_count", "extended_expected", "bound"], rows)
+    out.csv("cube_counts.csv",
+            ["level", "s", "z", "core_count", "core_expected",
+             "extended_count", "extended_expected", "bound"], rows)
     print(f"depth {depth}, n = {n}: counts "
           + ("match the recurrence" if all_match else "DIVERGE from the recurrence"))
-    return ["cube_counts.csv"], _NO_FAILURES
 
 
-def cmd_norms(spec, outdir, args):
-    cm, u0 = spec.build()
-    path = solve_path(u0, cm, spec.solver, spec.horizon,
-                      seed=path_seed(spec.master_seed, 0))
+def cmd_norms(spec, out, args):
+    _, path = _path_zero(spec)
     if "Q" in spec.regions:
         rect = spec.regions["Q"]
     else:
@@ -684,22 +689,28 @@ def cmd_norms(spec, outdir, args):
     pairs = [(1.0, 1.0), (2.0, 2.0), (4.0, 2.0), (2.0, 4.0),
              (math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf)]
     rows = [(p, q, lpq_norm(path, MixedNormSpec(p, q), rect)) for p, q in pairs]
-    write_csv(os.path.join(outdir, "norms.csv"), ["p", "q", "value"], rows)
+    out.csv("norms.csv", ["p", "q", "value"], rows)
     print(f"{len(rows)} mixed norms over ({rect.t_lo!r}, {rect.t_hi!r}] x "
           f"B_{rect.ball.radius:g}")
-    return ["norms.csv"], _NO_FAILURES
 
 
-_DISPATCH = {
-    "solve": cmd_solve,
-    "ensemble": cmd_ensemble,
-    "harnack": cmd_harnack,
-    "positivity": cmd_positivity,
-    "moser": cmd_moser,
-    "degiorgi": cmd_degiorgi,
-    "jn": cmd_jn,
-    "cubes": cmd_cubes,
-    "norms": cmd_norms,
+class Subcommand(NamedTuple):
+    run: Callable  # (spec, RunFiles, parsed args) -> Ensemble or None
+    help: str
+    options: tuple = ()  # (flag, add_argument keywords) pairs
+
+
+SUBCOMMANDS = {
+    "solve": Subcommand(cmd_solve, "deterministic heat benchmark over three resolutions"),
+    "ensemble": Subcommand(cmd_ensemble, "integrate an ensemble and tabulate per-path extrema"),
+    "harnack": Subcommand(cmd_harnack, "joint sup/inf tail probabilities over ratio thresholds"),
+    "positivity": Subcommand(cmd_positivity, "minima and negative-part energy over an ensemble"),
+    "moser": Subcommand(cmd_moser, "deterministic sup/inf comparison for random positive data"),
+    "degiorgi": Subcommand(cmd_degiorgi, "truncation energy iteration trace on one path"),
+    "jn": Subcommand(cmd_jn, "log-field oscillation, level sets, and moment-product tails"),
+    "cubes": Subcommand(cmd_cubes, "cube hierarchy counts against the recurrence",
+                        (("--depth", {"type": int, "help": "hierarchy depth override"}),)),
+    "norms": Subcommand(cmd_norms, "mixed space-time norms of one solved path"),
 }
 
 
@@ -718,21 +729,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help="run directory (default: run-<stamp>-seed<seed>)")
     ap.add_argument("--plot", action="store_true", help="also write SVG charts")
     sub = ap.add_subparsers(dest="command", required=True, metavar="subcommand")
-    helps = {
-        "solve": "deterministic heat benchmark over three resolutions",
-        "ensemble": "integrate an ensemble and tabulate per-path extrema",
-        "harnack": "joint sup/inf tail probabilities over ratio thresholds",
-        "positivity": "minima and negative-part energy over an ensemble",
-        "moser": "deterministic sup/inf comparison for random positive data",
-        "degiorgi": "truncation energy iteration trace on one path",
-        "jn": "log-field oscillation, level sets, and moment-product tails",
-        "cubes": "cube hierarchy counts against the recurrence",
-        "norms": "mixed space-time norms of one solved path",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        if name == "cubes":
-            p.add_argument("--depth", type=int, help="hierarchy depth override")
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.options:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -757,7 +757,8 @@ def main(argv=None) -> int:
         outdir = args.out or f"run-{time.strftime('%Y%m%d-%H%M%S')}-seed{spec.master_seed}"
         os.makedirs(outdir, exist_ok=True)
         started = time.strftime("%Y-%m-%dT%H:%M:%S")
-        results, failures = _DISPATCH[args.command](spec, outdir, args)
+        files = RunFiles(outdir, args.plot)
+        failures = _failure_roster(SUBCOMMANDS[args.command].run(spec, files, args))
         manifest = {
             "version": VERSION,
             "subcommand": args.command,
@@ -766,7 +767,7 @@ def main(argv=None) -> int:
             "config_source": text,
             "started": started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "results": sorted(results),
+            "results": sorted(files.names),
             "failures": failures,
         }
         tmp = os.path.join(outdir, "manifest.json.tmp")
@@ -775,15 +776,12 @@ def main(argv=None) -> int:
             fh.write("\n")
         os.replace(tmp, os.path.join(outdir, "manifest.json"))
         print(f"results in {outdir}")
-        if failures.get("invalid"):
+        if failures["invalid"]:
             print(f"error: {failures['count']}/{spec.n_paths} paths diverged; "
                   "estimates from this run are unusable", file=sys.stderr)
             return 3
         return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

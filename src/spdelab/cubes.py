@@ -32,7 +32,8 @@ from .geometry import Ball, SpaceTimeRect
 
 LINEAGES = ("root", "plus", "minus")
 DEFAULT_BUDGET = 20_000_000
-DEFAULT_DEPTH = {1: 3, 2: 2}
+# the division factor zeta; count_bound holds only for 4
+ZETA = 4
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def _root_level(root: Cube) -> CubeLevel:
                      lineage=np.zeros(1, dtype=np.uint8))
 
 
-def _child_level(parent: CubeLevel, target: str, zeta: int) -> CubeLevel:
+def _child_level(parent: CubeLevel, target: str) -> CubeLevel:
     """Subdivide the eighths or quarters of every cube of a level.
 
     Each congruent piece is the same-named subregion of exactly one
@@ -161,9 +162,9 @@ def _child_level(parent: CubeLevel, target: str, zeta: int) -> CubeLevel:
     pieces the bottoms coincide.
     """
     s, z = parent.s, parent.z
-    s2 = s / zeta**2
-    z2 = z / zeta
-    k = np.arange(zeta**2)
+    s2 = s / ZETA**2
+    z2 = z / ZETA
+    k = np.arange(ZETA**2)
     if target == "eighth":
         # pieces of (l+3s, l+4s) and (l-4s, l-3s), each of height s2
         plus_off = 3.0 * s + (k + 1) * s2 - 4.0 * s2
@@ -176,11 +177,11 @@ def _child_level(parent: CubeLevel, target: str, zeta: int) -> CubeLevel:
         raise InvalidArgumentError(f"unknown subdivision target {target!r}")
 
     n = parent.n
-    axis = -z + (2.0 * np.arange(zeta) + 1.0) * z2
+    axis = -z + (2.0 * np.arange(ZETA) + 1.0) * z2
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     space = np.stack([g.ravel() for g in grids], axis=1)
 
-    P, T, Q = parent.count, zeta**2, zeta**n
+    P, T, Q = parent.count, ZETA**2, ZETA**n
     offs = np.stack([plus_off, minus_off])
     l_out = np.broadcast_to(
         (parent.l[:, None, None] + offs[None, :, :])[..., None],
@@ -209,8 +210,6 @@ class CubeHierarchy:
 
     root: Cube
     depth: int
-    kind: str
-    division_factor: int
     levels: list = field(default_factory=list)
 
     def count_level(self, j: int) -> int:
@@ -223,26 +222,24 @@ class CubeHierarchy:
         return sum(lv.count for lv in self.levels)
 
 
-def _validated(root: Cube, depth: int, zeta: int, budget: int):
+def _validated(depth: int, budget: int):
     if depth < 0 or int(depth) != depth:
         raise InvalidArgumentError(f"depth must be a nonnegative integer, got {depth}")
-    if zeta < 2 or int(zeta) != zeta:
-        raise InvalidArgumentError(f"division factor must be an integer >= 2, got {zeta}")
     if budget < 1:
         raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
-    return int(depth), int(zeta), int(budget)
+    return int(depth), int(budget)
 
 
-def core_count(n: int, j: int, zeta: int = 4) -> int:
+def core_count(n: int, j: int) -> int:
     """Cubes at level j of the core collection: (2 zeta^(n+2))^j."""
-    return (2 * zeta ** (n + 2)) ** j
+    return (2 * ZETA ** (n + 2)) ** j
 
 
-def extended_count(n: int, j: int, zeta: int = 4) -> int:
+def extended_count(n: int, j: int) -> int:
     """Reference recurrence x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j."""
     x = 1
     for i in range(1, j + 1):
-        x = 2 * zeta ** (n + 2) * x + core_count(n, i, zeta)
+        x = 2 * ZETA ** (n + 2) * x + core_count(n, i)
     return x
 
 
@@ -251,23 +248,21 @@ def count_bound(n: int, j: int) -> int:
     return 4 ** ((n + 3) * j)
 
 
-def build_core(root: Cube, depth: int, division_factor: int = 4,
-               budget: int = DEFAULT_BUDGET) -> CubeHierarchy:
+def build_core(root: Cube, depth: int, budget: int = DEFAULT_BUDGET) -> CubeHierarchy:
     """Levels 0..depth of the core (eighth-subdividing) collection."""
-    depth, zeta, budget = _validated(root, depth, division_factor, budget)
+    depth, budget = _validated(depth, budget)
     levels = [_root_level(root)]
     total = 1
     for j in range(1, depth + 1):
-        total += levels[-1].count * 2 * zeta ** (root.n + 2)
+        total += levels[-1].count * 2 * ZETA ** (root.n + 2)
         if total > budget:
             raise ResourceLimitError(
                 f"core hierarchy needs {total} cubes at depth {j}, over budget {budget}")
-        levels.append(_child_level(levels[-1], "eighth", zeta))
-    return CubeHierarchy(root, depth, "core", zeta, levels)
+        levels.append(_child_level(levels[-1], "eighth"))
+    return CubeHierarchy(root, depth, levels)
 
 
-def build_extended(root: Cube, depth: int, division_factor: int = 4,
-                   budget: int = DEFAULT_BUDGET) -> CubeHierarchy:
+def build_extended(root: Cube, depth: int, budget: int = DEFAULT_BUDGET) -> CubeHierarchy:
     """Levels 0..depth of the extended collection.
 
     Level j holds the quarter-subdivision children of level j-1 plus
@@ -275,19 +270,19 @@ def build_extended(root: Cube, depth: int, division_factor: int = 4,
     x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j.  The budget covers
     the extended levels and the core scaffolding together.
     """
-    depth, zeta, budget = _validated(root, depth, division_factor, budget)
+    depth, budget = _validated(depth, budget)
     n = root.n
-    total = sum(core_count(n, j, zeta) for j in range(depth + 1)) \
-        + sum(extended_count(n, j, zeta) for j in range(depth + 1))
+    total = sum(core_count(n, j) for j in range(depth + 1)) \
+        + sum(extended_count(n, j) for j in range(depth + 1))
     if total > budget:
         raise ResourceLimitError(
             f"extended hierarchy needs {total} cubes at depth {depth}, over budget {budget}")
-    core = build_core(root, depth, zeta, budget)
+    core = build_core(root, depth, budget)
     levels = [core.levels[0]]
     for j in range(1, depth + 1):
-        children = _child_level(levels[-1], "quarter", zeta)
+        children = _child_level(levels[-1], "quarter")
         levels.append(_concat_levels(children, core.levels[j]))
-    return CubeHierarchy(root, depth, "extended", zeta, levels)
+    return CubeHierarchy(root, depth, levels)
 
 
 def containment_ok(h: CubeHierarchy, tol: float = 1e-9) -> bool:

@@ -18,7 +18,6 @@ the contraction constant.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +192,6 @@ class IterationTrace:
     eps: float
     delta: float
     decayed: bool
-    log_ratios: tuple
 
     @property
     def c_hat_max(self) -> float:
@@ -232,11 +230,7 @@ def iteration_trace(path: FieldPath, cm: CoefficientModel, fam: CutoffFamily,
         rows.append(IterationRow(k=k, energy=U, mart_sup=X, qv_bound=qv_bound,
                                  c_hat=c_hat))
         energies.append(U)
-    log_ratios = tuple(
-        math.log(energies[k] / energies[k - 1])
-        for k in range(1, len(energies))
-        if energies[k] > 0.0 and energies[k - 1] > 0.0)
     u0 = energies[0]
     decayed = energies[-1] == 0.0 or (u0 > 0.0 and energies[-1] < 1e-2 * u0)
     return IterationTrace(rows=tuple(rows), a=a, eps=eps, delta=delta,
-                          decayed=decayed, log_ratios=log_ratios)
+                          decayed=decayed)

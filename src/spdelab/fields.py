@@ -173,14 +173,6 @@ class FieldPath:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def m(self) -> int:
-        return 0 if self.noise is None else self.noise.shape[1]
-
-    def snapshot(self, j: int) -> FieldSnapshot:
-        return FieldSnapshot(self.grid, float(self.times[j]),
-                             self.values[j].reshape(self.grid.shape))
-
     def step_indices(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Steps whose left endpoint lies in (t_lo, t_hi]."""
         return np.nonzero(step_mask(self.times, t_lo, t_hi))[0]

@@ -438,9 +438,10 @@ class ComparisonReport:
 
 
 def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
-                          n_data: int = 50, seed: int = 7, iota: float = 0.5,
-                          horizon: float = 1.0, refine: bool = True) -> ComparisonReport:
-    """sup/inf ratios for random positive data under a rough coefficient.
+                          n_data: int = 50, seed: int = 7,
+                          horizon: float = 1.0) -> ComparisonReport:
+    """sup/inf ratios for random positive data under a rough coefficient
+    (random_elliptic with iota = 0.5).
 
     All initial data evolve as one batch per grid (no noise, so a single
     factorization per step is shared); the refined pass doubles the
@@ -448,7 +449,7 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
     """
     validate_windows(P, Q)
     params = ModelParams(a_kind="random_elliptic", f_kind="zero", g_kind="zero",
-                         iota=iota, m=0, a_seed=seed)
+                         iota=0.5, m=0, a_seed=seed)
 
     def ratios_on(g: Grid) -> np.ndarray:
         cm = build_model(params, g.n, g.extent)
@@ -466,11 +467,7 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
         return np.where(inf_p > 0.0, sup_q / inf_p, np.inf)
 
     base = ratios_on(grid)
-    if refine:
-        fine = Grid.regular(grid.n, 2 * grid.npts, grid.extent)
-        refined = ratios_on(fine)
-    else:
-        refined = base
+    refined = ratios_on(Grid.regular(grid.n, 2 * grid.npts, grid.extent))
     return ComparisonReport(ratios=base, ratios_refined=refined,
                             max_ratio=float(np.max(base)),
                             max_ratio_refined=float(np.max(refined)))

@@ -369,19 +369,17 @@ def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
         u = rng.choice([-1.0, 1.0], size=per) * 10.0 ** rng.uniform(-4.0, 1.0)
         u[0] = 0.0
 
-        if cm.a is None:
-            lo_ev = hi_ev = np.ones(per)
-        else:
-            lo_ev = hi_ev = np.broadcast_to(np.asarray(cm.a(t, xs, u), dtype=float), (per,))
-        lo_margin = min(lo_margin, float(np.min(lo_ev - cm.iota)))
-        hi_margin = min(hi_margin, float(np.min(1.0 / cm.iota - hi_ev)))
+        a = np.ones(per) if cm.a is None else np.broadcast_to(
+            np.asarray(cm.a(t, xs, u), dtype=float), (per,))
+        lo_margin = min(lo_margin, float(np.min(a - cm.iota)))
+        hi_margin = min(hi_margin, float(np.min(1.0 / cm.iota - a)))
         tol_e = 1e-9 / cm.iota
         if lo_margin < -tol_e or hi_margin < -tol_e:
-            k = int(np.argmin(np.minimum(lo_ev - cm.iota, 1.0 / cm.iota - hi_ev)))
+            k = int(np.argmin(np.minimum(a - cm.iota, 1.0 / cm.iota - a)))
             witness = (t, tuple(float(c[k]) for c in xs), float(u[k]))
             raise ModelInvalidError(
-                f"ellipticity violated at {witness}: eigenvalues in "
-                f"[{float(lo_ev[k]):.6g}, {float(hi_ev[k]):.6g}]", witness=witness)
+                f"ellipticity violated at {witness}: coefficient {float(a[k]):.6g} "
+                f"outside [{cm.iota}, {1.0 / cm.iota}]", witness=witness)
 
         size = np.zeros(per)
         if cm.f is not None:
@@ -881,6 +879,8 @@ def make_initial_condition(kind: str, grid: Grid, amplitude: float = 1.0,
     """Named nonnegative initial data sampled on the grid at t = 0."""
     if not (amplitude > 0.0):
         raise InvalidArgumentError(f"amplitude must be positive, got {amplitude}")
+    if not (width > 0.0):
+        raise InvalidArgumentError(f"width must be positive, got {width}")
     xs = grid.coords_flat()
     rho = grid.max_dist()
     if kind == "bump":

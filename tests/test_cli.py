@@ -157,6 +157,11 @@ def test_rejected_value_reported_at_its_own_line():
         ("[solver]\ndt = -1\nscheme = explicit\n", 2),
         ("[montecarlo]\npaths = 0\n", 2),
         ("[grid]\nn = 2\nnpts = 0\n", 3),
+        # the initial condition is built from [solver] keys
+        ("[solver]\nhorizon = 1.0\namplitude = -1\n", 3),
+        ("[solver]\nf0 = nope\n", 2),
+        ("[solver]\nf0 = gaussian\nwidth = 0\n", 3),
+        ("[solver]\nwidth = -0.5\n", 2),
     ]
     for text, line in cases:
         with pytest.raises(ConfigError) as info:

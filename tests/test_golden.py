@@ -35,7 +35,7 @@ chunk = 8
 CONFIG_2D = CONFIG_1D.replace("[grid]\n", "[grid]\nn = 2\n").replace("npts = 32", "npts = 16")
 
 # run name -> (subcommand, config text)
-RUNS = {**{name: (name, CONFIG_1D) for name in cli.COMMANDS},
+RUNS = {**{name: (name, CONFIG_1D) for name in cli.SUBCOMMANDS},
         "positivity-2d": ("positivity", CONFIG_2D)}
 
 

@@ -89,6 +89,16 @@ def test_validate_model_flags_growth_violation():
     assert err.value.witness is not None
 
 
+def test_validate_model_flags_ellipticity_violation():
+    cm = build_model(ModelParams(a_kind="expr", a_expr="3", iota=0.5), 1)
+    with pytest.raises(ModelInvalidError, match="ellipticity violated") as err:
+        validate_model(cm)
+    t, x, u = err.value.witness
+    xs = tuple(np.array([c]) for c in x)
+    a = float(np.broadcast_to(cm.a(t, xs, np.array([u])), (1,))[0])
+    assert not (cm.iota <= a <= 1.0 / cm.iota)
+
+
 def test_validate_model_accepts_default():
     cm = build_model(ModelParams(), 1)
     report = validate_model(cm)
@@ -346,3 +356,14 @@ def test_initial_conditions(grid32):
         make_initial_condition("nope", grid32)
     with pytest.raises(InvalidArgumentError):
         make_initial_condition("bump", grid32, amplitude=0.0)
+    for width in (0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="width must be positive"):
+            make_initial_condition("bump", grid32, width=width)
+
+
+def test_gaussian_2d_is_outer_product_of_1d_kernels():
+    grid = Grid.regular(2, 16)
+    u0 = make_initial_condition("gaussian", grid, amplitude=3.0, width=0.5)
+    col = periodic_heat_kernel(grid.coords1d(), 0.25, extent=grid.extent)
+    col = col / col.max()
+    assert np.allclose(u0.values, 3.0 * np.outer(col, col), rtol=1e-14, atol=0.0)

@@ -8,9 +8,9 @@ because all randomness is counter-seeded and CSV floats are written
 with repr, reproduces every result file byte for byte no matter how
 many threads are used.
 
-A subcommand is added by one row of SUBCOMMANDS: its runner, its help
-line and any flags of its own. The runner writes its files through a
-RunFiles, which lists each of them in the manifest automatically.
+A subcommand is added by one row of SUBCOMMANDS: its runner and its help
+line. The runner writes its files through a RunFiles, which lists each of
+them in the manifest automatically.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
@@ -659,7 +659,7 @@ def cmd_jn(spec, out, args):
 
 
 def cmd_cubes(spec, out, args):
-    depth = args.depth if args.depth is not None else spec.depth
+    depth = spec.depth
     n = spec.grid.n
     root = unit_cube(n)
     core = build_core(root, depth)
@@ -697,7 +697,6 @@ def cmd_norms(spec, out, args):
 class Subcommand(NamedTuple):
     run: Callable  # (spec, RunFiles, parsed args) -> Ensemble or None
     help: str
-    options: tuple = ()  # (flag, add_argument keywords) pairs
 
 
 SUBCOMMANDS = {
@@ -708,8 +707,7 @@ SUBCOMMANDS = {
     "moser": Subcommand(cmd_moser, "deterministic sup/inf comparison for random positive data"),
     "degiorgi": Subcommand(cmd_degiorgi, "truncation energy iteration trace on one path"),
     "jn": Subcommand(cmd_jn, "log-field oscillation, level sets, and moment-product tails"),
-    "cubes": Subcommand(cmd_cubes, "cube hierarchy counts against the recurrence",
-                        (("--depth", {"type": int, "help": "hierarchy depth override"}),)),
+    "cubes": Subcommand(cmd_cubes, "cube hierarchy counts against the recurrence"),
     "norms": Subcommand(cmd_norms, "mixed space-time norms of one solved path"),
 }
 
@@ -730,9 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--plot", action="store_true", help="also write SVG charts")
     sub = ap.add_subparsers(dest="command", required=True, metavar="subcommand")
     for name, command in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for flag, kwargs in command.options:
-            p.add_argument(flag, **kwargs)
+        sub.add_parser(name, help=command.help)
     return ap
 
 

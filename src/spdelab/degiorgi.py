@@ -61,11 +61,7 @@ class CutoffFamily:
 
     @staticmethod
     def _radii(k: int) -> tuple:
-        if k < 0 or int(k) != k:
-            raise InvalidArgumentError(f"iteration index must be nonnegative, got {k}")
-        inner = 0.5 + 2.0 ** (-k - 1)
-        outer = 0.5 + 2.0 ** (-k) if k > 0 else 1.5
-        return inner, outer
+        return shrink_radius(k), shrink_radius(k - 1) if k > 0 else 1.5
 
     def value(self, k: int, x) -> np.ndarray:
         """Profile at points x, shape (..., n) or scalar/1d when n == 1."""

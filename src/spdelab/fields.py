@@ -6,7 +6,10 @@ spatial integrals are node sums weighted by dx^n; time integrals are
 left-point Riemann sums over steps, a step [t_j, t_{j+1}) belonging to a
 region when its left endpoint t_j does.  A (node, step) pair is in a region
 when the node is in the open ball and the step is in the half-open time
-interval.
+interval.  `region_rows` is the one place that rule is applied: every
+extremum, norm and integral over a region, here and in the ensemble
+recorders, reads the rows it returns, and a region that owns no node or
+no step is rejected there.
 """
 from __future__ import annotations
 
@@ -100,6 +103,20 @@ def step_mask(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
     eps = 1e-9 * float(times[1] - times[0])
     t = times[:-1]
     return (t > t_lo + eps) & (t <= t_hi + eps)
+
+
+def region_rows(grid: Grid, times: np.ndarray, rect: SpaceTimeRect) -> tuple:
+    """(steps, nodes): the indices of the steps of `times` and of the flat
+    grid nodes that rect owns.  Raises EmptyRegionError when it owns none
+    of either."""
+    steps = np.nonzero(step_mask(times, rect.t_lo, rect.t_hi))[0]
+    nodes = np.nonzero(grid.node_mask(rect.ball))[0]
+    for what, rows in (("grid node", nodes), ("time step", steps)):
+        if rows.size == 0:
+            raise EmptyRegionError(
+                f"region ({rect.t_lo!r}, {rect.t_hi!r}] x ball of radius "
+                f"{rect.ball.radius!r} at {rect.ball.center} owns no {what}")
+    return steps, nodes
 
 
 def _finite_or_raise(values: np.ndarray, what: str):
@@ -205,22 +222,9 @@ class MixedNormSpec:
                 raise InvalidArgumentError(f"norm exponents must be positive, got {e}")
 
 
-def _region_indices(path: FieldPath, rect: SpaceTimeRect):
-    mask = path.grid.node_mask(rect.ball)
-    if not mask.any():
-        raise EmptyRegionError(f"no grid node inside ball of radius {rect.ball.radius}")
-    steps = path.step_indices(rect.t_lo, rect.t_hi)
-    if steps.size == 0:
-        raise EmptyRegionError(
-            f"no time step with left endpoint in ({rect.t_lo}, {rect.t_hi}]"
-        )
-    return steps, mask
-
-
 def lpq_norm(path: FieldPath, spec: MixedNormSpec, rect: SpaceTimeRect) -> float:
     """Mixed norm (integral_I ||u(t)||_{q,B}^p dt)^(1/p) over rect = I x B."""
-    steps, mask = _region_indices(path, rect)
-    vals = np.abs(path.values[np.ix_(steps, np.nonzero(mask)[0])])
+    vals = np.abs(path.values[np.ix_(*region_rows(path.grid, path.times, rect))])
     vol = path.grid.cell_volume()
     if math.isinf(spec.q):
         inner = vals.max(axis=1)
@@ -233,14 +237,12 @@ def lpq_norm(path: FieldPath, spec: MixedNormSpec, rect: SpaceTimeRect) -> float
 
 def sup_on(path: FieldPath, rect: SpaceTimeRect) -> float:
     """Max nodal value over in-region (node, step) pairs."""
-    steps, mask = _region_indices(path, rect)
-    return float(path.values[np.ix_(steps, np.nonzero(mask)[0])].max())
+    return float(path.values[np.ix_(*region_rows(path.grid, path.times, rect))].max())
 
 
 def inf_on(path: FieldPath, rect: SpaceTimeRect) -> float:
     """Min nodal value over in-region (node, step) pairs."""
-    steps, mask = _region_indices(path, rect)
-    return float(path.values[np.ix_(steps, np.nonzero(mask)[0])].min())
+    return float(path.values[np.ix_(*region_rows(path.grid, path.times, rect))].min())
 
 
 def moment_product(path: FieldPath, alpha: float, mu: float,
@@ -257,8 +259,8 @@ def moment_product(path: FieldPath, alpha: float, mu: float,
     w = path.dt * path.grid.cell_volume()
     out = []
     for rect, sign in ((d1, -1.0), (d2, 1.0)):
-        steps, mask = _region_indices(path, rect)
-        v = path.values[np.ix_(steps, np.nonzero(mask)[0])] + mu
+        steps, nodes = region_rows(path.grid, path.times, rect)
+        v = path.values[np.ix_(steps, nodes)] + mu
         if np.any(v <= 0.0):
             j, i = np.argwhere(v <= 0.0)[0]
             raise DomainError(
@@ -340,14 +342,14 @@ def interpolation_check(path: FieldPath, alpha: float, beta: float, q: float,
     if mode not in ("time", "space"):
         raise InvalidArgumentError(f"mode must be 'time' or 'space', got {mode}")
 
-    steps, mask = _region_indices(path, rect)
+    steps, nodes = region_rows(path.grid, path.times, rect)
     gamma = alpha / beta - 1.0
     young = beta / alpha
-    sup = float(np.abs(path.values[np.ix_(steps, np.nonzero(mask)[0])]).max())
+    sup = float(np.abs(path.values[np.ix_(steps, nodes)]).max())
     if mode == "time":
         lhs = lpq_norm(path, MixedNormSpec(alpha, q), rect)
         low = lpq_norm(path, MixedNormSpec(beta, q), rect)
-        measure = path.grid.cell_volume() * int(np.count_nonzero(mask))
+        measure = path.grid.cell_volume() * nodes.size
         sup_term = eps * measure ** (1.0 / q) * sup
     else:
         lhs = lpq_norm(path, MixedNormSpec(q, alpha), rect)

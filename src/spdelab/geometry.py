@@ -86,10 +86,6 @@ class SpaceTimeRect:
     def dim(self) -> int:
         return self.ball.dim
 
-    def key(self) -> tuple:
-        """Canonical hashable identity, used to index per-region statistics."""
-        return (self.t_lo, self.t_hi, self.ball.center, self.ball.radius)
-
 
 @dataclass(frozen=True)
 class ParabolicCylinder:

@@ -31,7 +31,7 @@ from .errors import (
     InvalidArgumentError,
     StateError,
 )
-from .fields import FieldPath, Grid, moment_product, smoothstep
+from .fields import FieldPath, Grid, moment_product, region_rows, smoothstep
 from .geometry import SpaceTimeRect
 from .solver import CoefficientModel, g_along_path
 
@@ -255,18 +255,12 @@ def levelset_fractions(lf: LogField, cube: Cube, alphas) -> tuple:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(alphas <= 0.0):
         raise InvalidArgumentError("alphas must be a nonempty 1d array of positive levels")
-    grid = lf.grid
     parts = subcubes(cube)
     a_c = cube_average(lf, cube, cube.l)
-    nodes = np.nonzero(grid.node_mask(cube.ball()))[0]
-    if nodes.size == 0:
-        raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")
     out = []
     for rect, orient in ((parts.d_plus, +1.0), (parts.d_minus, -1.0)):
-        steps = lf.path.step_indices(rect.t_lo, rect.t_hi)
-        if steps.size == 0:
-            raise EmptyRegionError("cube eighth spans no time steps at this resolution")
-        excess = np.sort(orient * (lf.values[np.ix_(steps, nodes)] - a_c), axis=None)
+        rows = region_rows(lf.grid, lf.path.times, rect)
+        excess = np.sort(orient * (lf.values[np.ix_(*rows)] - a_c), axis=None)
         # NaN sorts last and exceeds no alpha
         finite = excess[:excess.size - np.count_nonzero(np.isnan(excess))]
         above = finite.size - np.searchsorted(finite, alphas, side="right")

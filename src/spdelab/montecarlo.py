@@ -29,7 +29,7 @@ from .errors import (
     InvalidArgumentError,
     ModelInvalidError,
 )
-from .fields import FieldPath, Grid, inf_on, step_mask, sup_on
+from .fields import FieldPath, Grid, inf_on, region_rows, sup_on
 from .geometry import SpaceTimeRect
 from .solver import (
     ModelParams,
@@ -95,24 +95,20 @@ class ExperimentSpec:
 
     def build(self):
         cm = build_model(self.model, self.grid.n, self.grid.extent)
+        validate_model(cm, extent=self.grid.extent, t_max=self.horizon)
         u0 = make_initial_condition(self.ic_kind, self.grid, self.ic_amplitude,
                                     self.ic_width, self.ic_seed)
         return cm, u0
 
 
-def _region_rows(grid: Grid, times: np.ndarray, rect: SpaceTimeRect) -> tuple:
-    """Node indices of rect's ball and a mask over snapshots 0..M marking
-    the left endpoints of the steps in rect's time interval."""
-    nodes = np.nonzero(grid.node_mask(rect.ball))[0]
-    return nodes, np.append(step_mask(times, rect.t_lo, rect.t_hi), False)
-
-
 class _RegionRecorder:
-    """Streaming per-path sup and inf over one space-time region."""
+    """Streaming per-path sup and inf over one space-time region: reads the
+    snapshot at the left endpoint of each step in the region's rows."""
 
-    def __init__(self, node_idx: np.ndarray, step_mask: np.ndarray, batch: int):
-        self.nodes = node_idx
-        self.step_mask = step_mask
+    def __init__(self, rows: tuple, snapshots: int, batch: int):
+        steps, self.nodes = rows
+        self.step_mask = np.zeros(snapshots, dtype=bool)
+        self.step_mask[steps] = True
         self.sup = np.full(batch, -np.inf)
         self.inf = np.full(batch, np.inf)
 
@@ -165,7 +161,7 @@ class Ensemble:
 
     def _region_name(self, rect: SpaceTimeRect) -> str:
         for name, r in self.spec.regions.items():
-            if r.key() == rect.key():
+            if r == rect:
                 return name
         raise InvalidArgumentError(
             "region was not recorded during the run; add it to spec.regions")
@@ -188,17 +184,15 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
     """
     grid = spec.grid
     cm, u0 = spec.build()
-    validate_model(cm, extent=grid.extent, t_max=spec.horizon)
     dt = spec.solver.step_size(grid)
     times = time_axis(0.0, spec.horizon, dt)
     M = times.size - 1
     N = spec.n_paths
+    # resolved before any path runs, so an empty region costs no simulation
+    rows = {name: region_rows(grid, times, rect) for name, rect in spec.regions.items()}
 
-    region_meta = [(name, *_region_rows(grid, times, rect))
-                   for name, rect in spec.regions.items()]
-
-    sup = {name: np.full(N, np.nan) for name, _, _ in region_meta}
-    inf = {name: np.full(N, np.nan) for name, _, _ in region_meta}
+    sup = {name: np.full(N, np.nan) for name in rows}
+    inf = {name: np.full(N, np.nan) for name in rows}
     neg_energy = np.full(N, np.nan)
     failed = np.zeros(N, dtype=bool)
     fail_steps = np.full(N, -1, dtype=int)
@@ -212,13 +206,13 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
             dW = np.empty((B, M, cm.m))
             for b, i in enumerate(range(lo, hi)):
                 dW[b] = draw_increments(path_seed(spec.master_seed, i), M, cm.m, dt)
-        recs = [_RegionRecorder(nodes, mask, B) for _, nodes, mask in region_meta]
+        recs = {name: _RegionRecorder(r, M + 1, B) for name, r in rows.items()}
         energy_rec = _NegEnergyRecorder(grid.cell_volume(), B)
         res = integrate_batch(grid, cm, spec.solver, np.tile(u0_flat, (B, 1)),
                               times, dW, keep_history=keep_history,
-                              observers=[*recs, energy_rec])
+                              observers=[*recs.values(), energy_rec])
         ok_rows = ~res.failed
-        for (name, _, _), rec in zip(region_meta, recs):
+        for name, rec in recs.items():
             sup[name][lo:hi] = np.where(ok_rows, rec.sup, np.nan)
             inf[name][lo:hi] = np.where(ok_rows, rec.inf, np.nan)
         neg_energy[lo:hi] = np.where(ok_rows, energy_rec.worst, np.nan)
@@ -451,23 +445,27 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
     params = ModelParams(a_kind="random_elliptic", f_kind="zero", g_kind="zero",
                          iota=0.5, m=0, a_seed=seed)
 
-    def ratios_on(g: Grid) -> np.ndarray:
+    cfg = SolverConfig()
+
+    def rows_on(g: Grid) -> tuple:
+        times = time_axis(0.0, horizon, cfg.step_size(g))
+        return g, times, [region_rows(g, times, rect) for rect in (Q, P)]
+
+    def ratios_on(g: Grid, times: np.ndarray, rows: list) -> np.ndarray:
         cm = build_model(params, g.n, g.extent)
-        cfg = SolverConfig()
-        dt = cfg.step_size(g)
-        times = time_axis(0.0, horizon, dt)
         u0b = np.stack([
             make_initial_condition("random_positive", g, seed=seed + 1 + d).flat()
             for d in range(n_data)])
-        recs = [_RegionRecorder(*_region_rows(g, times, rect), n_data) for rect in (Q, P)]
+        recs = [_RegionRecorder(r, times.size, n_data) for r in rows]
         res = integrate_batch(g, cm, cfg, u0b, times, None, observers=recs)
         if np.any(res.failed):
             raise InsufficientDataError("deterministic comparison path failed to integrate")
         sup_q, inf_p = recs[0].sup, recs[1].inf
         return np.where(inf_p > 0.0, sup_q / inf_p, np.inf)
 
-    base = ratios_on(grid)
-    refined = ratios_on(Grid.regular(grid.n, 2 * grid.npts, grid.extent))
+    # both resolutions' regions are resolved before either runs
+    runs = [rows_on(g) for g in (grid, Grid.regular(grid.n, 2 * grid.npts, grid.extent))]
+    base, refined = (ratios_on(*run) for run in runs)
     return ComparisonReport(ratios=base, ratios_refined=refined,
                             max_ratio=float(np.max(base)),
                             max_ratio_refined=float(np.max(refined)))

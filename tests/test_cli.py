@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spdelab import montecarlo
 from spdelab.cli import (DEFAULT_REGIONS, main, parse_config, print_config,
                          svg_line_chart)
 from spdelab.cubes import core_count, count_bound, extended_count
@@ -347,8 +348,10 @@ def test_manifest_replay_is_byte_identical(tmp_path):
 
 
 def test_cube_counts_match_recurrence(tmp_path):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[montecarlo]\ndepth = 2\n")
     out = tmp_path / "cubes"
-    assert run_cli("--out", str(out), "cubes", "--depth", "2") == 0
+    assert run_cli("--config", str(cfg), "--out", str(out), "cubes") == 0
     rows = read_csv(out / "cube_counts.csv")
     got = [(int(r[0]), int(r[3]), int(r[5]), int(r[7])) for r in rows[1:]]
     want = [(j, core_count(1, j), extended_count(1, j), count_bound(1, j))
@@ -356,6 +359,57 @@ def test_cube_counts_match_recurrence(tmp_path):
     assert got == want
     assert [r[1] for r in got] == [1, 128, 16384]
     assert [r[2] for r in got] == [1, 256, 49152]
+
+
+def test_cube_depth_is_set_by_the_config_and_replays(tmp_path):
+    # depth has no flag of its own, so the manifest carries all of it
+    with pytest.raises(SystemExit):
+        run_cli("--out", str(tmp_path / "flag"), "cubes", "--depth", "2")
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[montecarlo]\ndepth = 2\n")
+    first, replay = tmp_path / "a", tmp_path / "b"
+    assert run_cli("--config", str(cfg), "--out", str(first), "cubes") == 0
+    assert run_cli("--config", str(first / "manifest.json"),
+                   "--out", str(replay), "cubes") == 0
+    want = (first / "cube_counts.csv").read_bytes()
+    assert (replay / "cube_counts.csv").read_bytes() == want
+    assert len(read_csv(first / "cube_counts.csv")) == 1 + 3
+
+
+# P owns no step (dt = 1/128 at npts 32, 1/512 at the refined npts 64) or
+# no node (none lies within 1e-6 of 0.01)
+EMPTY_P = {
+    "time step": {"t_lo": 0.5001, "t_hi": 0.5002, "center": [0.0], "radius": 0.5},
+    "grid node": {"t_lo": 0.5, "t_hi": 1.0, "center": [0.01], "radius": 1e-06},
+}
+
+
+@pytest.mark.parametrize("what", sorted(EMPTY_P))
+@pytest.mark.parametrize("command", ["ensemble", "harnack", "positivity", "moser"])
+def test_empty_region_exits_2_before_any_path(tmp_path, capsys, monkeypatch,
+                                              command, what):
+    calls = []
+    monkeypatch.setattr(montecarlo, "integrate_batch", lambda *a, **k: calls.append(a))
+    p = EMPTY_P[what]
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(
+        "[grid]\nnpts = 32\n\n[regions]\n"
+        'Q = {"t_lo": 0.0625, "t_hi": 0.25, "center": [0.0], "radius": 0.5}\n'
+        f"P = {json.dumps(p)}\n\n[montecarlo]\npaths = 8\n")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 2
+    err = capsys.readouterr().err
+    assert (f"region ({p['t_lo']!r}, {p['t_hi']!r}] x ball of radius "
+            f"{p['radius']!r} at {tuple(p['center'])} owns no {what}") in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["norms", "degiorgi", "jn"])
+def test_model_outside_ellipticity_exits_2(tmp_path, capsys, command):
+    # a = 3 exceeds 1/iota = 2; the model is checked where the spec is built
+    cfg = tmp_path / "ellip.cfg"
+    cfg.write_text("[grid]\nnpts = 32\n\n[model]\na = expr\na_expr = 3\niota = 0.5\n")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 2
+    assert "ellipticity violated" in capsys.readouterr().err
 
 
 def test_degiorgi_needs_room(tmp_path, capsys):

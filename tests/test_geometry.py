@@ -64,10 +64,11 @@ def test_rect_rejects_empty_interval():
         SpaceTimeRect(0.7, 0.5, Ball((0.0,), 1.0))
 
 
-def test_rect_key_is_canonical():
+def test_rect_equality_is_canonical():
+    # region identity, as Ensemble looks regions up, is dataclass equality
     r1 = SpaceTimeRect(0.0, 1.0, Ball([0.0, 0.0], 0.5))
-    r2 = SpaceTimeRect(0.0, 1.0, Ball((0, 0), 0.5))
-    assert r1.key() == r2.key()
+    r2 = SpaceTimeRect(0, 1, Ball((0, 0), 0.5))
+    assert r1 == r2 and hash(r1) == hash(r2)
 
 
 def test_parabolic_cylinder_rect():

@@ -159,6 +159,19 @@ def test_levelset_fractions_synthetic_oracle(grid64):
         levelset_fractions(lf, ROOT, alphas=[-1.0])
 
 
+@pytest.mark.parametrize("cube, what", [
+    # the ball (0.0125, 0.1125) falls between the nodes 0 and 0.125, which
+    # the cutoff weight still reaches
+    (Cube(l=0.5, s=0.0025, z=0.05, w=(0.0625,)), "grid node"),
+    # the top eighth (0.5003, 0.5004] is shorter than one step
+    (Cube(l=0.5, s=1e-4, z=0.01, w=(0.0,)), "time step"),
+], ids=["no-node", "no-step"])
+def test_levelset_fractions_rejects_an_empty_eighth(grid32, cube, what):
+    lf = log_field(constant_slice_path(grid32, np.ones(129)), 1e-4)
+    with pytest.raises(EmptyRegionError, match=f"owns no {what}"):
+        levelset_fractions(lf, cube, alphas=[1.0])
+
+
 def levelset_fractions_by_alpha(lf, cube, alphas):
     """Reference: one comparison pass over the excess per alpha."""
     parts = subcubes(cube)

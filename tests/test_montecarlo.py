@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from spdelab.errors import (GeometryError, InsufficientDataError,
-                            InvalidArgumentError, ModelInvalidError)
-from spdelab.fields import FieldPath, FieldSnapshot, Grid
+from spdelab import montecarlo
+from spdelab.errors import (EmptyRegionError, GeometryError,
+                            InsufficientDataError, InvalidArgumentError,
+                            ModelInvalidError)
+from spdelab.fields import FieldPath, FieldSnapshot, Grid, inf_on, sup_on
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import (Ensemble, ExperimentSpec, comparison_experiment,
                                 filter_lemma_check, harnack_curve,
@@ -104,6 +106,48 @@ def test_consumers_see_full_paths(region_spec, region_ensemble):
         steps = fp.step_indices(Q_RECT.t_lo, Q_RECT.t_hi)
         want = float(np.max(fp.values[np.ix_(steps, nodes)]))
         assert region_ensemble.sup["Q"][i] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_recorded_extrema_equal_sup_inf_on_the_paths(n):
+    # the streaming recorders and sup_on/inf_on read the same region rows,
+    # so they agree exactly
+    center = (0.0,) * n
+    regions = {"Q": SpaceTimeRect(0.05, 0.1, Ball(center, 1.0)),
+               "P": SpaceTimeRect(0.15, 0.25, Ball((0.25,) + center[1:], 0.75)),
+               "box": SpaceTimeRect(0.0, 0.25, Ball(center, 2.0))}
+    spec = ExperimentSpec(grid=Grid.regular(n, 16), horizon=0.25, n_paths=5,
+                          master_seed=9, chunk=2, regions=regions)
+    seen = {}
+    ens = run_ensemble(spec, consumers=[seen.__setitem__])
+    assert sorted(seen) == list(range(5))
+    for rect in regions.values():
+        for i, fp in seen.items():
+            assert ens.sup_over(rect)[i] == sup_on(fp, rect)
+            assert ens.inf_over(rect)[i] == inf_on(fp, rect)
+
+
+# at npts 32 (dt = 1/128) and npts 64 (dt = 1/512) no step starts in
+# (0.1001, 0.1002], and no node lies within 1e-6 of 0.01
+NO_STEP = SpaceTimeRect(0.1001, 0.1002, Ball((0.0,), 1.0))
+NO_NODE = SpaceTimeRect(0.15, 0.25, Ball((0.01,), 1e-6))
+
+
+@pytest.mark.parametrize("rect, what", [(NO_STEP, "time step"), (NO_NODE, "grid node")],
+                         ids=["no-step", "no-node"])
+def test_empty_region_is_rejected_before_any_path_runs(grid32, monkeypatch, rect, what):
+    calls = []
+    monkeypatch.setattr(montecarlo, "integrate_batch", lambda *a, **k: calls.append(a))
+    spec = ExperimentSpec(grid=grid32, horizon=0.25, n_paths=4,
+                          regions={"Q": Q_RECT, "P": rect})
+    with pytest.raises(EmptyRegionError, match=f"owns no {what}"):
+        run_ensemble(spec)
+    with pytest.raises(EmptyRegionError, match=f"owns no {what}"):
+        comparison_experiment(grid32, rect, Q_RECT, n_data=2, horizon=0.25)
+    assert calls == []
+    path = FieldPath(grid32, np.arange(33) / 128, np.ones((33, grid32.size)))
+    with pytest.raises(EmptyRegionError, match=f"owns no {what}"):
+        sup_on(path, rect)
 
 
 def test_ensemble_bookkeeping():

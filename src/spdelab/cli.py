@@ -62,6 +62,7 @@ from .solver import (
     path_seed,
     periodic_heat_kernel,
     solve_path,
+    validate_model,
 )
 
 try:
@@ -239,8 +240,9 @@ def parse_config(text: str) -> ExperimentSpec:
 
     Unknown keys, malformed values, and geometry violations raise
     ConfigError carrying the offending line number when one exists.
-    The coefficient model and initial condition are built and spot
-    checked eagerly so a bad model fails here, not mid-run.
+    The coefficient model is built and spot-checked over the horizon, and
+    the initial condition built, eagerly so a bad model fails here, not
+    mid-run.
     """
     sections = _tokenize(text)
     base = {"grid": {}, "model": {}, "solver": {}, "spec": {}}
@@ -262,10 +264,16 @@ def parse_config(text: str) -> ExperimentSpec:
 
     grid = _construct(Grid.regular, base["grid"], given["grid"])
 
+    # the model is spot-checked over the configured horizon; a horizon that
+    # the spec step rejects below is replaced by the default until then
+    horizon = next((v for attr, v, _ in given["spec"]
+                    if attr == "horizon" and 0.0 < v < math.inf), ExperimentSpec.horizon)
+
     def model_params(**params):
         p = ModelParams(**params)
         try:
-            build_model(p, grid.n, grid.extent)
+            validate_model(build_model(p, grid.n, grid.extent),
+                           extent=grid.extent, t_max=horizon)
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"model rejected: {exc}") from None
         return p
@@ -279,12 +287,13 @@ def parse_config(text: str) -> ExperimentSpec:
             named.append((name, _region(raw), ln))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad region {name!r}: {exc}", line=ln) from None
-    defaults = {} if named else dict(DEFAULT_REGIONS) if grid.n == 1 else {
-        name: SpaceTimeRect(r.t_lo, r.t_hi, Ball((0.0, 0.0), r.ball.radius))
+    defaults = {} if named else {
+        name: SpaceTimeRect(r.t_lo, r.t_hi, Ball((0.0,) * grid.n, r.ball.radius))
         for name, r in DEFAULT_REGIONS.items()}
+
     def experiment(**fields):
         spec = ExperimentSpec(**fields)
-        spec.build()  # the initial condition, built from [solver] keys
+        spec.initial_condition()  # built from [solver] keys
         return spec
 
     spec = _construct(experiment, {**base["spec"], "grid": grid, "model": model,

@@ -291,11 +291,8 @@ def rescale(path: FieldPath, r: float) -> FieldPath:
     t_idx = np.clip(t_idx, 0, path.steps)
     c = g.coords1d()
     n_idx1 = np.rint((r * c + g.extent) / g.dx).astype(int) % g.npts
-    if g.n == 1:
-        flat_idx = n_idx1
-    else:
-        i0, i1 = np.meshgrid(n_idx1, n_idx1, indexing="ij")
-        flat_idx = (i0 * g.npts + i1).ravel()
+    nodes = np.meshgrid(*(n_idx1,) * g.n, indexing="ij")
+    flat_idx = np.ravel_multi_index(nodes, g.shape).ravel()
     vals = path.values[np.ix_(t_idx, flat_idx)]
     return FieldPath(g, path.times.copy(), vals, noise=None, seed_key=None,
                      scheme=path.scheme)

@@ -29,7 +29,7 @@ from .errors import (
     InvalidArgumentError,
     ModelInvalidError,
 )
-from .fields import FieldPath, Grid, inf_on, region_rows, sup_on
+from .fields import FieldPath, FieldSnapshot, Grid, inf_on, region_rows, sup_on
 from .geometry import SpaceTimeRect
 from .solver import (
     ModelParams,
@@ -74,8 +74,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n_paths < 1:
             raise InvalidArgumentError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not (self.horizon > 0.0):
-            raise InvalidArgumentError(f"horizon must be positive, got {self.horizon}")
+        if not (0.0 < self.horizon < math.inf):
+            raise InvalidArgumentError(
+                f"horizon must be positive and finite, got {self.horizon}")
         if self.chunk < 1:
             raise InvalidArgumentError(f"chunk must be >= 1, got {self.chunk}")
         if any(g < 0.0 for g in self.gammas):
@@ -93,12 +94,15 @@ class ExperimentSpec:
                         f"region {name!r} ball exits the box [-{self.grid.extent}, "
                         f"{self.grid.extent})")
 
+    def initial_condition(self) -> FieldSnapshot:
+        return make_initial_condition(self.ic_kind, self.grid, self.ic_amplitude,
+                                      self.ic_width, self.ic_seed)
+
     def build(self):
+        """The spot-checked coefficient model and the initial condition."""
         cm = build_model(self.model, self.grid.n, self.grid.extent)
         validate_model(cm, extent=self.grid.extent, t_max=self.horizon)
-        u0 = make_initial_condition(self.ic_kind, self.grid, self.ic_amplitude,
-                                    self.ic_width, self.ic_seed)
-        return cm, u0
+        return cm, self.initial_condition()
 
 
 class _RegionRecorder:
@@ -382,8 +386,7 @@ def positivity_scan(ens: Ensemble, region: SpaceTimeRect,
     """Count paths whose region infimum does not stay above the floor."""
     if floor < 0.0:
         raise InvalidArgumentError(f"floor must be nonnegative, got {floor}")
-    _, u0 = ens.spec.build()
-    vals0 = u0.flat()
+    vals0 = ens.spec.initial_condition().flat()
     if np.any(vals0 < 0.0) or not np.any(vals0 > 0.0):
         raise ModelInvalidError(
             "positivity scan needs a nonnegative, not identically zero initial condition",

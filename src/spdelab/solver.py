@@ -17,20 +17,19 @@ exactly when f = g = 0.
 
 Batches of paths are stepped together and all per-path arithmetic is
 row-local, so results are bit-identical however paths are grouped into
-batches.  The implicit solve depends on what A reads: A free of t and u
-and constant in space makes I - dt L_A circulant, and it is solved by a
-real FFT; any other A free of t and u shares one sparse factorization per
-call.  A that reads t or u needs a new matrix every step.  In 1d that
-matrix is cyclic tridiagonal, solved by LAPACK dgtsv with a
-Sherman-Morrison correction: one call per step for all rows when A reads
-t only, one call per path and step when A reads u.  In 2d it is factored
-by sparse LU, per step or per path and step.  The FFT solve carries
-roundoff of order 1e-16 max|u|, so nodes where u is nearly 0 may come out
-slightly negative.
+batches.  `_implicit_solver` picks the implicit solve from what A reads
+and from n.  A free of t and u and constant in space makes I - dt L_A
+circulant, solved by a real FFT; any other A free of t and u shares one
+sparse LU factorization per call.  A that reads t is solved anew every
+step for all rows, and A that reads u every step for each path: in 1d by
+LAPACK dgtsv on the cyclic tridiagonal matrix with a Sherman-Morrison
+correction, in 2d by sparse LU.  The FFT solve carries roundoff of order
+1e-16 max|u|, so nodes where u is nearly 0 may come out slightly negative.
 """
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -67,13 +66,8 @@ class CoefficientModel:
     an array of shape (m,) + u.shape.  a is the scalar coefficient
     (A = a I), None for the identity; f or g is None when that term
     vanishes.  a_deps lists which of {"t", "u"} the diffusion coefficient
-    actually reads; the integrator may pass u=None when "u" is absent.
-    When a_deps is empty and a takes one value on the whole grid, the
-    implicit solve is an FFT; when it is empty otherwise, one sparse
-    factorization serves the whole call.  A that reads t is evaluated once
-    per step and A that reads u once per step on the whole batch; in 1d
-    both are solved as cyclic tridiagonal systems, in 2d by a sparse
-    factorization per step or per path and step.
+    actually reads: the integrator passes u=None when "u" is absent, and
+    evaluates a only once per call when a_deps is empty.
 
     sigma, when not None, declares multiplicative noise
     g_i(t, x, u) = sigma_i(x) u: it maps xs to an (m, S) array, and the
@@ -143,14 +137,15 @@ _EXPR_OPS = {ast.Add: np.add, ast.Sub: np.subtract,
 def compile_expression(text: str, n: int):
     """Compile an expression into fn(t, xs, u); returns (fn, used_names).
 
-    Allowed names: t, u, x (alias for x1), x1, and x2 when n == 2, plus pi.
+    Allowed names: t, u, the coordinates x1 .. xn, x (alias for x1), and pi.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise InvalidArgumentError(f"bad expression {text!r}: {exc.msg}") from None
 
-    names = {"t", "u", "x", "x1", "pi"} | ({"x2"} if n == 2 else set())
+    coords = tuple(f"x{d + 1}" for d in range(n))
+    names = {"t", "u", "x", "pi", *coords}
     used: set = set()
 
     def check(node):
@@ -200,9 +195,7 @@ def compile_expression(text: str, n: int):
         return fn(*(evaluate(a, env) for a in node.args))
 
     def fn(t, xs, u):
-        env = {"t": t, "pi": math.pi, "x": xs[0], "x1": xs[0], "u": u}
-        if len(xs) == 2:
-            env["x2"] = xs[1]
+        env = {"t": t, "pi": math.pi, "x": xs[0], "u": u, **dict(zip(coords, xs))}
         return evaluate(tree, env)
 
     return fn, frozenset(used)
@@ -413,58 +406,40 @@ def _coef_fields(cm: CoefficientModel, grid: Grid, xs, t: float, u) -> np.ndarra
     return np.broadcast_to(np.asarray(cm.a(t, xs, u), dtype=float), tail)
 
 
+def _faces(a: np.ndarray, axis: int) -> tuple:
+    """(a_{i+1/2}, a_{i-1/2}) along one axis: a face takes the mean of the
+    coefficients at its two nodes, with periodic wrap."""
+    af = 0.5 * (a + np.roll(a, -1, axis=axis))
+    return af, np.roll(af, 1, axis=axis)
+
+
 def apply_operator(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conservative divergence-form L applied to flat states (..., S)."""
-    dx2 = grid.dx**2
-    if grid.n == 1:
-        af = 0.5 * (a + np.roll(a, -1, axis=-1))
-        afm = np.roll(af, 1, axis=-1)
-        return (af * (np.roll(v, -1, -1) - v) - afm * (v - np.roll(v, 1, -1))) / dx2
-
-    N = grid.npts
-    w = v.reshape(v.shape[:-1] + (N, N))
-    am = a.reshape(a.shape[:-1] + (N, N))
-    out = np.zeros_like(w)
-    for axis in (-2, -1):
-        af = 0.5 * (am + np.roll(am, -1, axis=axis))
-        out += af * (np.roll(w, -1, axis) - w) \
-            - np.roll(af, 1, axis) * (w - np.roll(w, 1, axis))
-    return (out / dx2).reshape(v.shape)
+    w = v.reshape(v.shape[:-1] + grid.shape)
+    am = a.reshape(a.shape[:-1] + grid.shape)
+    out = None
+    for axis in range(-grid.n, 0):
+        af, afm = _faces(am, axis)
+        flux = af * (np.roll(w, -1, axis) - w) - afm * (w - np.roll(w, 1, axis))
+        out = flux if out is None else out + flux
+    return (out / grid.dx**2).reshape(v.shape)
 
 
 def _implicit_matrix(grid: Grid, a: np.ndarray, dt: float):
     """Sparse I - dt L for a shared (unbatched) coefficient field."""
     lam = dt / grid.dx**2
-    if grid.n == 1:
-        N = grid.size
-        a = np.broadcast_to(a, (N,)).astype(float)
-        af = 0.5 * (a + np.roll(a, -1))
-        afm = np.roll(af, 1)
-        idx = np.arange(N)
-        rows = np.concatenate([idx, idx, idx])
-        cols = np.concatenate([idx, (idx + 1) % N, (idx - 1) % N])
-        vals = np.concatenate([1.0 + lam * (af + afm), -lam * af, -lam * afm])
-        return sparse.csc_matrix((vals, (rows, cols)), shape=(N, N))
-
-    N = grid.npts
     S = grid.size
-    am = np.broadcast_to(a, (S,)).reshape(N, N)
-    af0 = 0.5 * (am + np.roll(am, -1, 0))
-    af1 = 0.5 * (am + np.roll(am, -1, 1))
-    af0m = np.roll(af0, 1, 0)
-    af1m = np.roll(af1, 1, 1)
-    i0, i1 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    flat = (i0 * N + i1).ravel()
-    up0 = (((i0 + 1) % N) * N + i1).ravel()
-    dn0 = (((i0 - 1) % N) * N + i1).ravel()
-    up1 = (i0 * N + (i1 + 1) % N).ravel()
-    dn1 = (i0 * N + (i1 - 1) % N).ravel()
-    diag = 1.0 + lam * (af0 + af0m + af1 + af1m).ravel()
-    rows = np.concatenate([flat] * 5)
-    cols = np.concatenate([flat, up0, dn0, up1, dn1])
-    vals = np.concatenate([diag, -lam * af0.ravel(), -lam * af0m.ravel(),
-                           -lam * af1.ravel(), -lam * af1m.ravel()])
-    return sparse.csc_matrix((vals, (rows, cols)), shape=(S, S))
+    am = np.broadcast_to(a, (S,)).reshape(grid.shape)
+    idx = np.arange(S).reshape(grid.shape)
+    faces, cols = [], [idx]
+    for axis in range(grid.n):
+        faces += _faces(am, axis)
+        cols += [np.roll(idx, -1, axis), np.roll(idx, 1, axis)]
+    diag = 1.0 + lam * functools.reduce(np.add, faces)
+    vals = np.concatenate([diag.ravel()] + [(-lam * f).ravel() for f in faces])
+    rows = np.tile(idx.ravel(), len(cols))
+    return sparse.csc_matrix((vals, (rows, np.concatenate([c.ravel() for c in cols]))),
+                             shape=(S, S))
 
 
 def _circulant_solve(grid: Grid, c: float, dt: float):
@@ -499,8 +474,8 @@ def _cyclic_parts(grid: Grid, a: np.ndarray, dt: float) -> tuple:
     Returns (e, d, gamma, c), each with the leading axes of a.
     """
     lam = dt / grid.dx**2
-    af = 0.5 * (a + np.roll(a, -1, axis=-1))
-    d = 1.0 + lam * (af + np.roll(af, 1, axis=-1))
+    af, afm = _faces(a, -1)
+    d = 1.0 + lam * (af + afm)
     off = -lam * af
     gamma, c = -d[..., 0], off[..., -1]
     d[..., 0] -= gamma
@@ -528,12 +503,31 @@ def _cyclic_solve(parts: tuple, rhs: np.ndarray) -> np.ndarray:
     return y - scale[:, None] * z
 
 
-def _shared_solve(grid: Grid, a: np.ndarray, dt: float, reused: bool):
-    """Solver rhs (B, S) -> (B, S) of I - dt L for one coefficient field.
+def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
+    """The solve rhs (B, S) -> (B, S) of I - dt L_a.
 
-    reused: the solver serves every step of the call (A reads neither t
-    nor u), so a factorization pays off; otherwise it serves one step.
+    a is one coefficient field (S,) shared by every row, or one field per
+    row (B, S); then only the row indices `rows` are solved and the other
+    rows come back NaN.  reused: the solver serves every step of the call
+    (A reads neither t nor u), so a factorization pays off; otherwise it
+    serves one step.
     """
+    if a.ndim == 2:
+        if grid.n == 1:
+            e, d, gamma, c = _cyclic_parts(grid, a, dt)
+
+            def solve_row(b, rhs):
+                return _cyclic_solve((e[b], d[b], gamma[b], c[b]), rhs[b:b + 1])[0]
+        else:
+            def solve_row(b, rhs):
+                return splu(_implicit_matrix(grid, a[b], dt)).solve(rhs[b])
+
+        def solve(rhs):
+            out = np.full_like(rhs, np.nan)
+            for b in rows:
+                out[b] = solve_row(b, rhs)
+            return out
+        return solve
     if reused and np.all(a == a[0]):
         return _circulant_solve(grid, float(a[0]), dt)
     if not reused and grid.n == 1:
@@ -606,11 +600,10 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     for obs in observers:
         obs.observe(0, float(times[0]), u, failed)
 
-    state_free = "u" not in cm.a_deps
-    time_free = "t" not in cm.a_deps
+    reads_u = "u" in cm.a_deps
     noisy = cm.m > 0 and dWb is not None
     sig = np.asarray(cm.sigma(xs), dtype=float) if noisy and cm.sigma is not None else None
-    solve = None
+    coef = solve = None
     for j in range(M):
         t = float(times[j])
         if sig is not None:
@@ -623,25 +616,13 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
             gj = np.asarray(cm.g(t, xs, u), dtype=float)
             rhs += np.einsum("mbs,bm->bs", gj, dWb[:, j, :])
 
-        if implicit:
-            if state_free:
-                if solve is None or not time_free:
-                    solve = _shared_solve(grid, _coef_fields(cm, grid, xs, t, None), dt,
-                                          reused=time_free)
-                unew = solve(rhs)
-            else:
-                coef = _coef_fields(cm, grid, xs, t, u)
-                unew = np.full_like(rhs, np.nan)
-                if grid.n == 1:
-                    e, d, gamma, c = _cyclic_parts(grid, coef, dt)
-                    for b in np.flatnonzero(~failed):
-                        unew[b] = _cyclic_solve((e[b], d[b], gamma[b], c[b]), rhs[b:b + 1])[0]
-                else:
-                    for b in np.flatnonzero(~failed):
-                        unew[b] = splu(_implicit_matrix(grid, coef[b], dt)).solve(rhs[b])
-        else:
-            coef = _coef_fields(cm, grid, xs, t, u if not state_free else None)
-            unew = rhs + dt * apply_operator(grid, coef, u)
+        # A that reads neither t nor u is evaluated, and solved for, once
+        if coef is None or cm.a_deps:
+            coef = _coef_fields(cm, grid, xs, t, u if reads_u else None)
+            if implicit:
+                solve = _implicit_solver(grid, coef, dt, reused=not cm.a_deps,
+                                         rows=np.flatnonzero(~failed))
+        unew = solve(rhs) if implicit else rhs + dt * apply_operator(grid, coef, u)
 
         bad = ~np.all(np.abs(unew) <= BLOWUP_LIMIT, axis=1)
         fresh = bad & ~failed

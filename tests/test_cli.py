@@ -475,3 +475,61 @@ def test_svg_line_chart_structure(tmp_path):
     text = path.read_text()
     assert text.count("<polyline") == 2
     assert "demo" in text and ">up<" in text and ">down<" in text
+
+
+def test_model_outside_its_bounds_reported_at_its_key_line():
+    # a = 3 exceeds 1/iota = 2: `a = expr` alone is rejected, so line 5
+    text = "[grid]\nnpts = 32\n\n[model]\na = expr\na_expr = 3\niota = 0.5\n"
+    with pytest.raises(ConfigError, match="line 5: model rejected: ellipticity violated"):
+        parse_config(text)
+
+
+def test_model_is_checked_over_the_configured_horizon():
+    # 1 + t/2 stays within [0.5, 2] up to t = 2
+    text = "[model]\na = expr\na_expr = 1 + 0.5*t\niota = 0.5\n\n[solver]\nhorizon = {}\n"
+    parse_config(text.format(1.0))
+    with pytest.raises(ConfigError, match="line 2: model rejected: ellipticity violated"):
+        parse_config(text.format(4.0))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_horizon_reported_at_its_line(value):
+    text = f"[model]\na = random_elliptic\niota = 0.5\n\n[solver]\nhorizon = {value}\n"
+    with pytest.raises(ConfigError, match="line 6: horizon must be positive and finite"):
+        parse_config(text)
+
+
+REGION_R = '{"t_lo": 0.5, "t_hi": 1.0, "center": [0.25], "radius": 0.5}'
+
+
+def test_positivity_reads_a_single_region_of_any_name(tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"[grid]\nnpts = 32\n\n[regions]\nR = {REGION_R}\n\n"
+                   "[montecarlo]\npaths = 4\nchunk = 2\n")
+    for command in ("positivity", "ensemble"):
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / command), command) == 0
+    mins = [row[1] for row in read_csv(tmp_path / "positivity" / "positivity_paths.csv")[1:]]
+    paths = read_csv(tmp_path / "ensemble" / "paths.csv")
+    column = paths[0].index("inf_R")
+    assert mins == [row[column] for row in paths[1:]]
+    # several regions, none named P: no region to pick
+    cfg.write_text(cfg.read_text().replace(
+        "\n\n[montecarlo]", f"\nS = {REGION_R}\n\n[montecarlo]"))
+    capsys.readouterr()
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "two"), "positivity") == 2
+    assert "positivity needs a region named 'P'" in capsys.readouterr().err
+
+
+def test_norms_without_q_use_the_late_unit_window(tmp_path, capsys):
+    # with no region Q, norms reads (H/4, H] x B_1
+    text = "[grid]\nnpts = 32\n\n[solver]\nhorizon = 0.5\n\n[regions]\n{}\n"
+    window = '{"t_lo": 0.125, "t_hi": 0.5, "center": [0.0], "radius": 1.0}'
+    other = '{"t_lo": 0.25, "t_hi": 0.5, "center": [0.25], "radius": 0.5}'
+    for name, region in (("default", f"R = {other}"),
+                         ("explicit", f"Q = {window}")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text.format(region))
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / name), "norms") == 0
+    assert "over (0.125, 0.5] x B_1\n" in capsys.readouterr().out
+    assert ((tmp_path / "default" / "norms.csv").read_bytes()
+            == (tmp_path / "explicit" / "norms.csv").read_bytes())

@@ -212,3 +212,19 @@ def test_interpolation_rejects_bad_exponents(random_path):
         interpolation_check(random_path, 4.0, 1.5, 2.0, rect, eps=1.0)
     with pytest.raises(InvalidArgumentError):
         interpolation_check(random_path, 4.0, 3.0, 2.0, rect, eps=0.0)
+
+
+@pytest.mark.parametrize("r", [0.7, 0.3])
+def test_rescale_2d_reads_the_nearest_node(r):
+    # each (step, node) value encodes its own indices; at npts 8 and these
+    # r no target time or point lies halfway between two samples
+    grid = Grid.regular(2, 8)
+    times = np.linspace(0.0, 1.0, 9)
+    vals = 1000.0 * np.arange(times.size)[:, None] + np.arange(grid.size)[None, :]
+    scaled = rescale(FieldPath(grid, times, vals), r)
+    x0, x1 = grid.coords_flat()
+    for j, t in enumerate(times):
+        src_step = int(np.argmin(np.abs(times - r * r * t)))
+        for s in range(grid.size):
+            src_node = int(np.argmin((x0 - r * x0[s]) ** 2 + (x1 - r * x1[s]) ** 2))
+            assert scaled.values[j, s] == 1000.0 * src_step + src_node

@@ -16,6 +16,7 @@ from spdelab.montecarlo import (Ensemble, ExperimentSpec, comparison_experiment,
                                 joint_tail, median_sup, moser_ratio,
                                 positivity_scan, run_ensemble, validate_windows,
                                 wilson_interval)
+from spdelab.solver import ModelParams
 
 Q_RECT = SpaceTimeRect(0.05, 0.1, Ball((0.0,), 1.0))
 P_RECT = SpaceTimeRect(0.15, 0.25, Ball((0.0,), 1.0))
@@ -280,7 +281,7 @@ def test_positivity_scan_rejects_signed_data(region_ensemble):
     grid = region_ensemble.spec.grid
     vals = np.linspace(-1.0, 1.0, grid.size).reshape(grid.shape)
     spec = ExperimentSpec(grid=grid, horizon=0.25, n_paths=12)
-    spec.build = lambda: (None, FieldSnapshot(grid, 0.0, vals))
+    spec.initial_condition = lambda: FieldSnapshot(grid, 0.0, vals)
     ens = Ensemble(spec=spec, sup=region_ensemble.sup, inf=region_ensemble.inf,
                    neg_energy=region_ensemble.neg_energy,
                    failed=region_ensemble.failed,
@@ -349,3 +350,31 @@ def test_filter_lemma_holds_on_random_samples(rng):
     X = rng.exponential(1.0, n)
     samples = np.column_stack([X, Y, Z])
     assert filter_lemma_check(samples, K, N, b) == 0
+
+
+def test_positivity_scan_builds_no_model(monkeypatch, region_ensemble):
+    # the scan reads the initial condition only; the model was built and
+    # spot-checked before the run
+    calls = []
+    for name in ("build_model", "validate_model"):
+        def counted(*args, _fn=getattr(montecarlo, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(montecarlo, name, counted)
+    rep = positivity_scan(region_ensemble, BOX)
+    assert calls == []
+    assert rep.mins.size == 12 and rep.initial_energy > 0.0
+
+
+def test_failed_paths_reach_no_consumer():
+    # the cubic drift blows every path up well before the horizon
+    model = ModelParams(f_kind="expr", f_expr="u*u*u", g_kind="zero", m=0,
+                        growth_bound=1000.0)
+    spec = ExperimentSpec(grid=Grid.regular(1, 32), model=model, ic_amplitude=50.0,
+                          horizon=0.5, n_paths=4, chunk=2, regions={"box": BOX})
+    seen = []
+    ens = run_ensemble(spec, consumers=[lambda i, fp: seen.append(i)])
+    assert seen == []
+    assert np.all(ens.failed) and np.all(ens.fail_steps >= 0)
+    for values in (ens.sup["box"], ens.inf["box"], ens.neg_energy):
+        assert np.all(np.isnan(values))

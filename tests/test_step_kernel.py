@@ -299,3 +299,51 @@ def test_2d_heat_kernel_second_order_and_mass():
         assert float(np.max(np.abs(mass - mass[0]))) <= 1e-13
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
     assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+
+
+# ---------------------------------------------------------------------------
+# every solve inverts I - dt L_a
+
+# solve -> (reused, per-row field, (splu, dgtsv) calls in 1d, in 2d)
+SOLVES = {
+    "fft": (True, False, (0, 0), (0, 0)),
+    "shared-lu": (True, False, (1, 0), (1, 0)),
+    "per-step": (False, False, (0, 1), (1, 0)),
+    "per-row": (False, True, (0, B_ROWS), (B_ROWS, 0)),
+}
+
+
+@pytest.mark.parametrize("n, npts", [(1, 4), (1, 5), (1, 64), (2, 4), (2, 16)])
+@pytest.mark.parametrize("dt_per_dx2", [0.5, 2.0])
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_every_solve_inverts_the_operator(monkeypatch, n, npts, dt_per_dx2, name, rng):
+    # the solve and apply_operator must agree on L_a, which the QV and
+    # weak-residual diagnostics assume
+    reused, per_row, calls_1d, calls_2d = SOLVES[name]
+    grid = Grid.regular(n, npts)
+    dt = dt_per_dx2 * grid.dx**2
+    if name == "fft":
+        a = np.full(grid.size, 0.75)
+    else:
+        a = rng.uniform(0.5, 2.0, size=(B_ROWS, grid.size) if per_row else grid.size)
+    rhs = rng.normal(size=(B_ROWS, grid.size))
+    calls, lapack_calls = [], []
+    monkeypatch.setattr(solver, "splu", counting(solver.splu, calls))
+    monkeypatch.setattr(solver, "dgtsv", counting(solver.dgtsv, lapack_calls))
+    x = solver._implicit_solver(grid, a, dt, reused=reused,
+                                rows=np.arange(B_ROWS))(rhs)
+    assert (len(calls), len(lapack_calls)) == (calls_1d if n == 1 else calls_2d)
+    residual = x - dt * solver.apply_operator(grid, a, x) - rhs
+    assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_per_row_solve_skips_unlisted_rows(n, rng):
+    grid = grid_for(n)
+    dt = grid.dx**2
+    a = rng.uniform(0.5, 2.0, size=(B_ROWS, grid.size))
+    rhs = rng.normal(size=(B_ROWS, grid.size))
+    every = solver._implicit_solver(grid, a, dt, reused=False, rows=np.arange(B_ROWS))(rhs)
+    some = solver._implicit_solver(grid, a, dt, reused=False, rows=np.array([0, 2]))(rhs)
+    assert np.all(np.isnan(some[1]))
+    np.testing.assert_array_equal(some[[0, 2]], every[[0, 2]])

@@ -16,14 +16,14 @@ extended level count obeys
 
     x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j,  x_0 = 1.
 
-Counts grow fast; builds are guarded by an explicit cube budget.
-Levels are stored as flat arrays (one scale per level), not objects.
+Counts grow fast; builds are guarded by an explicit cube budget,
+checked before any level is allocated.  Levels are flat arrays (one
+scale per level), each allocated once with every child written in
+place; core level j is the tail of extended level j.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -140,11 +140,6 @@ class CubeLevel:
         return Cube(float(self.l[k]), self.s, self.z, tuple(self.w[k]),
                     level=self.level, lineage=LINEAGES[int(self.lineage[k])])
 
-    def iter_cubes(self, limit: int | None = None) -> Iterator[Cube]:
-        stop = self.count if limit is None else min(limit, self.count)
-        for k in range(stop):
-            yield self.cube(k)
-
 
 def _root_level(root: Cube) -> CubeLevel:
     return CubeLevel(level=root.level, s=root.s, z=root.z,
@@ -153,28 +148,22 @@ def _root_level(root: Cube) -> CubeLevel:
                      lineage=np.zeros(1, dtype=np.uint8))
 
 
-def _child_level(parent: CubeLevel, target: str) -> CubeLevel:
-    """Subdivide the eighths or quarters of every cube of a level.
+def _subdivide(parent: CubeLevel, height: int, out: CubeLevel, at: int) -> CubeLevel:
+    """Write the children of every cube of a level into out, from row at.
 
+    Height 1 subdivides the top and bottom eighths (l+3s, l+4s) and
+    (l-4s, l-3s), height 2 the quarters (l+2s, l+4s) and (l-4s, l-2s),
+    into pieces height * s2 tall, where out carries the child scales.
     Each congruent piece is the same-named subregion of exactly one
     child cube, which fixes the child center: for the top pieces the
     child's time top coincides with the piece top, for the bottom
-    pieces the bottoms coincide.
+    pieces the bottoms coincide.  Returns the written rows as a view.
     """
-    s, z = parent.s, parent.z
-    s2 = s / ZETA**2
-    z2 = z / ZETA
+    s, z, s2, z2 = parent.s, parent.z, out.s, out.z
     k = np.arange(ZETA**2)
-    if target == "eighth":
-        # pieces of (l+3s, l+4s) and (l-4s, l-3s), each of height s2
-        plus_off = 3.0 * s + (k + 1) * s2 - 4.0 * s2
-        minus_off = -4.0 * s + k * s2 + 4.0 * s2
-    elif target == "quarter":
-        # pieces of (l+2s, l+4s) and (l-4s, l-2s), each of height 2*s2
-        plus_off = 2.0 * s + 2.0 * (k + 1) * s2 - 4.0 * s2
-        minus_off = -4.0 * s + 2.0 * k * s2 + 4.0 * s2
-    else:
-        raise InvalidArgumentError(f"unknown subdivision target {target!r}")
+    plus_off = (4.0 - height) * s + height * (k + 1) * s2 - 4.0 * s2
+    minus_off = -4.0 * s + height * k * s2 + 4.0 * s2
+    offs = np.stack([plus_off, minus_off])
 
     n = parent.n
     axis = -z + (2.0 * np.arange(ZETA) + 1.0) * z2
@@ -182,26 +171,14 @@ def _child_level(parent: CubeLevel, target: str) -> CubeLevel:
     space = np.stack([g.ravel() for g in grids], axis=1)
 
     P, T, Q = parent.count, ZETA**2, ZETA**n
-    offs = np.stack([plus_off, minus_off])
-    l_out = np.broadcast_to(
-        (parent.l[:, None, None] + offs[None, :, :])[..., None],
-        (P, 2, T, Q)).reshape(-1)
-    w_out = np.broadcast_to(
-        parent.w[:, None, None, None, :] + space[None, None, None, :, :],
-        (P, 2, T, Q, n)).reshape(-1, n)
-    lin = np.tile(np.repeat(np.array([1, 2], dtype=np.uint8), T * Q), P)
-    return CubeLevel(level=parent.level + 1, s=s2, z=z2,
-                     l=np.ascontiguousarray(l_out),
-                     w=np.ascontiguousarray(w_out), lineage=lin)
-
-
-def _concat_levels(a: CubeLevel, b: CubeLevel) -> CubeLevel:
-    if a.level != b.level or abs(a.s - b.s) > 1e-12 * a.s:
-        raise InvalidArgumentError("cannot merge levels with different scales")
-    return CubeLevel(level=a.level, s=a.s, z=a.z,
-                     l=np.concatenate([a.l, b.l]),
-                     w=np.concatenate([a.w, b.w]),
-                     lineage=np.concatenate([a.lineage, b.lineage]))
+    rows = slice(at, at + P * 2 * T * Q)
+    np.add(parent.l[:, None, None, None], offs[None, :, :, None],
+           out=out.l[rows].reshape(P, 2, T, Q))
+    np.add(parent.w[:, None, None, None, :], space[None, None, None, :, :],
+           out=out.w[rows].reshape(P, 2, T, Q, n))
+    out.lineage[rows].reshape(P, 2, T * Q)[...] = np.array([[1], [2]], dtype=np.uint8)
+    return CubeLevel(level=out.level, s=s2, z=z2,
+                     l=out.l[rows], w=out.w[rows], lineage=out.lineage[rows])
 
 
 @dataclass
@@ -222,14 +199,6 @@ class CubeHierarchy:
         return sum(lv.count for lv in self.levels)
 
 
-def _validated(depth: int, budget: int):
-    if depth < 0 or int(depth) != depth:
-        raise InvalidArgumentError(f"depth must be a nonnegative integer, got {depth}")
-    if budget < 1:
-        raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
-    return int(depth), int(budget)
-
-
 def core_count(n: int, j: int) -> int:
     """Cubes at level j of the core collection: (2 zeta^(n+2))^j."""
     return (2 * ZETA ** (n + 2)) ** j
@@ -248,18 +217,44 @@ def count_bound(n: int, j: int) -> int:
     return 4 ** ((n + 3) * j)
 
 
+def _build(root: Cube, depth: int, budget: int, extended: bool) -> CubeHierarchy:
+    """Levels 0..depth of the core or the extended collection.
+
+    Each level is sized from the levels already built, never from the
+    count formulas, so comparing counts with them stays a check.
+    """
+    if depth < 0 or int(depth) != depth:
+        raise InvalidArgumentError(f"depth must be a nonnegative integer, got {depth}")
+    if budget < 1:
+        raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
+    depth, n = int(depth), root.n
+    total = sum(core_count(n, j) for j in range(depth + 1))
+    if extended:
+        total += sum(extended_count(n, j) for j in range(depth + 1))
+    if total > budget:
+        raise ResourceLimitError(
+            f"{'extended' if extended else 'core'} hierarchy needs {total} cubes "
+            f"at depth {depth}, over budget {budget}")
+    fan = 2 * ZETA ** (n + 2)
+    core = _root_level(root)
+    levels = [core]
+    for _ in range(depth):
+        prev = levels[-1]
+        head = prev.count * fan if extended else 0
+        size = head + core.count * fan
+        level = CubeLevel(level=prev.level + 1, s=prev.s / ZETA**2, z=prev.z / ZETA,
+                          l=np.empty(size), w=np.empty((size, n)),
+                          lineage=np.empty(size, dtype=np.uint8))
+        if extended:
+            _subdivide(prev, 2, level, 0)
+        core = _subdivide(core, 1, level, head)
+        levels.append(level)
+    return CubeHierarchy(root, depth, levels)
+
+
 def build_core(root: Cube, depth: int, budget: int = DEFAULT_BUDGET) -> CubeHierarchy:
     """Levels 0..depth of the core (eighth-subdividing) collection."""
-    depth, budget = _validated(depth, budget)
-    levels = [_root_level(root)]
-    total = 1
-    for j in range(1, depth + 1):
-        total += levels[-1].count * 2 * ZETA ** (root.n + 2)
-        if total > budget:
-            raise ResourceLimitError(
-                f"core hierarchy needs {total} cubes at depth {j}, over budget {budget}")
-        levels.append(_child_level(levels[-1], "eighth"))
-    return CubeHierarchy(root, depth, levels)
+    return _build(root, depth, budget, extended=False)
 
 
 def build_extended(root: Cube, depth: int, budget: int = DEFAULT_BUDGET) -> CubeHierarchy:
@@ -267,22 +262,11 @@ def build_extended(root: Cube, depth: int, budget: int = DEFAULT_BUDGET) -> Cube
 
     Level j holds the quarter-subdivision children of level j-1 plus
     the core-collection cubes of level j, reproducing the recurrence
-    x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j.  The budget covers
-    the extended levels and the core scaffolding together.
+    x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j.  Both parts are
+    written in place into level j, whose tail is core level j.  The
+    budget covers the core and the extended counts together.
     """
-    depth, budget = _validated(depth, budget)
-    n = root.n
-    total = sum(core_count(n, j) for j in range(depth + 1)) \
-        + sum(extended_count(n, j) for j in range(depth + 1))
-    if total > budget:
-        raise ResourceLimitError(
-            f"extended hierarchy needs {total} cubes at depth {depth}, over budget {budget}")
-    core = build_core(root, depth, budget)
-    levels = [core.levels[0]]
-    for j in range(1, depth + 1):
-        children = _child_level(levels[-1], "quarter")
-        levels.append(_concat_levels(children, core.levels[j]))
-    return CubeHierarchy(root, depth, levels)
+    return _build(root, depth, budget, extended=True)
 
 
 def containment_ok(h: CubeHierarchy, tol: float = 1e-9) -> bool:

@@ -78,12 +78,11 @@ def log_field(path: FieldPath, mu: float) -> LogField:
     return LogField(path=path, mu=mu, values=h, clamp_fraction=clamp_fraction)
 
 
-def _cube_weights(grid: Grid, cube: Cube):
+def _cube_weights(grid: Grid, cube: Cube) -> np.ndarray:
     """Squared master cutoff on the grid, scaled to the cube's ball.
 
-    Returns (w2, vnorm) with vnorm = dx^n * sum(w2), the weighted
-    reference volume.  The weight is supported in the 3/2-enlarged
-    ball, which must fit inside the periodic box.
+    The weight is supported in the 3/2-enlarged ball, which must fit
+    inside the periodic box, and must not vanish on the grid.
     """
     if cube.n != grid.n:
         raise DimensionMismatchError(f"cube dimension {cube.n} != grid dimension {grid.n}")
@@ -93,10 +92,9 @@ def _cube_weights(grid: Grid, cube: Cube):
                 f"enlarged ball of radius {1.5 * cube.z} at {cube.w} exits the box "
                 f"[-{grid.extent}, {grid.extent})")
     w2 = master_cutoff(grid.max_dist(cube.w) / (2.0 * cube.z)) ** 2
-    vnorm = grid.cell_volume() * float(np.sum(w2))
-    if vnorm <= 0.0:
+    if np.sum(w2) <= 0.0:
         raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")
-    return w2, vnorm
+    return w2
 
 
 def cube_average(lf: LogField, cube: Cube, t: float) -> float:
@@ -105,7 +103,7 @@ def cube_average(lf: LogField, cube: Cube, t: float) -> float:
     if not (cube.time_lo - tol <= t <= cube.time_hi + tol):
         raise InvalidArgumentError(
             f"time {t} outside the cube extent ({cube.time_lo}, {cube.time_hi})")
-    w2, _ = _cube_weights(lf.grid, cube)
+    w2 = _cube_weights(lf.grid, cube)
     j = lf.path.time_index(t)
     return float(np.dot(lf.values[j], w2) / np.sum(w2))
 
@@ -136,7 +134,7 @@ def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
     path = lf.path
     if cm.m > 0 and path.noise is None:
         raise StateError("path has no recorded noise increments")
-    w2, _ = _cube_weights(lf.grid, cube)
+    w2 = _cube_weights(lf.grid, cube)
     jc = path.time_index(cube.l)
     if sign > 0:
         jend = path.time_index(cube.time_hi)
@@ -218,7 +216,7 @@ class CubeStats:
 def cube_stats(lf: LogField, cm: CoefficientModel, cube: Cube) -> CubeStats:
     """All per-cube diagnostics in one pass."""
     path = lf.path
-    w2, _ = _cube_weights(lf.grid, cube)
+    w2 = _cube_weights(lf.grid, cube)
     a_c = cube_average(lf, cube, cube.l)
     jlo = path.time_index(cube.time_lo)
     jhi = path.time_index(cube.time_hi)
@@ -238,8 +236,9 @@ def hierarchy_stats(lf: LogField, cm: CoefficientModel, hierarchy: CubeHierarchy
                     per_level_limit: int | None = None):
     """Yield (level, index, CubeStats) over the hierarchy, bounded per level."""
     for lv in hierarchy.levels:
-        for k, cube in enumerate(lv.iter_cubes(per_level_limit)):
-            yield lv.level, k, cube_stats(lf, cm, cube)
+        stop = lv.count if per_level_limit is None else min(per_level_limit, lv.count)
+        for k in range(stop):
+            yield lv.level, k, cube_stats(lf, cm, lv.cube(k))
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,12 @@ def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
     Raises ModelInvalidError with a witness triple on the first violated
     bound; otherwise returns the worst observed margins.
     """
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise InvalidArgumentError(f"t_max must be finite and >= 0, got {t_max}")
+    if not (math.isfinite(extent) and extent > 0.0):
+        raise InvalidArgumentError(f"extent must be finite and > 0, got {extent}")
+    if sample_count < 1:
+        raise InvalidArgumentError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     batches = 8
     per = max(sample_count // batches, 4)

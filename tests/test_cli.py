@@ -423,6 +423,44 @@ def test_degiorgi_needs_room(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["harnack", "moser"])
+def test_comparison_needs_region_q(tmp_path, capsys, command):
+    cfg = tmp_path / "onlyp.cfg"
+    cfg.write_text("[grid]\nnpts = 32\n\n[regions]\n"
+                   'P = {"t_lo": 0.5, "t_hi": 1.0, "center": [0.0], "radius": 0.5}\n')
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 2
+    assert "needs a region named 'Q'" in capsys.readouterr().err
+
+
+def test_degiorgi_needs_a_wide_box(tmp_path, capsys):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("[grid]\nnpts = 20\nextent = 1.25\n")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "degiorgi") == 2
+    assert "needs the box to cover |x| <= 3/2" in capsys.readouterr().err
+
+
+def test_blown_up_single_path_exits_3(tmp_path, capsys):
+    # norms solves one path outside any ensemble, so its blow-up is an
+    # error rather than a failed row
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text(
+        "[grid]\nnpts = 32\n\n"
+        "[model]\nf = expr\nf_expr = u*u*u\ng = zero\nm = 0\ngrowth_bound = 1000\n\n"
+        "[solver]\namplitude = 50.0\nhorizon = 1.0\n")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "norms") == 3
+    assert "path blew up at step 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1 +", "bad expression '1 \\+'"),
+    ("1 + 0*sin(x, u)", "sin takes 1 argument\\(s\\)"),
+])
+def test_malformed_expression_reported_at_its_key_line(expr, message):
+    text = f"[model]\na = expr\na_expr = {expr}\n"
+    with pytest.raises(ConfigError, match=f"line 2: model rejected: {message}"):
+        parse_config(text)
+
+
 def test_norms_subcommand(tmp_path):
     cfg = tmp_path / "n.cfg"
     cfg.write_text(CUSTOM)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from spdelab.cubes import (Cube, CubeHierarchy, build_core, build_extended,
+from spdelab.cubes import (Cube, CubeHierarchy, CubeLevel, build_core, build_extended,
                            containment_ok, core_count, count_bound,
                            extended_count, level_summary, subcubes, unit_cube)
 from spdelab.errors import InvalidArgumentError, ResourceLimitError
@@ -66,6 +66,22 @@ def test_build_extended_matches_counts():
     h = build_extended(unit_cube(1), depth=2)
     assert [lv.count for lv in h.levels] == [extended_count(1, j) for j in range(3)]
     assert containment_ok(h)
+
+
+def test_containment_fails_for_a_cube_outside_the_root():
+    root = unit_cube(2)
+    h = build_core(root, depth=1)
+    assert containment_ok(h)
+    lv = h.levels[1]
+    early = lv.l.copy()
+    early[5] = root.time_lo + 3.0 * lv.s
+    late = lv.l.copy()
+    late[5] = root.time_hi - 3.0 * lv.s
+    wide = lv.w.copy()
+    wide[5, 1] = root.w[1] + root.z
+    for l, w in ((early, lv.w), (late, lv.w), (lv.l, wide)):
+        moved = CubeLevel(lv.level, lv.s, lv.z, l, w, lv.lineage)
+        assert not containment_ok(CubeHierarchy(root, 1, [h.levels[0], moved]))
 
 
 def test_build_core_2d():
@@ -149,3 +165,69 @@ def test_cube_index_bounds():
         h.levels[1].cube(128)
     with pytest.raises(InvalidArgumentError):
         h.levels[1].cube(-1)
+
+
+def _reference_children(parent, target):
+    """Eighth or quarter children of a level, as independent copies.
+
+    A separate statement of the subdivision that the builders must
+    match bit for bit.
+    """
+    s, z = parent.s, parent.z
+    s2, z2 = s / 16, z / 4
+    k = np.arange(16)
+    if target == "eighth":
+        plus_off = 3.0 * s + (k + 1) * s2 - 4.0 * s2
+        minus_off = -4.0 * s + k * s2 + 4.0 * s2
+    else:
+        plus_off = 2.0 * s + 2.0 * (k + 1) * s2 - 4.0 * s2
+        minus_off = -4.0 * s + 2.0 * k * s2 + 4.0 * s2
+    n = parent.n
+    axis = -z + (2.0 * np.arange(4) + 1.0) * z2
+    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    space = np.stack([g.ravel() for g in grids], axis=1)
+    P, T, Q = parent.count, 16, 4**n
+    offs = np.stack([plus_off, minus_off])
+    l_out = np.broadcast_to((parent.l[:, None, None] + offs[None, :, :])[..., None],
+                            (P, 2, T, Q)).reshape(-1)
+    w_out = np.broadcast_to(parent.w[:, None, None, None, :] + space[None, None, None, :, :],
+                            (P, 2, T, Q, n)).reshape(-1, n)
+    lin = np.tile(np.repeat(np.array([1, 2], dtype=np.uint8), T * Q), P)
+    return CubeLevel(parent.level + 1, s2, z2, l_out, w_out, lin)
+
+
+def _reference_levels(root, depth, extended):
+    """Yield levels 0..depth: core by eighths, extended as quarter
+    children of the previous level concatenated with the core level."""
+    core = CubeLevel(root.level, root.s, root.z, np.array([root.l]),
+                     np.array([root.w], dtype=float), np.zeros(1, dtype=np.uint8))
+    prev = core
+    yield core
+    for _ in range(depth):
+        core = _reference_children(core, "eighth")
+        if extended:
+            kids = _reference_children(prev, "quarter")
+            prev = CubeLevel(core.level, kids.s, kids.z,
+                             np.concatenate([kids.l, core.l]),
+                             np.concatenate([kids.w, core.w]),
+                             np.concatenate([kids.lineage, core.lineage]))
+            del kids
+        else:
+            prev = core
+        yield prev
+
+
+@pytest.mark.parametrize("n, depth", [(1, 0), (1, 1), (1, 2), (1, 3),
+                                      (2, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("build", [build_core, build_extended])
+def test_levels_match_reference_build(build, n, depth):
+    h = build(unit_cube(n), depth)
+    ref = _reference_levels(unit_cube(n), depth, build is build_extended)
+    assert len(h.levels) == depth + 1
+    for j, want in enumerate(ref):
+        got = h.levels[j]
+        assert (got.level, got.s, got.z) == (want.level, want.s, want.z)
+        for name in ("l", "w", "lineage"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (j, name)
+        h.levels[j] = None      # release each compared level

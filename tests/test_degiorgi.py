@@ -60,6 +60,13 @@ def test_cutoff_sample_matches_value(grid32):
     fam = CutoffFamily(1)
     xs = grid32.coords1d()
     assert np.allclose(fam.sample(grid32, 2), fam.value(2, xs))
+    grid = Grid.regular(2, 16)
+    fam2 = CutoffFamily(2)
+    pts = np.stack(grid.coords_flat(), -1)
+    for k in (0, 2):
+        assert np.allclose(fam2.sample(grid, k), fam2.value(k, pts))
+    with pytest.raises(InvalidArgumentError, match="last axis 3"):
+        fam2.value(2, np.zeros((4, 3)))
 
 
 def test_truncate_exact(grid32):

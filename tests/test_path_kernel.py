@@ -121,7 +121,7 @@ def ref_martingale_increments(path, cm, fam, k, a, eps):
 def ref_compensator(lf, cm, cube):
     """Forward compensator increments from the cube's time center."""
     path = lf.path
-    w2, _ = _cube_weights(lf.grid, cube)
+    w2 = _cube_weights(lf.grid, cube)
     jc, jend = path.time_index(cube.l), path.time_index(cube.time_hi)
     incr = []
     for j in range(jc, jend):

@@ -39,6 +39,14 @@ def test_expression_two_dims_and_minmax():
                        np.maximum(xs[0], xs[1]) - np.minimum(u, 0.5))
 
 
+def test_expression_unary_signs_are_exact():
+    u = np.array([-3.0, 0.1, 7.25])
+    minus, _ = compile_expression("-0.2*u", 1)
+    plus, _ = compile_expression("+u", 1)
+    assert np.array_equal(minus(0.0, (u,), u), -0.2 * u)
+    assert np.array_equal(plus(0.0, (u,), u), u)
+
+
 def test_expression_rejects_unsafe_constructs():
     for text in ("__import__('os')", "u.__class__", "open('x')",
                  "lambda v: v", "x3", "u ** 2"):
@@ -103,6 +111,23 @@ def test_validate_model_accepts_default():
     cm = build_model(ModelParams(), 1)
     report = validate_model(cm)
     assert report.ok
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"t_max": math.nan}, "t_max"), ({"t_max": math.inf}, "t_max"),
+    ({"t_max": -1.0}, "t_max"),
+    ({"extent": math.inf}, "extent"), ({"extent": -2.0}, "extent"),
+    ({"extent": 0.0}, "extent"), ({"extent": math.nan}, "extent"),
+    ({"sample_count": 0}, "sample_count"),
+])
+def test_validate_model_rejects_bad_arguments(kwargs, name):
+    cm = build_model(ModelParams(), 1)
+    with pytest.raises(InvalidArgumentError, match=name):
+        validate_model(cm, **kwargs)
+
+
+def test_validate_model_accepts_zero_horizon():
+    assert validate_model(build_model(ModelParams(), 1), t_max=0.0).ok
 
 
 # ---------------------------------------------------------------------------

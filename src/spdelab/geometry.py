@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidArgumentError
+from .errors import DimensionMismatchError, InvalidArgumentError, ResourceLimitError
 
 
 def as_point(x, dim: int | None = None) -> tuple:
@@ -145,7 +145,41 @@ def _axis_centers(count: int, half_width: float) -> np.ndarray:
     return -half_width + w * (np.arange(count) + 0.5)
 
 
-def cover_cylinder(theta: float, R: float, n: int) -> list:
+# Most anchors cover_cylinder builds: at n = 2 this many rows of times and
+# coords hold 480 MB.  theta = 0.95 (n = 2) and theta = 0.99 (n = 1) fit.
+_COVER_BUDGET = 20_000_000
+
+# Rows converted to Python values at a time when a lattice is iterated, so
+# iteration never holds the whole lattice as Python objects.
+_ITER_BLOCK = 4096
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class CoverLattice:
+    """Read-only anchor lattice of a cylinder cover.
+
+    Anchor k is (times[k], coords[k]): times has shape (K,), coords (K, n).
+    len() is K; iteration yields (float, tuple) pairs in row order.
+    """
+
+    times: np.ndarray
+    coords: np.ndarray
+
+    def __post_init__(self):
+        self.times.flags.writeable = False
+        self.coords.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), _ITER_BLOCK):
+            hi = lo + _ITER_BLOCK
+            yield from zip(self.times[lo:hi].tolist(),
+                           map(tuple, self.coords[lo:hi].tolist()))
+
+
+def cover_cylinder(theta: float, R: float, n: int) -> CoverLattice:
     """Axis-aligned lattice of cylinder anchors covering Q_{theta R}(1, 0).
 
     Returns anchors (t_i, x_i), each inside Q_{theta R}, such that the
@@ -153,32 +187,45 @@ def cover_cylinder(theta: float, R: float, n: int) -> list:
     Anchor times are spaced at most rho^2 apart and anchor coordinates at
     most rho apart, which keeps every point of the target strictly inside
     some covering ball and within depth rho^2 below some anchor time.
+    Anchors run through the times from 1 downward and, at each time,
+    through the spatial lattice in C order.
 
     For theta <= 1/2 the single cylinder Q_{R/2}(1, 0) already contains
-    Q_{theta R}, so no anchors are needed and the empty list is returned.
+    Q_{theta R}, so no anchors are needed and the lattice is empty: times
+    has shape (0,) and coords (0, n).  A lattice of more than
+    _COVER_BUDGET anchors raises ResourceLimitError before anything is
+    allocated.
     """
     if not (0.0 < theta < 1.0):
         raise InvalidArgumentError(f"theta must lie in (0, 1), got {theta}")
-    if not (R > 0.0):
-        raise InvalidArgumentError(f"R must be positive, got {R}")
+    if not (R > 0.0 and math.isfinite(R)):
+        raise InvalidArgumentError(f"R must be positive and finite, got {R}")
     if n not in (1, 2):
         raise InvalidArgumentError(f"spatial dimension must be 1 or 2, got {n}")
     if theta <= 0.5:
-        return []
+        return CoverLattice(np.empty(0), np.empty((0, n)))
 
     rho = (1.0 - theta) * R / 2.0
-    depth = (theta * R) ** 2
+    try:
+        depth, rho2 = (theta * R) ** 2, rho**2
+    except OverflowError:
+        depth = rho2 = math.inf
+    if not (math.isfinite(depth) and rho2 > 0.0):
+        raise InvalidArgumentError(
+            f"R = {R} is out of range: (theta R)^2 = {depth} and rho^2 = {rho2} "
+            f"must be finite and positive")
     # ceil with a tiny upward nudge: an undercount by one float ulp would
     # open a coverage gap, an overcount of one is absorbed by the bound.
-    k_t = int(math.ceil(depth / rho**2 * (1.0 + 1e-12)))
+    k_t = int(math.ceil(depth / rho2 * (1.0 + 1e-12)))
     k_x = int(math.ceil(2.0 * theta * R / rho * (1.0 + 1e-12)))
+    count = k_t * k_x**n
+    if count > _COVER_BUDGET:
+        raise ResourceLimitError(
+            f"cover at theta={theta}, n={n} needs {count} anchors, "
+            f"over budget {_COVER_BUDGET}")
 
     t_step = depth / k_t
-    times = 1.0 - t_step * np.arange(k_t)
-    axes = [_axis_centers(k_x, theta * R) for _ in range(n)]
-
-    anchors = []
-    for t in times:
-        for idx in np.ndindex(*(k_x,) * n):
-            anchors.append((float(t), tuple(float(axes[d][i]) for d, i in enumerate(idx))))
-    return anchors
+    times = np.repeat(1.0 - t_step * np.arange(k_t), k_x**n)
+    ax = _axis_centers(k_x, theta * R)
+    cell = np.stack(np.meshgrid(*[ax] * n, indexing="ij"), -1).reshape(-1, n)
+    return CoverLattice(times, np.tile(cell, (k_t, 1)))

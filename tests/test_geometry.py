@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spdelab.errors import InvalidArgumentError, DimensionMismatchError
+from spdelab.errors import (InvalidArgumentError, DimensionMismatchError,
+                            ResourceLimitError)
 from spdelab.geometry import (Ball, ParabolicCylinder, SpaceTimeRect, as_point,
                               contains, cover_cylinder, covering_bound,
                               make_cylinder, max_norm, volume)
@@ -97,8 +98,10 @@ def test_covering_bound_frozen_values():
 
 
 def test_cover_trivial_below_half():
-    assert cover_cylinder(0.4, 1.0, 1) == []
-    assert cover_cylinder(0.5, 2.0, 2) == []
+    for theta, R, n in ((0.4, 1.0, 1), (0.5, 2.0, 2)):
+        cover = cover_cylinder(theta, R, n)
+        assert len(cover) == 0
+        assert cover.times.shape == (0,) and cover.coords.shape == (0, n)
 
 
 def test_cover_anchors_inside_target():
@@ -144,3 +147,68 @@ def test_cover_rejects_bad_arguments():
         cover_cylinder(0.75, -1.0, 1)
     with pytest.raises(InvalidArgumentError):
         cover_cylinder(0.75, 1.0, 3)
+
+
+def test_cover_rejects_out_of_range_radius():
+    # (theta R)^2 overflows for R = 1e308 and rho^2 underflows to 0 for
+    # R = 1e-170; neither may reach the lattice arithmetic
+    for R in (math.inf, 1e308, 1e-170):
+        with pytest.raises(InvalidArgumentError, match=r"^R "):
+            cover_cylinder(0.75, R, 1)
+
+
+def test_cover_budget_checked_before_allocating():
+    # 6,179,060,845 anchors: 148 GB as arrays, so this must raise up front
+    with pytest.raises(ResourceLimitError,
+                       match=r"theta=0\.99, n=2 needs 6179060845 anchors"):
+        cover_cylinder(0.99, 1.0, 2)
+
+
+def reference_cover(theta, R, n):
+    """One (time, point) tuple per anchor, built by the original loop."""
+    if theta <= 0.5:
+        return []
+    rho = (1.0 - theta) * R / 2.0
+    depth = (theta * R) ** 2
+    k_t = int(math.ceil(depth / rho**2 * (1.0 + 1e-12)))
+    k_x = int(math.ceil(2.0 * theta * R / rho * (1.0 + 1e-12)))
+    t_step = depth / k_t
+    half = theta * R
+    w = 2.0 * half / k_x
+    axis = -half + w * (np.arange(k_x) + 0.5)
+    anchors = []
+    for t in 1.0 - t_step * np.arange(k_t):
+        for idx in np.ndindex(*(k_x,) * n):
+            anchors.append((float(t), tuple(float(axis[i]) for i in idx)))
+    return anchors
+
+
+@pytest.mark.parametrize("theta", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("R", [1.0, 0.5])
+def test_cover_matches_reference_loop(theta, n, R):
+    ref = reference_cover(theta, R, n)
+    cover = cover_cylinder(theta, R, n)
+    assert np.array_equal(cover.times, np.array([a[0] for a in ref]))
+    assert np.array_equal(cover.coords, np.array([a[1] for a in ref]))
+    listed = list(cover)
+    assert listed == ref
+    assert all(type(t) is float and type(x) is tuple
+               and all(type(c) is float for c in x) for t, x in listed)
+    assert not cover.times.flags.writeable
+    assert not cover.coords.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cover_within_bound_and_target_over_theta_grid(n):
+    # up to theta = 0.9, where n = 2 needs 444,925 anchors
+    for theta in [k / 200 for k in range(101, 181)]:
+        counts = set()
+        for R in (1.0, 0.3):
+            cover = cover_cylinder(theta, R, n)
+            counts.add(len(cover))
+            ts, xs = cover.times, cover.coords
+            assert len(cover) <= covering_bound(theta, n), theta
+            assert np.all(np.abs(xs) < theta * R), (theta, R)
+            assert np.all(ts <= 1.0) and np.all(ts > 1.0 - (theta * R) ** 2), (theta, R)
+        assert len(counts) == 1, (theta, counts)

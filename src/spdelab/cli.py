@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from importlib import metadata
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,11 +63,6 @@ from .solver import (
     solve_path,
     validate_model,
 )
-
-try:
-    VERSION = metadata.version("spdelab")
-except metadata.PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
 
 DEFAULT_REGIONS = {
     "Q": SpaceTimeRect(0.0625, 0.25, Ball((0.0,), 0.5)),
@@ -752,6 +746,15 @@ def _load_config_text(path: str) -> str:
     return raw
 
 
+def _version() -> str:
+    """The installed package version, looked up only when a manifest is written."""
+    from importlib import metadata
+    try:
+        return metadata.version("spdelab")
+    except metadata.PackageNotFoundError:  # running from a source tree
+        return "0.1.0"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -765,7 +768,7 @@ def main(argv=None) -> int:
         files = RunFiles(outdir, args.plot)
         failures = _failure_roster(SUBCOMMANDS[args.command].run(spec, files, args))
         manifest = {
-            "version": VERSION,
+            "version": _version(),
             "subcommand": args.command,
             "master_seed": spec.master_seed,
             "config_text": print_config(spec),

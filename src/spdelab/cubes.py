@@ -273,8 +273,6 @@ def containment_ok(h: CubeHierarchy, tol: float = 1e-9) -> bool:
     """Exhaustive check that every cube lies inside the root cube."""
     root = h.root
     for lv in h.levels:
-        if lv.count == 0:
-            continue
         if float(lv.l.min()) - 4.0 * lv.s < root.time_lo - tol:
             return False
         if float(lv.l.max()) + 4.0 * lv.s > root.time_hi + tol:

@@ -25,6 +25,10 @@ step for all rows, and A that reads u every step for each path: in 1d by
 LAPACK dgtsv on the cyclic tridiagonal matrix with a Sherman-Morrison
 correction, in 2d by sparse LU.  The FFT solve carries roundoff of order
 1e-16 max|u|, so nodes where u is nearly 0 may come out slightly negative.
+
+scipy is imported only inside `dgtsv`, `splu` and `_implicit_matrix`, on
+first use.  A run whose A is the identity, or free of t and u and constant
+in space, solves by FFT (or steps explicitly) and never loads it.
 """
 from __future__ import annotations
 
@@ -35,9 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import splu
 
 from .errors import (
     BlowUpError,
@@ -365,7 +366,7 @@ def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
     for _ in range(batches):
         t = float(rng.uniform(0.0, t_max))
         xs = tuple(rng.uniform(-extent, extent, size=per) for _ in range(cm.n))
-        u = rng.choice([-1.0, 1.0], size=per) * 10.0 ** rng.uniform(-4.0, 1.0)
+        u = rng.choice([-1.0, 1.0], size=per) * 10.0 ** rng.uniform(-4.0, 1.0, size=per)
         u[0] = 0.0
 
         a = np.ones(per) if cm.a is None else np.broadcast_to(
@@ -431,8 +432,22 @@ def apply_operator(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (out / grid.dx**2).reshape(v.shape)
 
 
+def splu(matrix):
+    """scipy's sparse LU factorization of a CSC matrix."""
+    from scipy.sparse.linalg import splu as factorize
+    return factorize(matrix)
+
+
+def dgtsv(dl, d, du, b, overwrite_b=False):
+    """LAPACK's tridiagonal solve, as scipy.linalg.lapack.dgtsv."""
+    from scipy.linalg.lapack import dgtsv as solve
+    return solve(dl, d, du, b, overwrite_b=overwrite_b)
+
+
 def _implicit_matrix(grid: Grid, a: np.ndarray, dt: float):
     """Sparse I - dt L for a shared (unbatched) coefficient field."""
+    from scipy import sparse
+
     lam = dt / grid.dx**2
     S = grid.size
     am = np.broadcast_to(a, (S,)).reshape(grid.shape)

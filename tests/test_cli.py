@@ -522,6 +522,15 @@ def test_model_outside_its_bounds_reported_at_its_key_line():
         parse_config(text)
 
 
+@pytest.mark.parametrize("text, line, bound", [
+    ("[model]\na = expr\na_expr = 1 + 0.5*u*u\niota = 0.5\n", 2, "ellipticity"),
+    ("[model]\nf = expr\nf_expr = 0.2*u*u\ng = zero\n", 2, "growth bound"),
+], ids=["ellipticity", "growth"])
+def test_model_rejected_at_large_u(text, line, bound):
+    with pytest.raises(ConfigError, match=f"line {line}: model rejected: {bound} violated"):
+        parse_config(text)
+
+
 def test_model_is_checked_over_the_configured_horizon():
     # 1 + t/2 stays within [0.5, 2] up to t = 2
     text = "[model]\na = expr\na_expr = 1 + 0.5*t\niota = 0.5\n\n[solver]\nhorizon = {}\n"

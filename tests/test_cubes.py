@@ -68,6 +68,13 @@ def test_build_extended_matches_counts():
     assert containment_ok(h)
 
 
+@pytest.mark.parametrize("n, depth", [(1, 3), (2, 2)])
+def test_total_sums_the_levels(n, depth):
+    core, ext = build_core(unit_cube(n), depth), build_extended(unit_cube(n), depth)
+    assert core.total == sum(core_count(n, j) for j in range(depth + 1))
+    assert ext.total == sum(extended_count(n, j) for j in range(depth + 1))
+
+
 def test_containment_fails_for_a_cube_outside_the_root():
     root = unit_cube(2)
     h = build_core(root, depth=1)

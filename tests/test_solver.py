@@ -8,7 +8,7 @@ from spdelab.errors import (BlowUpError, DimensionMismatchError,
                             InvalidArgumentError, ModelInvalidError)
 from spdelab.fields import FieldSnapshot, Grid
 from spdelab.geometry import Ball, SpaceTimeRect
-from spdelab.solver import (CoefficientModel, ModelParams, SolverConfig,
+from spdelab.solver import (CoefficientModel, ModelParams, QvReport, SolverConfig,
                             TestFunction, apply_operator, build_model,
                             compile_expression, draw_increments,
                             integrate_batch, make_initial_condition,
@@ -105,6 +105,30 @@ def test_validate_model_flags_ellipticity_violation():
     xs = tuple(np.array([c]) for c in x)
     a = float(np.broadcast_to(cm.a(t, xs, np.array([u])), (1,))[0])
     assert not (cm.iota <= a <= 1.0 / cm.iota)
+
+
+# models that break their bound only for |u| of order 1 to 10: each sample
+# must draw its own magnitude to reach them
+LARGE_U_VIOLATIONS = {
+    "ellipticity": ModelParams(a_kind="expr", a_expr="1 + 0.5*u*u", iota=0.5),
+    "growth": ModelParams(f_kind="expr", f_expr="0.2*u*u", g_kind="zero"),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(LARGE_U_VIOLATIONS))
+def test_validate_model_reaches_large_u(bound):
+    cm = build_model(LARGE_U_VIOLATIONS[bound], 1)
+    with pytest.raises(ModelInvalidError, match=f"{bound} .*violated") as err:
+        validate_model(cm, extent=2.0, t_max=1.0)
+    t, x, u = err.value.witness
+    xs = tuple(np.array([c]) for c in x)
+    uv = np.array([u])
+    if bound == "ellipticity":
+        a = float(np.broadcast_to(cm.a(t, xs, uv), (1,))[0])
+        assert not (cm.iota <= a <= 1.0 / cm.iota)
+    else:
+        size = abs(float(np.broadcast_to(cm.f(t, xs, uv), (1,))[0]))
+        assert cm.g is None and size > cm.growth * abs(u)
 
 
 def test_validate_model_accepts_default():
@@ -326,6 +350,15 @@ def test_weak_residual_stochastic_consistency(stoch_path, default_model):
     res = weak_residual(stoch_path, default_model, phi, 0.0, 0.5)
     scale = abs(float(phi.pair(stoch_path.values[-1] - stoch_path.values[0])))
     assert res < 0.05 * max(scale, 1e-12)
+
+
+@pytest.mark.parametrize("empirical, pairing, want", [
+    (0.0, 0.0, 1.0), (1e-30, 0.0, math.nan), (2.0, 0.0, math.nan), (3.0, 4.0, 0.75),
+])
+def test_qv_ratio(empirical, pairing, want):
+    # with no pairing QV the ratio is 1 only when the empirical QV is 0 too
+    ratio = QvReport(empirical_qv=empirical, pairing_qv=pairing, squared_qv=0.0).ratio
+    assert ratio == want or (math.isnan(want) and math.isnan(ratio))
 
 
 def test_qv_check_zero_noise(grid32):

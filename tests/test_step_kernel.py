@@ -259,6 +259,28 @@ def test_state_dependent_a_ignores_batch_grouping():
         np.testing.assert_array_equal(part.history, whole.history[lo:hi])
 
 
+@pytest.mark.parametrize("n, npts", [(1, 32), (2, 8)])
+def test_state_dependent_a_step_matches_dense_solve(monkeypatch, n, npts):
+    # one step of A that reads u, against I - dt L_a written out densely
+    # from apply_operator with a at each row's left state: an oracle that
+    # shares neither the tridiagonal split nor the sparse matrix builder
+    grid = Grid.regular(n, npts)
+    cm = build_model(ModelParams(a_kind="expr", a_expr="1 + 0.5*u/(1+abs(u))",
+                                 iota=0.5, g_kind="zero"), n, grid.extent)
+    u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS)
+    assert dW is None
+    calls, name = [], "dgtsv" if n == 1 else "splu"
+    monkeypatch.setattr(solver, name, counting(getattr(solver, name), calls))
+    got = integrate_batch(grid, cm, SolverConfig(), u0b, times[:2], None).final
+    assert len(calls) == B_ROWS
+    dt = float(times[1] - times[0])
+    xs = grid.coords_flat()
+    for b in range(B_ROWS):
+        a = np.asarray(cm.a(float(times[0]), xs, u0b[b]), dtype=float)
+        L = np.stack([solver.apply_operator(grid, a, e) for e in np.eye(grid.size)], axis=1)
+        close(got[b], np.linalg.solve(np.eye(grid.size) - dt * L, u0b[b]))
+
+
 # ---------------------------------------------------------------------------
 # coefficients that read t or u but do not vary
 

@@ -173,10 +173,12 @@ class CoverLattice:
         return self.times.shape[0]
 
     def __iter__(self):
+        # zip over the n coordinate columns builds each point tuple
+        # directly, with no per-row list to allocate and then copy
         for lo in range(0, len(self), _ITER_BLOCK):
             hi = lo + _ITER_BLOCK
             yield from zip(self.times[lo:hi].tolist(),
-                           map(tuple, self.coords[lo:hi].tolist()))
+                           zip(*self.coords[lo:hi].T.tolist()))
 
 
 def cover_cylinder(theta: float, R: float, n: int) -> CoverLattice:

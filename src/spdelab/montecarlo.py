@@ -5,8 +5,9 @@ an ensemble's results do not depend on chunk size or thread count: path
 i always consumes the stream seeded by (master_seed, spawn_key=(i,)),
 all reductions are row-local, and every recorded statistic lands in a
 preallocated slot indexed by i.  Region extrema and the negative-part
-energy are recorded streamingly; full path histories are materialized
-only when per-path consumers ask for them.
+energy are taken inside `solver.integrate_batch`'s step loop (failed
+paths read NaN); full path histories are materialized only when per-path
+consumers ask for them.
 
 On top of the ensemble sit the experiment drivers: the joint-tail
 estimator with Wilson intervals, the sup/inf inequality curve over a
@@ -105,37 +106,6 @@ class ExperimentSpec:
         return cm, self.initial_condition()
 
 
-class _RegionRecorder:
-    """Streaming per-path sup and inf over one space-time region: reads the
-    snapshot at the left endpoint of each step in the region's rows."""
-
-    def __init__(self, rows: tuple, snapshots: int, batch: int):
-        steps, self.nodes = rows
-        self.step_mask = np.zeros(snapshots, dtype=bool)
-        self.step_mask[steps] = True
-        self.sup = np.full(batch, -np.inf)
-        self.inf = np.full(batch, np.inf)
-
-    def observe(self, j, t, u, failed):
-        if not self.step_mask[j]:
-            return
-        sub = u[:, self.nodes]
-        self.sup = np.maximum(self.sup, sub.max(axis=1))
-        self.inf = np.minimum(self.inf, sub.min(axis=1))
-
-
-class _NegEnergyRecorder:
-    """Running max over time of dx^n * sum(min(u,0)^2) per path."""
-
-    def __init__(self, vol: float, batch: int):
-        self.vol = vol
-        self.worst = np.zeros(batch)
-
-    def observe(self, j, t, u, failed):
-        neg = np.minimum(u, 0.0)
-        self.worst = np.maximum(self.worst, self.vol * np.sum(neg * neg, axis=1))
-
-
 @dataclass
 class Ensemble:
     """Per-path summaries of one ensemble run, indexed by path number."""
@@ -210,16 +180,13 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
             dW = np.empty((B, M, cm.m))
             for b, i in enumerate(range(lo, hi)):
                 dW[b] = draw_increments(path_seed(spec.master_seed, i), M, cm.m, dt)
-        recs = {name: _RegionRecorder(r, M + 1, B) for name, r in rows.items()}
-        energy_rec = _NegEnergyRecorder(grid.cell_volume(), B)
         res = integrate_batch(grid, cm, spec.solver, np.tile(u0_flat, (B, 1)),
                               times, dW, keep_history=keep_history,
-                              observers=[*recs.values(), energy_rec])
-        ok_rows = ~res.failed
-        for name, rec in recs.items():
-            sup[name][lo:hi] = np.where(ok_rows, rec.sup, np.nan)
-            inf[name][lo:hi] = np.where(ok_rows, rec.inf, np.nan)
-        neg_energy[lo:hi] = np.where(ok_rows, energy_rec.worst, np.nan)
+                              regions=list(rows.values()))
+        for r, name in enumerate(rows):
+            sup[name][lo:hi] = res.sup[r]
+            inf[name][lo:hi] = res.inf[r]
+        neg_energy[lo:hi] = res.neg_energy
         failed[lo:hi] = res.failed
         fail_steps[lo:hi] = res.fail_step
         if consumers:
@@ -459,11 +426,10 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
         u0b = np.stack([
             make_initial_condition("random_positive", g, seed=seed + 1 + d).flat()
             for d in range(n_data)])
-        recs = [_RegionRecorder(r, times.size, n_data) for r in rows]
-        res = integrate_batch(g, cm, cfg, u0b, times, None, observers=recs)
+        res = integrate_batch(g, cm, cfg, u0b, times, None, regions=rows)
         if np.any(res.failed):
             raise InsufficientDataError("deterministic comparison path failed to integrate")
-        sup_q, inf_p = recs[0].sup, recs[1].inf
+        sup_q, inf_p = res.sup[0], res.inf[1]
         return np.where(inf_p > 0.0, sup_q / inf_p, np.inf)
 
     # both resolutions' regions are resolved before either runs

@@ -583,20 +583,35 @@ def time_axis(t0: float, horizon: float, dt: float) -> np.ndarray:
 
 @dataclass
 class IntegrationResult:
+    """The batch's last states, its history when kept, its failures, and
+    per-path statistics taken in the step loop: sup/inf of shape (R, B)
+    over each requested region, and neg_energy of shape (B,), the running
+    max over snapshots of dx^n * sum(min(u, 0)^2).  A failed row reads
+    NaN in all three."""
+
     final: np.ndarray
     history: np.ndarray | None
     failed: np.ndarray
     fail_step: np.ndarray
+    sup: np.ndarray
+    inf: np.ndarray
+    neg_energy: np.ndarray
 
 
 def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                     u0b: np.ndarray, times: np.ndarray, dWb,
-                    keep_history: bool = False, observers: Sequence = ()) -> IntegrationResult:
+                    keep_history: bool = False, regions: Sequence = ()) -> IntegrationResult:
     """Advance a batch of paths through all steps of `times`.
 
     u0b has shape (B, S); dWb has shape (B, M, m) or is None when m = 0.
     A path that turns non-finite (or exceeds the blow-up limit) is frozen
     at NaN and reported in failed/fail_step; other rows are unaffected.
+
+    regions are `(steps, nodes)` rows from `fields.region_rows`: step j
+    of a region reads snapshot j, the left endpoint of that step.  The
+    negative-part energy reads every snapshot 0..M, but a snapshot with
+    no negative entry adds exactly 0.0 and is skipped; one with a NaN row
+    is not, so the other rows keep their energy after a failure.
     """
     if cm.n != grid.n:
         raise DimensionMismatchError(f"model dimension {cm.n} != grid dimension {grid.n}")
@@ -618,8 +633,25 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     hist = np.empty((B, M + 1, S)) if keep_history else None
     if keep_history:
         hist[:, 0, :] = u
-    for obs in observers:
-        obs.observe(0, float(times[0]), u, failed)
+    read = np.zeros((len(regions), M + 1), dtype=bool)
+    for r, (steps, _) in enumerate(regions):
+        read[r, steps] = True
+    sup = np.full((len(regions), B), -np.inf)
+    inf = np.full((len(regions), B), np.inf)
+    neg_energy = np.zeros(B)
+    vol = grid.cell_volume()
+
+    def record(j, u):
+        for r, (_, nodes) in enumerate(regions):
+            if read[r, j]:
+                sub = u[:, nodes]
+                np.maximum(sup[r], sub.max(axis=1), out=sup[r])
+                np.minimum(inf[r], sub.min(axis=1), out=inf[r])
+        if not u.min() >= 0.0:
+            neg = np.minimum(u, 0.0)
+            np.maximum(neg_energy, vol * np.sum(neg * neg, axis=1), out=neg_energy)
+
+    record(0, u)
 
     reads_u = "u" in cm.a_deps
     noisy = cm.m > 0 and dWb is not None
@@ -654,9 +686,10 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
         u = unew
         if keep_history:
             hist[:, j + 1, :] = u
-        for obs in observers:
-            obs.observe(j + 1, float(times[j + 1]), u, failed)
-    return IntegrationResult(final=u, history=hist, failed=failed, fail_step=fail_step)
+        record(j + 1, u)
+    sup[:, failed] = inf[:, failed] = neg_energy[failed] = np.nan
+    return IntegrationResult(final=u, history=hist, failed=failed, fail_step=fail_step,
+                             sup=sup, inf=inf, neg_energy=neg_energy)
 
 
 def step(state: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,

@@ -1,11 +1,18 @@
 """Shared fixtures and the acceptance-summary reporter."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from spdelab.fields import Grid
+from spdelab.fields import FieldSnapshot, Grid, neg_part_energy
 from spdelab.montecarlo import ExperimentSpec, run_ensemble
 from spdelab.solver import (ModelParams, SolverConfig, build_model,
                             make_initial_condition, path_seed, solve_path)
+
+# property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays deterministic and writes no .hypothesis/;
+# integration runs take longer than hypothesis's default deadline
+settings.register_profile("spdelab", derandomize=True, database=None, deadline=None)
+settings.load_profile("spdelab")
 
 # one line per acceptance criterion, printed after the test summary so the
 # measured values are visible even when every test passes
@@ -62,3 +69,25 @@ def small_ensemble():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1905)
+
+
+def _history_statistics(grid, times, res, regions):
+    """sup/inf over each region and the negative-part energy of every row of
+    an integrate_batch result, reduced from its kept history: the reference
+    for the statistics the step loop takes, NaN on failed rows."""
+    B = res.history.shape[0]
+    sup = np.full((len(regions), B), np.nan)
+    inf = np.full((len(regions), B), np.nan)
+    energy = np.full(B, np.nan)
+    for b in np.flatnonzero(~res.failed):
+        for r, (steps, nodes) in enumerate(regions):
+            sub = res.history[b][np.ix_(steps, nodes)]
+            sup[r, b], inf[r, b] = sub.max(), sub.min()
+        energy[b] = max(neg_part_energy(FieldSnapshot(grid, float(t), v.reshape(grid.shape)))
+                        for t, v in zip(times, res.history[b]))
+    return sup, inf, energy
+
+
+@pytest.fixture(scope="session")
+def history_statistics():
+    return _history_statistics

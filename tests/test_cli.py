@@ -1,7 +1,9 @@
 """Config language, subcommand dispatch, and manifest reproducibility."""
 import csv
 import json
+import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +516,30 @@ def test_svg_line_chart_structure(tmp_path):
     assert text.count("<polyline") == 2
     assert "demo" in text and ">up<" in text and ">down<" in text
 
+
+@pytest.mark.parametrize("xs, series, logx, x_ticks, y_ticks", [
+    # one x value: the x axis spans [x, x + 1]
+    ([3.0], [[1.0]], False, ["3", "3.25", "3.5", "3.75", "4"],
+     ["0.94", "1.22", "1.5", "1.78", "2.06"]),
+    # one x value on a log axis: [x, 2x]
+    ([8.0], [[1.0], [2.0]], True, ["8", "9.514", "11.31", "13.45", "16"],
+     ["0.94", "1.22", "1.5", "1.78", "2.06"]),
+    # a constant series: the y axis spans [y, y + 1], padded by 6%
+    ([1.0, 2.0, 4.0], [[5.0, 5.0, 5.0]], False, ["1", "1.75", "2.5", "3.25", "4"],
+     ["4.94", "5.22", "5.5", "5.78", "6.06"]),
+], ids=["single-x", "single-x-log", "constant-series"])
+def test_svg_line_chart_degenerate_axes(tmp_path, xs, series, logx, x_ticks, y_ticks):
+    path = tmp_path / "chart.svg"
+    svg_line_chart(str(path), xs, series, [str(k) for k in range(len(series))],
+                   "flat", "x", "y", logx=logx)
+    text = path.read_text()
+    assert re.findall(r'y="382" text-anchor="middle">([^<]*)<', text) == x_ticks
+    assert re.findall(r'text-anchor="end">([^<]*)<', text)[:5] == y_ticks
+    coords = [float(v) for v in re.findall(r'(?:x1?|x2|y1?|y2)="(-?[0-9.]+)"', text)]
+    coords += [float(v) for pts in re.findall(r'points="([^"]*)"', text)
+               for pair in pts.split() for v in pair.split(",")]
+    assert coords and all(math.isfinite(v) for v in coords)
+    assert not re.search(r"nan|inf", text, re.IGNORECASE)
 
 def test_model_outside_its_bounds_reported_at_its_key_line():
     # a = 3 exceeds 1/iota = 2: `a = expr` alone is rejected, so line 5

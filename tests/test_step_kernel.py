@@ -18,7 +18,8 @@ from scipy.sparse.linalg import splu
 
 from spdelab import solver
 from spdelab.errors import NumericError
-from spdelab.fields import FieldSnapshot, Grid
+from spdelab.fields import FieldSnapshot, Grid, neg_part_energy, region_rows
+from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.solver import (ModelParams, SolverConfig, _circulant_solve,
                             _coef_fields, _cyclic_parts, _cyclic_solve,
                             _implicit_matrix, build_model,
@@ -369,3 +370,45 @@ def test_per_row_solve_skips_unlisted_rows(n, rng):
     some = solver._implicit_solver(grid, a, dt, reused=False, rows=np.array([0, 2]))(rhs)
     assert np.all(np.isnan(some[1]))
     np.testing.assert_array_equal(some[[0, 2]], every[[0, 2]])
+
+
+# ---------------------------------------------------------------------------
+# per-path statistics of the step loop
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_loop_statistics_match_history(n, history_statistics):
+    # the cubic blow-up of test_blowup_isolation_under_refactored_a on signed
+    # rows: row 0 fails in its first steps; row 1 has negative entries from
+    # the start and, under the cubic drift, a negative part that keeps
+    # growing after row 0 has turned NaN, so its energy peaks late; row 2
+    # never goes negative; row 3 fails only after the first region ends; the
+    # negative part of row 4 only spreads out, so its energy peaks at time 0
+    grid = grid_for(n)
+    params = dataclasses.replace(REFACTORED_A["random_elliptic"], f_kind="expr",
+                                 f_expr="u * u * u", g_kind="zero", m=0,
+                                 growth_bound=1e9)
+    cm = build_model(params, n, grid.extent)
+    times = time_axis(0.0, 40.0, 0.5)
+    bump = make_initial_condition("bump", grid, amplitude=0.1).flat()
+    u0b = np.stack([np.full(grid.size, 50.0), bump - 0.1, bump,
+                    np.full(grid.size, 0.2), -bump])
+    ball = Ball((0.0,) * n, 1.0)
+    regions = [region_rows(grid, times, SpaceTimeRect(lo, hi, ball))
+               for lo, hi in ((0.0, 5.0), (20.0, 40.0))]
+    res = integrate_batch(grid, cm, SolverConfig(dt=0.5), u0b, times, None,
+                          keep_history=True, regions=regions)
+    assert list(res.failed) == [True, False, False, True, False]
+    assert res.fail_step[3] > regions[0][0][-1]
+    assert res.sup.shape == res.inf.shape == (2, 5)
+    sup, inf, energy = history_statistics(grid, times, res, regions)
+    np.testing.assert_array_equal(res.sup, sup)
+    np.testing.assert_array_equal(res.inf, inf)
+    np.testing.assert_array_equal(res.neg_energy, energy)
+    assert np.all(np.isnan(res.sup[:, [0, 3]])) and np.all(np.isnan(res.neg_energy[[0, 3]]))
+    negative = [[neg_part_energy(FieldSnapshot(grid, 0.0, v.reshape(grid.shape)))
+                 for v in res.history[b]] for b in (1, 4)]
+    # row 1's energy is reached only after row 0's failure step
+    assert int(np.argmax(negative[0])) > res.fail_step[0] + 1
+    assert res.neg_energy[1] > negative[0][0] > 0.0
+    assert res.neg_energy[2] == 0.0
+    assert int(np.argmax(negative[1])) == 0

@@ -76,18 +76,13 @@ from .geometry import (
 )
 from .jn import (
     LogField,
-    TailTable,
     cube_average,
     cube_stats,
     fit_decay,
     hierarchy_stats,
-    levelset_decay,
     levelset_fractions,
-    local_bmo_check,
     log_field,
     moment_tail_value,
-    noise_martingale,
-    reverse_cs_tail,
     stability_spread,
     tail_quantiles,
 )

@@ -1,19 +1,21 @@
 """Oscillation diagnostics for the log transform of a positive solution.
 
-Everything here works on h = -log(max(u, 0) + mu).  Per parabolic cube
-the module computes the cutoff-weighted spatial average H of h, the
-compensating noise martingale M driven by g/(u + mu), and the two
-one-sided oscillation averages of sqrt((h - M - a)^+) over the upper
-and lower half of the cube, with a fixed to the weighted average at the
-cube's time center.  The lower half is handled by reversing the
-snapshot order and negating the recorded noise increments.
+Everything here works on h = -log(max(u, 0) + mu).  For each parabolic
+cube, `cube_stats` makes one pass: it finds the cube's cutoff weight, its
+ball's grid nodes and its time-center snapshot once, takes the weighted
+spatial average a of h at the center, builds the compensating noise
+martingale M driven by g/(u + mu) on each half, and returns the two
+one-sided oscillation averages of sqrt((h - M - a)^+) over the upper and
+lower half together with the worst QV(t)/t ratio of M on the upper
+half.  The lower half is handled by reversing the snapshot order and
+negating the recorded noise increments.
 
-On the top and bottom eighths of the root cube the module measures
-level-set fractions of the excess of h over a and fits an exponential
-decay profile, and it evaluates the two-sided moment product
+On the top and bottom eighths of a cube the module measures level-set
+fractions of the excess of h over a (fit_decay fits their exponential
+decay profile), and per path it evaluates the two-sided moment product
 (integral of v^-nu over the top eighth) * (integral of v^nu over the
-bottom eighth), v = u + mu, whose ensemble quantiles quantify the
-reverse Cauchy-Schwarz tail.
+bottom eighth), v = u + mu, whose ensemble quantiles (tail_quantiles)
+quantify the reverse Cauchy-Schwarz tail.
 """
 from __future__ import annotations
 
@@ -108,24 +110,15 @@ def cube_average(lf: LogField, cube: Cube, t: float) -> float:
     return float(np.dot(lf.values[j], w2) / np.sum(w2))
 
 
-@dataclass(frozen=True)
-class MartingaleSeries:
-    """Discrete compensator series on offsets from the cube center."""
-
-    offsets: np.ndarray
-    values: np.ndarray
-    qv: np.ndarray
-    ratio: float
-
-
 def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
-                      sign: int) -> tuple:
-    """Step indices and compensator increments on one side of the center.
+                      w2: np.ndarray, jc: int, sign: int) -> tuple:
+    """Step indices and compensator increments on one half of the cube.
 
-    sign=+1 walks from the center up to the cube top with the recorded
-    increments; sign=-1 walks from the center down to the cube bottom in
-    reversed time with negated increments.  Returned arrays: snapshot
-    indices visited after each increment (length K) and the increments
+    w2 is the cube's weight and jc its center snapshot.  sign=+1 walks
+    from the center up to the cube top with the recorded increments;
+    sign=-1 walks from the center down to the cube bottom in reversed
+    time with negated increments.  Returned arrays: snapshot indices
+    visited after each increment (length K >= 1) and the increments
     (length K), so the compensator before visiting index[k] is the
     prefix sum of the first k increments.  Each increment pairs the
     recorded noise with the w2-weighted averages of g_i(u) / (max(u,0) + mu)
@@ -134,21 +127,24 @@ def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
     path = lf.path
     if cm.m > 0 and path.noise is None:
         raise StateError("path has no recorded noise increments")
-    w2 = _cube_weights(lf.grid, cube)
-    jc = path.time_index(cube.l)
     if sign > 0:
-        jend = path.time_index(cube.time_hi)
-        visited = np.arange(jc + 1, jend + 1)
+        side, t_lo, t_hi = "upper", cube.l, cube.time_hi
+        visited = np.arange(jc + 1, path.time_index(cube.time_hi) + 1)
         sources = visited - 1          # g evaluated at the increment's start
         noise_rows = visited - 1
         flip = 1.0
     else:
-        jend = path.time_index(cube.time_lo)
-        visited = np.arange(jc - 1, jend - 1, -1)
+        side, t_lo, t_hi = "lower", cube.time_lo, cube.l
+        visited = np.arange(jc - 1, path.time_index(cube.time_lo) - 1, -1)
         sources = visited + 1          # reversed: start of the reversed step
         noise_rows = visited
         flip = -1.0
-    if cm.m == 0 or visited.size == 0:
+    if visited.size == 0:
+        raise EmptyRegionError(
+            f"{side} half ({t_lo!r}, {t_hi!r}] of the level-{cube.level} cube is too "
+            f"short for dt = {path.dt!r}: both its ends fall on snapshot {jc}; "
+            f"raise npts for a finer step")
+    if cm.m == 0:
         return visited, np.zeros(visited.size)
 
     def averages(block, gv):
@@ -159,77 +155,47 @@ def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
     return visited, flip * np.sum(coefs * path.noise[noise_rows], axis=1)
 
 
-def _martingale_series(lf: LogField, cube: Cube, visited, incr) -> MartingaleSeries:
-    path = lf.path
-    jc = path.time_index(cube.l)
-    offsets = np.concatenate([[0.0], path.times[visited] - path.times[jc]])
-    values = np.concatenate([[0.0], np.cumsum(incr)])
-    qv = np.concatenate([[0.0], np.cumsum(incr * incr)])
-    pos = offsets > 0.0
-    ratio = float(np.max(qv[pos] / offsets[pos])) if np.any(pos) else 0.0
-    return MartingaleSeries(offsets=offsets, values=values, qv=qv, ratio=ratio)
-
-
-def noise_martingale(lf: LogField, cm: CoefficientModel, cube: Cube) -> MartingaleSeries:
-    """Forward compensator M on the upper half of the cube.
-
-    M(0) = 0 at the cube's time center; values are reported at step
-    offsets together with the cumulative realized quadratic variation
-    and the worst QV(t)/t ratio over the covered offsets.
-    """
-    return _martingale_series(lf, cube, *_increment_series(lf, cm, cube, +1))
-
-
-def _side_average(lf: LogField, cube: Cube, visited, incr, a_c: float) -> float:
-    """Mean over one cube half of sqrt((h - M - a)^+), compensated in time,
-    from that half's increment series."""
-    nodes = lf.grid.node_mask(cube.ball())
-    if not np.any(nodes):
-        raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")
-    if visited.size == 0:
-        raise EmptyRegionError("cube half spans no time steps at this resolution")
+def _side_average(lf: LogField, nodes: np.ndarray, visited, incr, a_c: float) -> float:
+    """Mean over one cube half of sqrt((h - M - a)^+) on the ball's node
+    rows, compensated in time, from that half's increment series."""
     comp = np.cumsum(incr)
-    sub = lf.values[np.ix_(visited, np.nonzero(nodes)[0])]
+    sub = lf.values[np.ix_(visited, nodes)]
     excess = np.clip(sub - comp[:, None] - a_c, 0.0, None)
     return float(np.mean(np.sqrt(excess)))
-
-
-def local_bmo_check(lf: LogField, cm: CoefficientModel, cube: Cube) -> tuple:
-    """One-sided oscillation averages (upper, lower) for a cube."""
-    a_c = cube_average(lf, cube, cube.l)
-    return tuple(_side_average(lf, cube, *_increment_series(lf, cm, cube, sign), a_c)
-                 for sign in (+1, -1))
 
 
 @dataclass(frozen=True)
 class CubeStats:
     cube: Cube
     a_c: float
-    h_offsets: np.ndarray
-    h_values: np.ndarray
-    m_series: MartingaleSeries
     plus_avg: float
     minus_avg: float
     qv_ratio: float
 
 
 def cube_stats(lf: LogField, cm: CoefficientModel, cube: Cube) -> CubeStats:
-    """All per-cube diagnostics in one pass."""
+    """All per-cube diagnostics in one pass.
+
+    The cube's weight, its ball's node rows and its center snapshot are
+    found once and shared by both halves.  a_c is the weighted average of
+    h at the center; qv_ratio is the worst ratio QV(t)/t of the upper
+    half's realized compensator quadratic variation to the time elapsed
+    since the center.
+    """
     path = lf.path
     w2 = _cube_weights(lf.grid, cube)
-    a_c = cube_average(lf, cube, cube.l)
-    jlo = path.time_index(cube.time_lo)
-    jhi = path.time_index(cube.time_hi)
-    window = np.arange(jlo, jhi + 1)
-    h_vals = lf.values[window] @ w2 / np.sum(w2)
-    upper = _increment_series(lf, cm, cube, +1)
-    m_series = _martingale_series(lf, cube, *upper)
-    plus_avg = _side_average(lf, cube, *upper, a_c)
-    minus_avg = _side_average(lf, cube, *_increment_series(lf, cm, cube, -1), a_c)
-    return CubeStats(cube=cube, a_c=a_c,
-                     h_offsets=path.times[window] - cube.l, h_values=h_vals,
-                     m_series=m_series, plus_avg=plus_avg, minus_avg=minus_avg,
-                     qv_ratio=m_series.ratio)
+    nodes = np.nonzero(lf.grid.node_mask(cube.ball()))[0]
+    if nodes.size == 0:
+        raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")
+    jc = path.time_index(cube.l)
+    a_c = float(np.dot(lf.values[jc], w2) / np.sum(w2))
+    visited, incr = _increment_series(lf, cm, cube, w2, jc, +1)
+    offsets = path.times[visited] - path.times[jc]
+    return CubeStats(
+        cube=cube, a_c=a_c,
+        plus_avg=_side_average(lf, nodes, visited, incr, a_c),
+        minus_avg=_side_average(lf, nodes, *_increment_series(lf, cm, cube, w2, jc, -1), a_c),
+        qv_ratio=float(np.max(np.cumsum(incr * incr) / offsets)))
 
 
 def hierarchy_stats(lf: LogField, cm: CoefficientModel, hierarchy: CubeHierarchy,
@@ -306,13 +272,6 @@ def fit_decay(alphas, fractions, band: tuple = (0.0, 1.0)) -> LevelSetFit:
                        r_squared=r2)
 
 
-def levelset_decay(lf: LogField, hierarchy: CubeHierarchy, alphas,
-                   band: tuple = (0.0, 1.0)) -> tuple:
-    """Fit the excess decay on the root cube's eighths; returns (upper, lower)."""
-    _, frac_plus, frac_minus = levelset_fractions(lf, hierarchy.root, alphas)
-    return fit_decay(alphas, frac_plus, band), fit_decay(alphas, frac_minus, band)
-
-
 def moment_tail_value(path: FieldPath, mu: float, nu: float,
                       d_plus: SpaceTimeRect, d_minus: SpaceTimeRect) -> float:
     """Per-path statistic: the two-region moment product to the power 1/nu."""
@@ -328,23 +287,6 @@ def tail_quantiles(values, eps_levels=(0.1, 0.05, 0.01)) -> dict:
         raise InsufficientDataError("no tail values to take quantiles of")
     return {float(e): float(np.quantile(values, 1.0 - e, method="higher"))
             for e in eps_levels}
-
-
-@dataclass(frozen=True)
-class TailTable:
-    nu: float
-    mu: float
-    values: np.ndarray
-    quantiles: dict
-
-
-def reverse_cs_tail(paths, mu: float, nu: float, d_plus: SpaceTimeRect,
-                    d_minus: SpaceTimeRect,
-                    eps_levels=(0.1, 0.05, 0.01)) -> TailTable:
-    """Empirical tail of the moment product over an in-memory path set."""
-    values = np.array([moment_tail_value(p, mu, nu, d_plus, d_minus) for p in paths])
-    return TailTable(nu=nu, mu=mu, values=values,
-                     quantiles=tail_quantiles(values, eps_levels))
 
 
 def stability_spread(k_by_mu: dict) -> float:

@@ -60,11 +60,13 @@ BLOWUP_LIMIT = 1e100
 class CoefficientModel:
     """Callable coefficients (A, f, g) plus their declared bounds.
 
-    a, f, g take (t, xs, u) where xs is the tuple of flat coordinate
-    arrays of length S.  Either t is a scalar and u has shape (S,) or
-    (B, S), or t is a (J, 1) column of step times and u has shape (J, S),
-    one stored state per row; results broadcast against u, and g returns
-    an array of shape (m,) + u.shape.  a is the scalar coefficient
+    a, f, g take (t, xs, u) in one of three forms.  On the grid, xs is the
+    tuple of flat coordinate arrays of length S, and either t is a scalar
+    and u has shape (S,) or (B, S), or t is a (J, 1) column of step times
+    and u has shape (J, S), one stored state per row.  At sample points
+    (validate_model), t, u and every array in xs have shape (K,), one
+    point (t_k, x_k, u_k) each.  Results broadcast against u, and g
+    returns an array of shape (m,) + u.shape.  a is the scalar coefficient
     (A = a I), None for the identity; f or g is None when that term
     vanishes.  a_deps lists which of {"t", "u"} the diffusion coefficient
     actually reads: the integrator passes u=None when "u" is absent, and
@@ -84,7 +86,6 @@ class CoefficientModel:
     m: int
     sigma: Callable | None = None
     a_deps: frozenset = frozenset()
-    label: str = ""
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -330,10 +331,9 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
         raise InvalidArgumentError(f"unknown g_kind {p.g_kind!r}")
 
     growth = p.growth_bound if p.growth_bound is not None else p.lambda_f + p.lambda_g
-    label = f"a={p.a_kind},f={p.f_kind},g={p.g_kind}"
     return CoefficientModel(n=n, a=a_fn, f=f_fn, g=g_fn, iota=float(p.iota),
                             growth=float(growth), m=m_eff, sigma=sigma,
-                            a_deps=a_deps, label=label)
+                            a_deps=a_deps)
 
 
 @dataclass(frozen=True)
@@ -349,8 +349,10 @@ def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
                    extent: float = 2.0, t_max: float = 2.0) -> ValidationReport:
     """Spot-check ellipticity and the linear growth bound on random samples.
 
-    Raises ModelInvalidError with a witness triple on the first violated
-    bound; otherwise returns the worst observed margins.
+    Each of the sample_count samples draws its own time, point and state
+    magnitude, and the coefficients are evaluated on all of them in one
+    call.  Raises ModelInvalidError with a witness triple on a violated
+    bound, ellipticity first; otherwise returns the worst observed margins.
     """
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise InvalidArgumentError(f"t_max must be finite and >= 0, got {t_max}")
@@ -359,46 +361,42 @@ def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
     if sample_count < 1:
         raise InvalidArgumentError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    batches = 8
-    per = max(sample_count // batches, 4)
-    lo_margin, hi_margin, growth_excess = math.inf, math.inf, -math.inf
-    witness = None
-    for _ in range(batches):
-        t = float(rng.uniform(0.0, t_max))
-        xs = tuple(rng.uniform(-extent, extent, size=per) for _ in range(cm.n))
-        u = rng.choice([-1.0, 1.0], size=per) * 10.0 ** rng.uniform(-4.0, 1.0, size=per)
-        u[0] = 0.0
+    K = sample_count
+    t = rng.uniform(0.0, t_max, size=K)
+    xs = tuple(rng.uniform(-extent, extent, size=K) for _ in range(cm.n))
+    u = rng.choice([-1.0, 1.0], size=K) * 10.0 ** rng.uniform(-4.0, 1.0, size=K)
+    u[0] = 0.0
 
-        a = np.ones(per) if cm.a is None else np.broadcast_to(
-            np.asarray(cm.a(t, xs, u), dtype=float), (per,))
-        lo_margin = min(lo_margin, float(np.min(a - cm.iota)))
-        hi_margin = min(hi_margin, float(np.min(1.0 / cm.iota - a)))
-        tol_e = 1e-9 / cm.iota
-        if lo_margin < -tol_e or hi_margin < -tol_e:
-            k = int(np.argmin(np.minimum(a - cm.iota, 1.0 / cm.iota - a)))
-            witness = (t, tuple(float(c[k]) for c in xs), float(u[k]))
-            raise ModelInvalidError(
-                f"ellipticity violated at {witness}: coefficient {float(a[k]):.6g} "
-                f"outside [{cm.iota}, {1.0 / cm.iota}]", witness=witness)
+    def witness(k):
+        return (float(t[k]), tuple(float(c[k]) for c in xs), float(u[k]))
 
-        size = np.zeros(per)
-        if cm.f is not None:
-            size = size + np.abs(np.broadcast_to(np.asarray(cm.f(t, xs, u), float), (per,)))
-        if cm.g is not None:
-            gv = np.asarray(cm.g(t, xs, u), dtype=float)
-            size = size + np.sqrt(np.sum(gv * gv, axis=0))
-        excess = size - cm.growth * np.abs(u)
-        scaled = excess - 1e-12 * np.maximum(1.0, cm.growth * np.abs(u))
-        growth_excess = max(growth_excess, float(np.max(excess)))
-        if np.any(scaled > 0.0):
-            k = int(np.argmax(scaled))
-            witness = (t, tuple(float(c[k]) for c in xs), float(u[k]))
-            raise ModelInvalidError(
-                f"growth bound violated at {witness}: |f|+|g| = {float(size[k]):.6g} "
-                f"> {cm.growth} * {abs(float(u[k])):.6g}", witness=witness)
-    return ValidationReport(ok=True, samples=batches * per,
+    a = np.ones(K) if cm.a is None else np.broadcast_to(
+        np.asarray(cm.a(t, xs, u), dtype=float), (K,))
+    lo_margin = float(np.min(a - cm.iota))
+    hi_margin = float(np.min(1.0 / cm.iota - a))
+    tol_e = 1e-9 / cm.iota
+    if lo_margin < -tol_e or hi_margin < -tol_e:
+        k = int(np.argmin(np.minimum(a - cm.iota, 1.0 / cm.iota - a)))
+        raise ModelInvalidError(
+            f"ellipticity violated at {witness(k)}: coefficient {float(a[k]):.6g} "
+            f"outside [{cm.iota}, {1.0 / cm.iota}]", witness=witness(k))
+
+    size = np.zeros(K)
+    if cm.f is not None:
+        size = size + np.abs(np.broadcast_to(np.asarray(cm.f(t, xs, u), float), (K,)))
+    if cm.g is not None:
+        gv = np.asarray(cm.g(t, xs, u), dtype=float)
+        size = size + np.sqrt(np.sum(gv * gv, axis=0))
+    excess = size - cm.growth * np.abs(u)
+    scaled = excess - 1e-12 * np.maximum(1.0, cm.growth * np.abs(u))
+    if np.any(scaled > 0.0):
+        k = int(np.argmax(scaled))
+        raise ModelInvalidError(
+            f"growth bound violated at {witness(k)}: |f|+|g| = {float(size[k]):.6g} "
+            f"> {cm.growth} * {abs(float(u[k])):.6g}", witness=witness(k))
+    return ValidationReport(ok=True, samples=K,
                             worst_ellip_low=lo_margin, worst_ellip_high=hi_margin,
-                            worst_growth_excess=growth_excess)
+                            worst_growth_excess=float(np.max(excess)))
 
 
 # ---------------------------------------------------------------------------

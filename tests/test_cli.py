@@ -13,7 +13,8 @@ from spdelab import montecarlo
 from spdelab.cli import (DEFAULT_REGIONS, main, parse_config, print_config,
                          svg_line_chart)
 from spdelab.cubes import core_count, count_bound, extended_count
-from spdelab.errors import ConfigError
+from spdelab.errors import ConfigError, ModelInvalidError
+from spdelab.solver import ModelParams, build_model, validate_model
 
 CUSTOM = """\
 [grid]
@@ -497,6 +498,18 @@ def test_jn_subcommand_fits_median_fractions(tmp_path):
         assert np.all(np.diff(fr) <= 1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_jn_cube_half_shorter_than_a_step_exits_2(tmp_path, capsys, n):
+    # at npts 16, dt = 1/32 equals the span 4s of a level-1 cube half, and
+    # both ends of the upper half of cube 0 round to snapshot 28
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(f"[grid]\nn = {n}\nnpts = 16\n")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "jn") == 2
+    err = capsys.readouterr().err
+    assert ("upper half (0.859375, 0.890625] of the level-1 cube is too short for "
+            "dt = 0.03125: both its ends fall on snapshot 28; raise npts") in err
+
+
 def test_plot_flag_writes_svg(tmp_path):
     out = tmp_path / "plotted"
     assert run_cli("--out", str(out), "--plot", "solve") == 0
@@ -555,6 +568,23 @@ def test_model_outside_its_bounds_reported_at_its_key_line():
 def test_model_rejected_at_large_u(text, line, bound):
     with pytest.raises(ConfigError, match=f"line {line}: model rejected: {bound} violated"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("a_expr, t_peak", [
+    ("1 + 1.5*exp(-400*(t-0.5)*(t-0.5))", 0.5),
+    ("1 + 1.2*exp(-2000*(t-0.7)*(t-0.7))", 0.7),
+], ids=["wide", "narrow"])
+def test_model_rejected_at_time_spike(a_expr, t_peak):
+    # A exceeds 1/iota = 2 only near t_peak: every sample draws its own time
+    text = f"[model]\na = expr\na_expr = {a_expr}\niota = 0.5\n"
+    with pytest.raises(ConfigError, match="line 2: model rejected: ellipticity violated"):
+        parse_config(text)
+    cm = build_model(ModelParams(a_kind="expr", a_expr=a_expr, iota=0.5), 1)
+    with pytest.raises(ModelInvalidError) as err:
+        validate_model(cm, extent=2.0, t_max=1.0)
+    t, x, u = err.value.witness
+    assert abs(t - t_peak) < 0.05
+    assert float(cm.a(np.array([t]), tuple(np.array([c]) for c in x), np.array([u]))[0]) > 2.0
 
 
 def test_model_is_checked_over_the_configured_horizon():

@@ -9,11 +9,10 @@ from spdelab.errors import (DomainError, EmptyRegionError,
                             InsufficientDataError, InvalidArgumentError)
 from spdelab.fields import FieldPath, Grid
 from spdelab.geometry import Ball, SpaceTimeRect
-from spdelab.jn import (LogField, cube_average, cube_stats, fit_decay,
-                        hierarchy_stats, levelset_decay, levelset_fractions,
-                        local_bmo_check, log_field, master_cutoff,
-                        moment_tail_value, noise_martingale, reverse_cs_tail,
-                        stability_spread, tail_quantiles)
+from spdelab.jn import (LogField, _cube_weights, _increment_series,
+                        cube_average, cube_stats, fit_decay, hierarchy_stats,
+                        levelset_fractions, log_field, master_cutoff,
+                        moment_tail_value, stability_spread, tail_quantiles)
 from spdelab.solver import ModelParams, build_model
 
 
@@ -90,35 +89,35 @@ def test_noise_martingale_zero_without_channels(grid64):
     cm = build_model(ModelParams(g_kind="zero", m=0), 1)
     path = constant_slice_path(grid64, list(np.linspace(1, 2, 17)))
     lf = log_field(path, 0.1)
-    ms = noise_martingale(lf, cm, ROOT)
-    assert ms.values[0] == 0.0
-    assert np.all(ms.values == 0.0)
-    assert np.all(ms.qv == 0.0)
-    assert ms.ratio == 0.0
-    # offsets start at the cube's time center
-    assert ms.offsets[0] == 0.0
-    assert np.all(np.diff(ms.offsets) > 0.0)
+    w2 = _cube_weights(grid64, ROOT)
+    jc = path.time_index(ROOT.l)
+    for sign in (+1, -1):
+        visited, incr = _increment_series(lf, cm, ROOT, w2, jc, sign)
+        # the halves walk away from the cube's time center
+        assert np.all(np.diff(visited) == sign) and visited[0] == jc + sign
+        assert np.all(incr == 0.0)
+    assert cube_stats(lf, cm, ROOT).qv_ratio == 0.0
 
 
 def test_noise_martingale_series_shape(long_path, default_model):
     lf = log_field(long_path, 1e-4)
-    ms = noise_martingale(lf, default_model, ROOT)
-    assert ms.values[0] == 0.0 and ms.qv[0] == 0.0
-    assert np.all(np.diff(ms.qv) >= 0.0)      # QV accumulates
-    pos = ms.offsets > 0
-    assert ms.ratio == pytest.approx(float(np.max(ms.qv[pos] / ms.offsets[pos])))
+    w2 = _cube_weights(lf.grid, ROOT)
+    jc = long_path.time_index(ROOT.l)
+    visited, incr = _increment_series(lf, default_model, ROOT, w2, jc, +1)
+    assert visited[-1] == long_path.time_index(ROOT.time_hi)
+    qv = np.cumsum(incr * incr)
+    assert np.all(np.diff(qv) >= 0.0)      # QV accumulates
+    offsets = long_path.times[visited] - long_path.times[jc]
+    ratio = cube_stats(lf, default_model, ROOT).qv_ratio
+    assert ratio == pytest.approx(float(np.max(qv / offsets)))
 
 
 def test_local_bmo_and_cube_stats(long_path, default_model):
     lf = log_field(long_path, 1e-4)
-    up, lo = local_bmo_check(lf, default_model, ROOT)
-    assert up >= 0.0 and lo >= 0.0
     st = cube_stats(lf, default_model, ROOT)
-    assert st.plus_avg == pytest.approx(up)
-    assert st.minus_avg == pytest.approx(lo)
-    assert st.qv_ratio == st.m_series.ratio
-    assert st.a_c == pytest.approx(cube_average(lf, ROOT, ROOT.l))
-    assert st.h_offsets.size == st.h_values.size
+    assert st.cube == ROOT
+    assert st.plus_avg > 0.0 and st.minus_avg >= 0.0 and st.qv_ratio > 0.0
+    assert st.a_c == cube_average(lf, ROOT, ROOT.l)
 
 
 def test_hierarchy_stats_respects_limit(long_path, default_model):
@@ -236,22 +235,6 @@ def test_fit_decay_band_and_errors():
         fit_decay(alphas, fractions, band=(0.9, 0.5))
 
 
-def test_levelset_decay_fits_root_eighths(long_path):
-    # the wrapper composes levelset_fractions with fit_decay on the
-    # hierarchy root; check it against the pieces called directly
-    lf = log_field(long_path, 1e-4)
-    alphas = np.geomspace(0.04, 2.0, 24)
-    up_fit, lo_fit = levelset_decay(lf, build_core(ROOT, 1), alphas)
-    _, up, lo = levelset_fractions(lf, ROOT, alphas)
-    for got, fractions in ((up_fit, up), (lo_fit, lo)):
-        want = fit_decay(alphas, fractions)
-        assert got.decay_rate == want.decay_rate
-        assert got.amplitude == want.amplitude
-        assert got.r_squared == want.r_squared
-        np.testing.assert_array_equal(got.fractions, fractions)
-    assert up_fit.decay_rate > 0.0 and lo_fit.decay_rate > 0.0
-
-
 def test_tail_quantiles_matches_numpy(rng):
     values = rng.exponential(1.0, 333)
     q = tail_quantiles(values, eps_levels=(0.1, 0.01))
@@ -275,18 +258,6 @@ def test_moment_tail_value_constant_field(grid64):
     assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(InvalidArgumentError):
         moment_tail_value(path, mu, 0.0, parts.d_plus, parts.d_minus)
-
-
-def test_reverse_cs_tail_table(grid64):
-    parts = subcubes(ROOT)
-    paths = [constant_slice_path(grid64, [c] * 33) for c in (1.0, 2.0, 4.0)]
-    table = reverse_cs_tail(paths, mu=0.1, nu=1.0, d_plus=parts.d_plus,
-                            d_minus=parts.d_minus)
-    assert table.values.size == 3
-    want = [moment_tail_value(p, 0.1, 1.0, parts.d_plus, parts.d_minus)
-            for p in paths]
-    assert np.allclose(table.values, want)
-    assert set(table.quantiles) == {0.1, 0.05, 0.01}
 
 
 def test_stability_spread():

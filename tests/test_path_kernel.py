@@ -11,13 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import solver
+from spdelab import jn, solver
 from spdelab.cubes import Cube
 from spdelab.degiorgi import (CutoffFamily, IterationParams,
                               _martingale_increments, iteration_trace,
                               time_window)
 from spdelab.fields import Grid
-from spdelab.jn import _cube_weights, log_field, noise_martingale
+from spdelab.jn import _cube_weights, _increment_series, cube_stats, log_field
 from spdelab.solver import (ModelParams, SolverConfig, TestFunction,
                             _coef_fields, apply_operator, build_model,
                             g_along_path, make_initial_condition, path_seed,
@@ -36,6 +36,14 @@ CASES = {
                                f_kind="expr", f_expr="0.2*u*cos(t)",
                                g_kind="expr", g_expr=EXPR_G), "semi-implicit"),
 }
+# (l, s, w) of the root cube of a horizon-1 path, and of a small
+# off-center cube
+ROOT_CUBE = (0.5, 0.125, 0.0)
+CUBES = {"root": ROOT_CUBE, "small": (0.625, 1.0 / 32.0, 0.25)}
+
+
+def make_cube(n, l, s, w):
+    return Cube(l=l, s=s, z=math.sqrt(s), w=(w,) * n)
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -118,18 +126,48 @@ def ref_martingale_increments(path, cm, fam, k, a, eps):
     return steps, np.array(incr)
 
 
-def ref_compensator(lf, cm, cube):
-    """Forward compensator increments from the cube's time center."""
+def ref_half(lf, cm, cube, sign):
+    """(visited snapshots, compensator increments) of one cube half, one
+    step at a time from the time center: forward for sign=+1; for sign=-1
+    through the snapshots in reversed order with negated noise."""
     path = lf.path
     w2 = _cube_weights(lf.grid, cube)
-    jc, jend = path.time_index(cube.l), path.time_index(cube.time_hi)
-    incr = []
-    for j in range(jc, jend):
+    j = path.time_index(cube.l)
+    jend = path.time_index(cube.time_hi if sign > 0 else cube.time_lo)
+    visited, incr = [], []
+    while j != jend:
+        # the step from j to j + sign starts at j; its noise is the
+        # increment recorded between the two snapshots
         u = path.values[j]
         gt = g_at(cm, path, j) / (np.clip(u, 0.0, None) + lf.mu)[None, :]
         coefs = np.sum(gt * w2[None, :], axis=1) / np.sum(w2)
-        incr.append(float(np.dot(coefs, path.noise[j])))
-    return np.array(incr)
+        incr.append(sign * float(np.dot(coefs, path.noise[min(j, j + sign)])))
+        j += sign
+        visited.append(j)
+    return np.array(visited), np.array(incr)
+
+
+def ref_cube_stats(lf, cm, cube):
+    """(a_c, plus_avg, minus_avg, qv_ratio) by per-step loops."""
+    path = lf.path
+    w2 = _cube_weights(lf.grid, cube)
+    nodes = np.nonzero(lf.grid.node_mask(cube.ball()))[0]
+    jc = path.time_index(cube.l)
+    a_c = float(np.sum(lf.values[jc] * w2) / np.sum(w2))
+    avgs = []
+    for sign in (+1, -1):
+        total = count = comp = 0.0
+        for j, d in zip(*ref_half(lf, cm, cube, sign)):
+            comp += d
+            for node in nodes:
+                total += math.sqrt(max(lf.values[j, node] - comp - a_c, 0.0))
+                count += 1
+        avgs.append(total / count)
+    qv = ratio = 0.0
+    for j, d in zip(*ref_half(lf, cm, cube, +1)):
+        qv += d * d
+        ratio = max(ratio, qv / float(path.times[j] - path.times[jc]))
+    return a_c, avgs[0], avgs[1], ratio
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +219,46 @@ def test_martingale_increments_match_per_step_loop(case, k):
 
 
 def test_noise_martingale_matches_per_step_loop(case):
+    """Both halves' compensator increments, the lower one in reversed time."""
     cm, path = case
-    n = path.grid.n
-    cube = Cube(l=0.5, s=0.125, z=math.sqrt(0.125), w=(0.0,) * n)
+    cube = make_cube(path.grid.n, *ROOT_CUBE)
     lf = log_field(path, 1e-4)
-    ms = noise_martingale(lf, cm, cube)
-    incr = ref_compensator(lf, cm, cube)
-    assert ms.values.size == incr.size + 1 and incr.size > 0
-    close(ms.values[1:], np.cumsum(incr))
-    close(ms.qv[1:], np.cumsum(incr * incr))
+    w2 = _cube_weights(lf.grid, cube)
+    for sign in (+1, -1):
+        visited, incr = _increment_series(lf, cm, cube, w2, path.time_index(cube.l), sign)
+        ref_visited, ref_incr = ref_half(lf, cm, cube, sign)
+        assert np.array_equal(visited, ref_visited) and visited.size > 0
+        close(incr, ref_incr)
+
+
+@pytest.mark.parametrize("which", sorted(CUBES))
+def test_cube_stats_matches_per_step_loop(case, which):
+    cm, path = case
+    cube = make_cube(path.grid.n, *CUBES[which])
+    lf = log_field(path, 1e-4)
+    st = cube_stats(lf, cm, cube)
+    assert st.cube == cube
+    for got, ref in zip([st.a_c, st.plus_avg, st.minus_avg, st.qv_ratio],
+                        ref_cube_stats(lf, cm, cube)):
+        close(got, ref)
+
+
+def test_cube_stats_weighs_once_and_calls_g_once_per_half(case, monkeypatch):
+    cm, path = case
+    calls = {"weights": 0, "g": 0}
+
+    def counted_weights(*args, _w=jn._cube_weights):
+        calls["weights"] += 1
+        return _w(*args)
+
+    def counted_g(*args, _g=cm.g):
+        calls["g"] += 1
+        return _g(*args)
+
+    monkeypatch.setattr(jn, "_cube_weights", counted_weights)
+    cm = dataclasses.replace(cm, g=counted_g)
+    cube_stats(log_field(path, 1e-4), cm, make_cube(path.grid.n, *ROOT_CUBE))
+    assert calls == {"weights": 1, "g": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +278,9 @@ def test_blocked_results_are_bitwise_equal(case, monkeypatch):
     phi = TestFunction.bump(path.grid, 0.0, 1.0, 1.0)
     fam = CutoffFamily(n)
     a = 0.25 * float(path.values.max())
-    cube = Cube(l=0.5, s=0.125, z=math.sqrt(0.125), w=(0.0,) * n)
+    cube = make_cube(n, *ROOT_CUBE)
     lf = log_field(path, 1e-4)
+    w2, jc = _cube_weights(lf.grid, cube), path.time_index(cube.l)
 
     def run():
         calls.clear()
@@ -218,7 +288,8 @@ def test_blocked_results_are_bitwise_equal(case, monkeypatch):
         out = [np.array([rep.empirical_qv, rep.pairing_qv, rep.squared_qv]),
                np.array([weak_residual(path, cm, phi, 0.25, 0.75)]),
                _martingale_increments(path, cm, fam, 1, a, 1.0)[1],
-               noise_martingale(lf, cm, cube).values,
+               _increment_series(lf, cm, cube, w2, jc, +1)[1],
+               _increment_series(lf, cm, cube, w2, jc, -1)[1],
                np.array([r.c_hat or 0.0 for r in iteration_trace(
                    path, cm, fam, IterationParams(a=a, K=3)).rows])]
         return out, len(calls)
@@ -226,9 +297,9 @@ def test_blocked_results_are_bitwise_equal(case, monkeypatch):
     whole, whole_calls = run()
     monkeypatch.setattr(solver, "_G_BLOCK_BYTES", 3 * 8 * cm.m * path.grid.size)
     blocked, blocked_calls = run()
-    # qv_check, weak_residual, one increment series, the compensator, and
-    # one increment series per k = 0..3: one g call each
-    assert whole_calls == 8
+    # qv_check, weak_residual, one increment series, the compensator of
+    # each cube half, and one increment series per k = 0..3: one g call each
+    assert whole_calls == 9
     assert blocked_calls > 3 * whole_calls
     for w, b in zip(whole, blocked):
         assert w.tobytes() == b.tobytes()

@@ -18,7 +18,6 @@ from .cubes import (
     core_count,
     count_bound,
     extended_count,
-    level_summary,
     subcubes,
     unit_cube,
 )
@@ -65,13 +64,11 @@ from .fields import (
 )
 from .geometry import (
     Ball,
-    ParabolicCylinder,
     SpaceTimeRect,
     contains,
     cover_cylinder,
     covering_bound,
     make_cylinder,
-    max_norm,
     volume,
 )
 from .jn import (
@@ -97,7 +94,6 @@ from .montecarlo import (
     indicator_monotonicity,
     joint_tail,
     median_sup,
-    moser_ratio,
     positivity_scan,
     run_ensemble,
     validate_windows,
@@ -117,7 +113,6 @@ from .solver import (
     periodic_heat_kernel,
     qv_check,
     solve_path,
-    step,
     time_axis,
     validate_model,
     weak_residual,

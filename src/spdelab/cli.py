@@ -510,7 +510,6 @@ def _path_zero(spec):
 
 def cmd_harnack(spec, out, args):
     Q, P = _named_regions(spec, "Q", "P")
-    validate_windows(P, Q)
     ens = run_ensemble(spec, threads=args.threads)
     a = median_sup(ens, Q)
     curve = harnack_curve(ens, P, Q, a, spec.gammas)
@@ -609,13 +608,11 @@ def cmd_jn(spec, out, args):
     lf = log_field(path, spec.mu)
     hier = build_core(root, spec.depth)
 
-    cube_rows = []
-    for level, k, st in hierarchy_stats(lf, cm, hier, per_level_limit=32):
-        cube_rows.append((level, k, st.cube.l, st.cube.s, st.a_c,
-                          st.plus_avg, st.minus_avg, st.qv_ratio))
-    out.csv("jn_cubes.csv",
-            ["level", "index", "time_center", "scale", "a_c",
-             "upper_avg", "lower_avg", "qv_ratio"], cube_rows)
+    # a bad cube fails before any path runs; no table is written until
+    # the fits below succeed, so a failed run leaves no result files
+    cube_rows = [(level, k, st.cube.l, st.cube.s, st.a_c, st.plus_avg, st.minus_avg,
+                  st.qv_ratio)
+                 for level, k, st in hierarchy_stats(lf, cm, hier, per_level_limit=32)]
 
     # the decay fit uses ensemble-median fractions: one path's fractions
     # are too quantized at desk scale to survive the band filter
@@ -637,6 +634,10 @@ def cmd_jn(spec, out, args):
     med_lo = np.median(frac_lo[ens.ok], axis=0)
     fit_plus = fit_decay(alphas, med_up, band=(0.05, 0.9))
     fit_minus = fit_decay(alphas, med_lo, band=(0.05, 0.9))
+    quantiles = tail_quantiles(values[ens.ok])
+    out.csv("jn_cubes.csv",
+            ["level", "index", "time_center", "scale", "a_c",
+             "upper_avg", "lower_avg", "qv_ratio"], cube_rows)
     out.csv("jn_levelsets.csv",
             ["alpha", "upper_fraction", "lower_fraction"],
             [(float(a), float(fp), float(fm)) for a, fp, fm in
@@ -647,7 +648,6 @@ def cmd_jn(spec, out, args):
               fit_plus.r_squared, lf.clamp_fraction),
              ("lower", fit_minus.decay_rate, fit_minus.amplitude,
               fit_minus.r_squared, lf.clamp_fraction)])
-    quantiles = tail_quantiles(values[ens.ok])
     out.csv("jn_tails.csv",
             ["eps", "k_hat", "mu", "nu"],
             [(eps, q, spec.mu, spec.nu)

@@ -282,17 +282,3 @@ def containment_ok(h: CubeHierarchy, tol: float = 1e-9) -> bool:
             if float(off.max()) + lv.z > root.z + tol:
                 return False
     return True
-
-
-def level_summary(h: CubeHierarchy) -> list:
-    """Per-level rows for reporting: counts, scales, bounding box."""
-    rows = []
-    for lv in h.levels:
-        row = {"level": lv.level, "count": lv.count, "s": lv.s, "z": lv.z,
-               "t_min": float(lv.l.min()) - 4.0 * lv.s,
-               "t_max": float(lv.l.max()) + 4.0 * lv.s}
-        for d in range(lv.n):
-            row[f"x{d + 1}_min"] = float(lv.w[:, d].min()) - lv.z
-            row[f"x{d + 1}_max"] = float(lv.w[:, d].max()) + lv.z
-        rows.append(row)
-    return rows

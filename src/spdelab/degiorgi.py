@@ -90,8 +90,7 @@ def truncate(path: FieldPath, k: int, a: float) -> FieldPath:
         raise InvalidArgumentError(f"iteration index must be nonnegative, got {k}")
     shift = a * (1.0 - 2.0 ** (-k))
     vals = np.clip(path.values - shift, 0.0, None)
-    return FieldPath(path.grid, path.times, vals, noise=path.noise,
-                     seed_key=path.seed_key, scheme=path.scheme)
+    return FieldPath(path.grid, path.times, vals, noise=path.noise, scheme=path.scheme)
 
 
 def _windowed(path: FieldPath, k: int) -> SpaceTimeRect:

@@ -156,7 +156,7 @@ class FieldPath:
     has shape (M, m) holding the Brownian increments consumed by each step.
     """
 
-    def __init__(self, grid: Grid, times, values, noise=None, seed_key=None,
+    def __init__(self, grid: Grid, times, values, noise=None,
                  scheme: str = "semi-implicit"):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -179,7 +179,6 @@ class FieldPath:
         self.times = times
         self.values = values
         self.noise = noise
-        self.seed_key = seed_key
         self.scheme = scheme
 
     @property
@@ -294,8 +293,7 @@ def rescale(path: FieldPath, r: float) -> FieldPath:
     nodes = np.meshgrid(*(n_idx1,) * g.n, indexing="ij")
     flat_idx = np.ravel_multi_index(nodes, g.shape).ravel()
     vals = path.values[np.ix_(t_idx, flat_idx)]
-    return FieldPath(g, path.times.copy(), vals, noise=None, seed_key=None,
-                     scheme=path.scheme)
+    return FieldPath(g, path.times.copy(), vals, scheme=path.scheme)
 
 
 def smoothstep(lo: float, hi: float, rho) -> np.ndarray:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +26,6 @@ def as_point(x, dim: int | None = None) -> tuple:
             f"expected a point with {dim} coordinates, got {len(pt)}"
         )
     return pt
-
-
-def max_norm(x: Sequence[float]) -> float:
-    return max(abs(float(c)) for c in x)
 
 
 @dataclass(frozen=True)
@@ -87,28 +82,13 @@ class SpaceTimeRect:
         return self.ball.dim
 
 
-@dataclass(frozen=True)
-class ParabolicCylinder:
-    """Cylinder Q_r(t0, x0): time depth r^2 below the anchor time t0."""
-
-    t0: float
-    x0: tuple
-    r: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", as_point(self.x0))
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "r", float(self.r))
-        if not (self.r > 0.0):
-            raise InvalidArgumentError(f"cylinder radius must be positive, got {self.r}")
-
-    def to_rect(self) -> SpaceTimeRect:
-        return SpaceTimeRect(self.t0 - self.r**2, self.t0, Ball(self.x0, self.r))
-
-
 def make_cylinder(t0: float, x0, r: float) -> SpaceTimeRect:
-    """Rect form of the parabolic cylinder Q_r(t0, x0)."""
-    return ParabolicCylinder(float(t0), as_point(x0), float(r)).to_rect()
+    """The parabolic cylinder Q_r(t0, x0): time depth r^2 below the anchor
+    time t0, crossed with B_r(x0)."""
+    t0, x0, r = float(t0), as_point(x0), float(r)
+    if not (r > 0.0):
+        raise InvalidArgumentError(f"cylinder radius must be positive, got {r}")
+    return SpaceTimeRect(t0 - r**2, t0, Ball(x0, r))
 
 
 def contains(rect: SpaceTimeRect, t: float, x) -> bool:

@@ -30,7 +30,7 @@ from .errors import (
     InvalidArgumentError,
     ModelInvalidError,
 )
-from .fields import FieldPath, FieldSnapshot, Grid, inf_on, region_rows, sup_on
+from .fields import FieldPath, FieldSnapshot, Grid, region_rows
 from .geometry import SpaceTimeRect
 from .solver import (
     ModelParams,
@@ -195,7 +195,6 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
                     continue
                 fp = FieldPath(grid, times, res.history[b],
                                noise=dW[b] if dW is not None else None,
-                               seed_key=(spec.master_seed, i),
                                scheme=spec.solver.scheme)
                 for consume in consumers:
                     consume(i, fp)
@@ -236,26 +235,24 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _as_mask(ens: Ensemble, e) -> np.ndarray:
-    if callable(e):
-        return np.array([bool(e(i)) for i in range(ens.n_paths)])
-    arr = np.asarray(e, dtype=bool)
-    if arr.shape != (ens.n_paths,):
-        raise InvalidArgumentError(
-            f"predicate array has shape {arr.shape}, expected ({ens.n_paths},)")
-    return arr
+def _tail_estimate(hits: int, trials: int) -> TailEstimate:
+    """The estimate and Wilson interval of `hits` events in `trials` paths."""
+    if trials == 0:
+        raise InsufficientDataError("every path failed; nothing to estimate on")
+    lo, hi = wilson_interval(hits, trials)
+    return TailEstimate(hits=hits, trials=trials, p_hat=hits / trials, ci_lo=lo, ci_hi=hi)
 
 
 def joint_tail(ens: Ensemble, e1, e2) -> TailEstimate:
-    """Estimate P(e1 and e2) over the successful paths of an ensemble."""
+    """Estimate P(e1 and e2) over the successful paths of an ensemble;
+    e1 and e2 are boolean arrays indexed by path number."""
+    e1, e2 = (np.asarray(e, dtype=bool) for e in (e1, e2))
+    for arr in (e1, e2):
+        if arr.shape != (ens.n_paths,):
+            raise InvalidArgumentError(
+                f"predicate array has shape {arr.shape}, expected ({ens.n_paths},)")
     ok = ens.ok
-    trials = int(np.sum(ok))
-    if trials == 0:
-        raise InsufficientDataError("every path failed; nothing to estimate on")
-    hits = int(np.sum(_as_mask(ens, e1) & _as_mask(ens, e2) & ok))
-    lo, hi = wilson_interval(hits, trials)
-    return TailEstimate(hits=hits, trials=trials, p_hat=hits / trials,
-                        ci_lo=lo, ci_hi=hi)
+    return _tail_estimate(int(np.sum(e1 & e2 & ok)), int(np.sum(ok)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +302,8 @@ def harnack_curve(ens: Ensemble, P: SpaceTimeRect, Q: SpaceTimeRect,
                   a: float, gammas) -> list:
     """Tail estimate of the joint event per ratio threshold gamma."""
     _, _, _, ind = harnack_indicators(ens, P, Q, a, gammas)
-    trials = ind.shape[0]
-    if trials == 0:
-        raise InsufficientDataError("every path failed; nothing to estimate on")
-    out = []
-    for col, g in enumerate(np.asarray(gammas, dtype=float)):
-        hits = int(np.sum(ind[:, col]))
-        lo, hi = wilson_interval(hits, trials)
-        out.append((float(g), TailEstimate(hits=hits, trials=trials,
-                                           p_hat=hits / trials, ci_lo=lo, ci_hi=hi)))
-    return out
+    return [(float(g), _tail_estimate(int(np.sum(ind[:, col])), ind.shape[0]))
+            for col, g in enumerate(np.asarray(gammas, dtype=float))]
 
 
 def indicator_monotonicity(ens: Ensemble, P: SpaceTimeRect, Q: SpaceTimeRect,
@@ -373,22 +362,6 @@ def positivity_scan(ens: Ensemble, region: SpaceTimeRect,
 # ---------------------------------------------------------------------------
 # deterministic comparison constant
 
-def moser_ratio(path: FieldPath, P: SpaceTimeRect, Q: SpaceTimeRect) -> float:
-    """sup over Q divided by inf over P for one nonnegative path.
-
-    A vanishing infimum yields math.inf; the caller decides whether
-    that is acceptable.
-    """
-    validate_windows(P, Q)
-    if float(np.min(path.values)) < -1e-12:
-        raise InvalidArgumentError("comparison ratio needs a nonnegative field")
-    sup_q = sup_on(path, Q)
-    inf_p = inf_on(path, P)
-    if inf_p <= 0.0:
-        return math.inf
-    return float(sup_q / inf_p)
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     ratios: np.ndarray
@@ -407,9 +380,11 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
     """sup/inf ratios for random positive data under a rough coefficient
     (random_elliptic with iota = 0.5).
 
-    All initial data evolve as one batch per grid (no noise, so a single
-    factorization per step is shared); the refined pass doubles the
-    resolution with the time step following the parabolic default.
+    All initial data evolve as one batch per grid, with no noise; A reads
+    t, so each step takes one implicit solve for the whole batch (one
+    LAPACK dgtsv call in 1d, one sparse LU factorization in 2d).  The
+    refined pass doubles the resolution with the time step following the
+    parabolic default.
     """
     validate_windows(P, Q)
     params = ModelParams(a_kind="random_elliptic", f_kind="zero", g_kind="zero",

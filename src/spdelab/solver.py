@@ -140,67 +140,52 @@ def compile_expression(text: str, n: int):
     """Compile an expression into fn(t, xs, u); returns (fn, used_names).
 
     Allowed names: t, u, the coordinates x1 .. xn, x (alias for x1), and pi.
+    One pass over the syntax tree checks each node against the grammar,
+    children left to right, and returns the closure that evaluates it, so
+    the first node outside the grammar is the one reported.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise InvalidArgumentError(f"bad expression {text!r}: {exc.msg}") from None
 
-    coords = tuple(f"x{d + 1}" for d in range(n))
-    names = {"t", "u", "x", "pi", *coords}
+    reads = {"t": lambda t, xs, u: t, "u": lambda t, xs, u: u,
+             "pi": lambda t, xs, u: math.pi, "x": lambda t, xs, u: xs[0]}
+    for d in range(n):
+        reads[f"x{d + 1}"] = lambda t, xs, u, d=d: xs[d]
     used: set = set()
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
-        elif isinstance(node, ast.Name):
-            if node.id not in names:
+    def build(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+            op, left, right = _EXPR_OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda t, xs, u: op(left(t, xs, u), right(t, xs, u))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            arg = build(node.operand)
+            if isinstance(node.op, ast.USub):
+                return lambda t, xs, u: -arg(t, xs, u)
+            return lambda t, xs, u: +arg(t, xs, u)
+        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            value = float(node.value)
+            return lambda t, xs, u: value
+        if isinstance(node, ast.Name):
+            if node.id not in reads:
                 raise InvalidArgumentError(
                     f"unknown name {node.id!r} in expression {text!r}")
             used.add(node.id)
-        elif isinstance(node, ast.Call):
+            return reads[node.id]
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS:
                 raise InvalidArgumentError(f"unknown function in expression {text!r}")
-            arity = _EXPR_FUNCS[node.func.id][1]
+            fn, arity = _EXPR_FUNCS[node.func.id]
             if len(node.args) != arity or node.keywords:
                 raise InvalidArgumentError(
                     f"{node.func.id} takes {arity} argument(s) in expression {text!r}")
-            for a in node.args:
-                check(a)
-        else:
-            raise InvalidArgumentError(
-                f"unsupported syntax {type(node).__name__} in expression {text!r}")
+            args = [build(a) for a in node.args]
+            return lambda t, xs, u: fn(*(a(t, xs, u) for a in args))
+        raise InvalidArgumentError(
+            f"unsupported syntax {type(node).__name__} in expression {text!r}")
 
-    check(tree)
-
-    def evaluate(node, env):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.BinOp):
-            return _EXPR_OPS[type(node.op)](evaluate(node.left, env),
-                                            evaluate(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            v = evaluate(node.operand, env)
-            return -v if isinstance(node.op, ast.USub) else +v
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        fn = _EXPR_FUNCS[node.func.id][0]
-        return fn(*(evaluate(a, env) for a in node.args))
-
-    def fn(t, xs, u):
-        env = {"t": t, "pi": math.pi, "x": xs[0], "u": u, **dict(zip(coords, xs))}
-        return evaluate(tree, env)
-
-    return fn, frozenset(used)
+    return build(tree.body), frozenset(used)
 
 
 # --- built-in families ------------------------------------------------------
@@ -690,22 +675,6 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                              sup=sup, inf=inf, neg_energy=neg_energy)
 
 
-def step(state: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
-         dW) -> FieldSnapshot:
-    """One scheme step from a snapshot, consuming one increment per channel."""
-    dW = np.asarray(dW, dtype=float).reshape(-1)
-    if dW.size != cm.m:
-        raise DimensionMismatchError(f"expected {cm.m} noise increments, got {dW.size}")
-    grid = state.grid
-    dt = cfg.step_size(grid)
-    times = np.array([state.t, state.t + dt])
-    res = integrate_batch(grid, cm, cfg, state.flat()[None, :], times,
-                          dW[None, None, :] if cm.m else None)
-    if res.failed[0]:
-        raise BlowUpError("step produced a non-finite state", step_index=0)
-    return FieldSnapshot(grid, float(times[1]), res.final[0].reshape(grid.shape))
-
-
 def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
                horizon: float, seed, increments=None) -> FieldPath:
     """Integrate one path from u0 over [u0.t, u0.t + horizon].
@@ -731,9 +700,7 @@ def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
     if res.failed[0]:
         raise BlowUpError(f"path blew up at step {int(res.fail_step[0])}",
                           step_index=int(res.fail_step[0]))
-    key = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return FieldPath(grid, times, res.history[0], noise=dW, seed_key=key,
-                     scheme=cfg.scheme)
+    return FieldPath(grid, times, res.history[0], noise=dW, scheme=cfg.scheme)
 
 
 # ---------------------------------------------------------------------------

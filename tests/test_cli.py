@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab import montecarlo
+from spdelab import cli, montecarlo
 from spdelab.cli import (DEFAULT_REGIONS, main, parse_config, print_config,
                          svg_line_chart)
 from spdelab.cubes import core_count, count_bound, extended_count
-from spdelab.errors import ConfigError, ModelInvalidError
+from spdelab.errors import ConfigError, InsufficientDataError, ModelInvalidError
 from spdelab.solver import ModelParams, build_model, validate_model
 
 CUSTOM = """\
@@ -508,6 +508,30 @@ def test_jn_cube_half_shorter_than_a_step_exits_2(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert ("upper half (0.859375, 0.890625] of the level-1 cube is too short for "
             "dt = 0.03125: both its ends fall on snapshot 28; raise npts") in err
+
+
+def test_jn_failed_fit_leaves_no_result_files(tmp_path, capsys):
+    # on this 2D grid the ensemble-median fractions leave only 2 points in
+    # the fit band; the cube table is computed first but written only
+    # after the fits, so the run directory stays empty
+    cfg = tmp_path / "jn2d.cfg"
+    cfg.write_text("[grid]\nn = 2\nnpts = 32\n\n[montecarlo]\npaths = 16\n")
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfg), "--seed", "1", "--out", str(out), "jn") == 2
+    assert "need at least 3 positive level-set fractions" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_jn_fit_error_exits_2_before_any_write(tmp_path, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise InsufficientDataError("no fit")
+
+    monkeypatch.setattr(cli, "fit_decay", failing_fit)
+    cfg = tmp_path / "jn.cfg"
+    cfg.write_text("[grid]\nnpts = 32\n\n[montecarlo]\npaths = 4\n")
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfg), "--out", str(out), "jn") == 2
+    assert list(out.iterdir()) == []
 
 
 def test_plot_flag_writes_svg(tmp_path):

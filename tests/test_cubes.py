@@ -4,7 +4,7 @@ import pytest
 
 from spdelab.cubes import (Cube, CubeHierarchy, CubeLevel, build_core, build_extended,
                            containment_ok, core_count, count_bound,
-                           extended_count, level_summary, subcubes, unit_cube)
+                           extended_count, subcubes, unit_cube)
 from spdelab.errors import InvalidArgumentError, ResourceLimitError
 
 
@@ -155,15 +155,6 @@ def test_budget_guard():
         build_core(unit_cube(1), depth=4, budget=10**6)
     with pytest.raises(ResourceLimitError):
         build_extended(unit_cube(1), depth=3, budget=10**5)
-
-
-def test_level_summary_shape():
-    h = build_core(unit_cube(1), depth=1)
-    rows = level_summary(h)
-    assert len(rows) == 2
-    assert rows[0]["count"] == 1 and rows[1]["count"] == 128
-    assert rows[1]["t_min"] >= rows[0]["t_min"] - 1e-12
-    assert rows[1]["t_max"] <= rows[0]["t_max"] + 1e-12
 
 
 def test_cube_index_bounds():

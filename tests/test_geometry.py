@@ -7,9 +7,9 @@ import pytest
 
 from spdelab.errors import (InvalidArgumentError, DimensionMismatchError,
                             ResourceLimitError)
-from spdelab.geometry import (Ball, ParabolicCylinder, SpaceTimeRect, as_point,
-                              contains, cover_cylinder, covering_bound,
-                              make_cylinder, max_norm, volume)
+from spdelab.geometry import (Ball, SpaceTimeRect, as_point, contains,
+                              cover_cylinder, covering_bound, make_cylinder,
+                              volume)
 
 
 def test_as_point_normalizes():
@@ -18,11 +18,6 @@ def test_as_point_normalizes():
     assert as_point((0.5,), dim=1) == (0.5,)
     with pytest.raises(DimensionMismatchError):
         as_point((1.0, 2.0), dim=1)
-
-
-def test_max_norm():
-    assert max_norm((3.0, -4.0)) == 4.0
-    assert max_norm((0.0,)) == 0.0
 
 
 def test_ball_is_open_max_norm():
@@ -73,11 +68,14 @@ def test_rect_equality_is_canonical():
 
 
 def test_parabolic_cylinder_rect():
-    q = ParabolicCylinder(1.0, (0.0,), 0.5).to_rect()
+    q = make_cylinder(1.0, 0.0, 0.5)
     assert q.t_lo == 1.0 - 0.25
     assert q.t_hi == 1.0
-    assert q.ball.radius == 0.5
-    assert make_cylinder(1.0, 0.0, 0.5) == q
+    assert q.ball == Ball((0.0,), 0.5)
+    assert make_cylinder(1.0, (0.0,), 0.5) == q
+    for r in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidArgumentError, match="cylinder radius must be positive"):
+            make_cylinder(1.0, (0.0,), r)
 
 
 def test_volume_closed_form():

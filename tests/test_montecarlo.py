@@ -1,5 +1,4 @@
 """Ensemble plumbing, tail estimators, and the sup/inf experiment."""
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import (Ensemble, ExperimentSpec, comparison_experiment,
                                 filter_lemma_check, harnack_curve,
                                 harnack_indicators, indicator_monotonicity,
-                                joint_tail, median_sup, moser_ratio,
+                                joint_tail, median_sup,
                                 positivity_scan, run_ensemble, validate_windows,
                                 wilson_interval)
 from spdelab.solver import ModelParams
@@ -99,7 +98,6 @@ def test_consumers_see_full_paths(region_spec, region_ensemble):
     fp = seen[0]
     assert isinstance(fp, FieldPath)
     assert fp.times[-1] == pytest.approx(0.25)
-    assert fp.seed_key == (5, 0)
     # recorder summaries agree with the recomputation from the history,
     # under the shared left-endpoint step convention
     nodes = np.nonzero(grid.node_mask(Q_RECT.ball))[0]
@@ -200,7 +198,7 @@ def test_joint_tail_counts_over_ok_paths():
     failed = [False, False, False, False, False, True]
     ens = synthetic_ensemble([1.0] * 6, [0.5] * 6, failed=failed)
     e1 = np.array([1, 1, 0, 0, 1, 1], dtype=bool)
-    e2 = lambda i: i % 2 == 0
+    e2 = np.arange(6) % 2 == 0
     est = joint_tail(ens, e1, e2)
     assert est.trials == 5
     assert est.hits == 2                 # paths 0 and 4; path 5 failed
@@ -208,9 +206,11 @@ def test_joint_tail_counts_over_ok_paths():
     assert est.ci_lo < est.p_hat < est.ci_hi
     with pytest.raises(InvalidArgumentError):
         joint_tail(ens, np.ones(3, dtype=bool), e2)
+    with pytest.raises(InvalidArgumentError):
+        joint_tail(ens, e1, np.ones(3, dtype=bool))
     dead = synthetic_ensemble([1.0], [1.0], failed=[True])
     with pytest.raises(InsufficientDataError):
-        joint_tail(dead, lambda i: True, lambda i: True)
+        joint_tail(dead, np.ones(1, dtype=bool), np.ones(1, dtype=bool))
 
 
 def test_validate_windows_names_the_rule():
@@ -241,6 +241,24 @@ def test_harnack_curve_estimates():
         assert e.trials == 4
         assert e.p_hat == pytest.approx(e.hits / 4)
         assert (e.ci_lo, e.ci_hi) == wilson_interval(e.hits, 4)
+
+
+def test_harnack_curve_equals_joint_tail_over_ok_paths():
+    # path 4 failed with NaN extrema; path 5 failed with finite extrema that
+    # would be a hit at every gamma, so only the failure roster excludes it
+    failed = [False] * 4 + [True, True]
+    ens = synthetic_ensemble([2.0, 0.5, 3.0, 1.5, np.nan, 5.0],
+                             [1.0, 0.2, -0.1, 0.6, np.nan, 0.0], failed=failed)
+    a, gammas = 1.0, [1.0, 2.0, 4.0]
+    curve = harnack_curve(ens, P_RECT, Q_RECT, a, gammas)
+    assert [g for g, _ in curve] == gammas
+    supq, infp = ens.sup_over(Q_RECT), ens.inf_over(P_RECT)
+    for g, est in curve:
+        assert est.trials == ens.n_ok == 4
+        assert est == joint_tail(ens, supq > a, g * infp <= a)
+    dead = synthetic_ensemble([1.0], [1.0], failed=[True])
+    with pytest.raises(InsufficientDataError, match="every path failed"):
+        harnack_curve(dead, P_RECT, Q_RECT, a, gammas)
 
 
 def test_indicator_monotonicity_counts_upward_flips():
@@ -289,30 +307,6 @@ def test_positivity_scan_rejects_signed_data(region_ensemble):
     with pytest.raises(ModelInvalidError) as err:
         positivity_scan(ens, BOX)
     assert err.value.witness[0] == pytest.approx(-1.0)
-
-
-def test_moser_ratio(grid32):
-    times = np.linspace(0.0, 0.5, 9)
-    vals = np.full((9, grid32.size), 2.0)
-    path = FieldPath(grid32, times, vals)
-    assert moser_ratio(path, P_RECT, Q_RECT) == pytest.approx(1.0)
-    # raise one recorded node inside the sup window
-    qsteps = path.step_indices(Q_RECT.t_lo, Q_RECT.t_hi)
-    qnodes = np.nonzero(grid32.node_mask(Q_RECT.ball))[0]
-    vals2 = vals.copy()
-    vals2[qsteps[0], qnodes[0]] = 5.0
-    assert moser_ratio(FieldPath(grid32, times, vals2), P_RECT, Q_RECT) \
-        == pytest.approx(2.5)
-    # a vanishing infimum is reported as inf, not an error
-    psteps = path.step_indices(P_RECT.t_lo, P_RECT.t_hi)
-    pnodes = np.nonzero(grid32.node_mask(P_RECT.ball))[0]
-    vals3 = vals.copy()
-    vals3[psteps[0], pnodes[0]] = 0.0
-    assert moser_ratio(FieldPath(grid32, times, vals3), P_RECT, Q_RECT) == math.inf
-    with pytest.raises(InvalidArgumentError):
-        moser_ratio(FieldPath(grid32, times, -vals), P_RECT, Q_RECT)
-    with pytest.raises(GeometryError):
-        moser_ratio(path, Q_RECT, P_RECT)
 
 
 def test_comparison_experiment_small():

@@ -1,5 +1,6 @@
 """Coefficient models, the semi-implicit stepper, and weak-form diagnostics."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from spdelab.solver import (CoefficientModel, ModelParams, QvReport, SolverConfi
                             compile_expression, draw_increments,
                             integrate_batch, make_initial_condition,
                             path_seed, periodic_heat_kernel, qv_check,
-                            solve_path, step, time_axis, validate_model,
+                            solve_path, time_axis, validate_model,
                             weak_residual)
 
 
@@ -52,6 +53,61 @@ def test_expression_rejects_unsafe_constructs():
                  "lambda v: v", "x3", "u ** 2"):
         with pytest.raises(InvalidArgumentError):
             compile_expression(text, 1)
+
+
+# each expression against the numpy calls it stands for, made in the same
+# order; together they use every operator, both signs, every function and
+# every name of the grammar at n = 2
+EXPRESSION_ORACLES = {
+    "u + x1": lambda t, x1, x2, u: np.add(u, x1),
+    "t - u": lambda t, x1, x2, u: np.subtract(t, u),
+    "x2 * u": lambda t, x1, x2, u: np.multiply(x2, u),
+    "u / (3 + x)": lambda t, x1, x2, u: np.divide(u, np.add(3.0, x1)),
+    "-u * t": lambda t, x1, x2, u: np.multiply(-u, t),
+    "+x2 - -0.25": lambda t, x1, x2, u: np.subtract(+x2, -0.25),
+    "sin(u)": lambda t, x1, x2, u: np.sin(u),
+    "cos(x2 * t)": lambda t, x1, x2, u: np.cos(np.multiply(x2, t)),
+    "exp(-t)": lambda t, x1, x2, u: np.exp(-t),
+    "abs(u - 0.5)": lambda t, x1, x2, u: np.abs(np.subtract(u, 0.5)),
+    "min(u, x1)": lambda t, x1, x2, u: np.minimum(u, x1),
+    "max(t, -u)": lambda t, x1, x2, u: np.maximum(t, -u),
+    "pi * x": lambda t, x1, x2, u: np.multiply(math.pi, x1),
+    "1 + 0.5*u/(1+abs(u))": lambda t, x1, x2, u: np.add(
+        1.0, np.divide(np.multiply(0.5, u), np.add(1.0, np.abs(u)))),
+}
+
+
+@pytest.mark.parametrize("text", list(EXPRESSION_ORACLES))
+@pytest.mark.parametrize("form", ["batch", "time column"])
+def test_compiled_expression_is_bitwise_numpy(text, form):
+    rng = np.random.default_rng(3)
+    S = 7
+    xs = (rng.uniform(-2.0, 2.0, S), rng.uniform(-2.0, 2.0, S))
+    if form == "batch":      # scalar t, (B, S) states
+        t, u = 0.375, rng.normal(size=(4, S))
+    else:                    # (J, 1) column of step times, (J, S) states
+        t, u = rng.uniform(0.0, 2.0, (5, 1)), rng.normal(size=(5, S))
+    fn, _ = compile_expression(text, 2)
+    got, want = fn(t, xs, u), EXPRESSION_ORACLES[text](t, *xs, u)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def test_expression_used_names():
+    assert compile_expression("x + x2 * t + pi", 2)[1] == {"x", "x2", "t", "pi"}
+    assert compile_expression("2.5", 1)[1] == frozenset()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("foo(1) + x3", "unknown function"),
+    ("x3 + foo(1)", "unknown name 'x3'"),
+    ("u ** 2 + foo(1)", "unsupported syntax BinOp"),
+    ("sin(u, t) + x3", "sin takes 1 argument"),
+    ("max(u, x3) + foo(1)", "unknown name 'x3'"),
+])
+def test_expression_reports_first_offending_node(text, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        compile_expression(text, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +357,6 @@ def test_solve_path_raises_on_blowup(grid32):
     with pytest.raises(BlowUpError) as err:
         solve_path(u0, cm, SolverConfig(dt=0.5), 40.0, seed=0)
     assert err.value.step_index is not None
-
-
-def test_step_matches_batch(grid32):
-    cm = build_model(ModelParams(), 1)
-    cfg = SolverConfig()
-    u0 = make_initial_condition("bump", grid32)
-    dW = draw_increments(3, 1, cm.m, cfg.step_size(grid32))[0]
-    snap = step(u0, cm, cfg, dW)
-    assert snap.t == pytest.approx(cfg.step_size(grid32))
-    res = integrate_batch(grid32, cm, cfg, u0.flat()[None, :],
-                          np.array([0.0, cfg.step_size(grid32)]),
-                          dW[None, None, :])
-    assert np.allclose(snap.flat(), res.final[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -24,9 +23,8 @@ from .errors import (
     DomainError,
     EmptyRegionError,
     InvalidArgumentError,
-    StateError,
 )
-from .geometry import Ball, SpaceTimeRect, as_point
+from .geometry import Ball, SpaceTimeRect
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,19 @@ exactly when f = g = 0.
 
 Batches of paths are stepped together and all per-path arithmetic is
 row-local, so results are bit-identical however paths are grouped into
-batches.  `_implicit_solver` picks the implicit solve from what A reads
+batches.  `integrate_batch` runs the steps in blocks of K, sized by a
+private byte budget: each step multiplies in its noise factor, adds f and
+g, evaluates A when A reads t or u, and solves; each block forms its
+multiplicative-noise factors in one call, checks for blow-up, reduces the
+per-path statistics and copies the history.  Every step and reduction is
+the same per row and per snapshot whatever K is, so results are
+bit-identical for every K as well.  A that reads u is solved only for the
+rows that have not failed, so it takes one step per block.  A row that
+fails inside a block steps on to the block's end, with numpy's overflow
+and invalid-value warnings off; a failure shows in the result's
+failed/fail_step, never as a warning.
+
+`_implicit_solver` picks the implicit solve from what A reads
 and from n.  A free of t and u and constant in space makes I - dt L_A
 circulant, solved by a real FFT; any other A free of t and u shares one
 sparse LU factorization per call.  A that reads t is solved anew every
@@ -35,7 +47,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -581,6 +593,11 @@ class IntegrationResult:
     neg_energy: np.ndarray
 
 
+# integrate_batch takes as many steps per block as (B, S) snapshots fit in
+# this many bytes
+_STEP_BLOCK_BYTES = 384 << 10
+
+
 def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                     u0b: np.ndarray, times: np.ndarray, dWb,
                     keep_history: bool = False, regions: Sequence = ()) -> IntegrationResult:
@@ -592,9 +609,25 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
 
     regions are `(steps, nodes)` rows from `fields.region_rows`: step j
     of a region reads snapshot j, the left endpoint of that step.  The
-    negative-part energy reads every snapshot 0..M, but a snapshot with
-    no negative entry adds exactly 0.0 and is skipped; one with a NaN row
-    is not, so the other rows keep their energy after a failure.
+    negative-part energy reads every snapshot 0..M, but a block of
+    snapshots with no negative entry adds exactly 0.0 and is skipped; one
+    with a NaN row is not, so the other rows keep their energy after a
+    failure.
+
+    The steps run in blocks of K, through a step-major buffer of K + 1
+    snapshots; K is the number of (B, S) snapshots that fit in
+    _STEP_BLOCK_BYTES, at least 1 and at most M.  Per step: the noise
+    factor is multiplied in, f and a g without sigma are added, A is
+    evaluated anew when it reads t or u, and the solve runs.  Per block:
+    the multiplicative-noise factors 1 + sum_i sigma_i dW^i of all K
+    steps, the blow-up check, the region sup/inf and negative-part
+    energy, and the copy into the history.  A that reads u is solved only
+    for rows that have not failed, so K = 1 then.  A row that fails
+    inside a block steps on to the block's end, overflowing in its own row
+    only, before it is set to NaN from its failing step on; overflow and
+    invalid operations raise no warning in the step loop, so a failure
+    shows in failed/fail_step (and an ensemble's manifest), never as a
+    warning.
     """
     if cm.n != grid.n:
         raise DimensionMismatchError(f"model dimension {cm.n} != grid dimension {grid.n}")
@@ -610,12 +643,15 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                 f"explicit scheme unstable: dt={dt} exceeds dx^2*iota/(2n)="
                 f"{grid.dx**2 * cm.iota / (2.0 * grid.n):.3e}")
 
-    u = np.array(u0b, dtype=float)
+    reads_u = "u" in cm.a_deps
+    K = 1 if reads_u else max(1, min(M, _STEP_BLOCK_BYTES // (8 * B * S)))
+    buf = np.empty((K + 1, B, S))
+    buf[0] = u0b
     failed = np.zeros(B, dtype=bool)
     fail_step = np.full(B, -1, dtype=int)
     hist = np.empty((B, M + 1, S)) if keep_history else None
     if keep_history:
-        hist[:, 0, :] = u
+        hist[:, 0, :] = buf[0]
     read = np.zeros((len(regions), M + 1), dtype=bool)
     for r, (steps, _) in enumerate(regions):
         read[r, steps] = True
@@ -624,55 +660,77 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     neg_energy = np.zeros(B)
     vol = grid.cell_volume()
 
-    def record(j, u):
+    def record(first, snaps):
+        """Fold snapshots first, first + 1, ... of shape (k, B, S) into the
+        statistics; the negative-part energy is reduced in place in snaps."""
         for r, (_, nodes) in enumerate(regions):
-            if read[r, j]:
-                sub = u[:, nodes]
-                np.maximum(sup[r], sub.max(axis=1), out=sup[r])
-                np.minimum(inf[r], sub.min(axis=1), out=inf[r])
-        if not u.min() >= 0.0:
-            neg = np.minimum(u, 0.0)
-            np.maximum(neg_energy, vol * np.sum(neg * neg, axis=1), out=neg_energy)
+            mask = read[r, first:first + len(snaps)]
+            if mask.any():
+                sub = snaps if mask.all() else snaps[mask]
+                np.maximum(sup[r], sub.max(axis=0)[:, nodes].max(axis=1), out=sup[r])
+                np.minimum(inf[r], sub.min(axis=0)[:, nodes].min(axis=1), out=inf[r])
+        if not snaps.min() >= 0.0:
+            neg = np.minimum(snaps, 0.0, out=snaps)
+            neg *= neg
+            energy = vol * np.sum(neg, axis=-1)
+            np.maximum(neg_energy, energy.max(axis=0), out=neg_energy)
 
-    record(0, u)
+    record(0, buf[:1].copy())
 
-    reads_u = "u" in cm.a_deps
     noisy = cm.m > 0 and dWb is not None
     sig = np.asarray(cm.sigma(xs), dtype=float) if noisy and cm.sigma is not None else None
     coef = solve = None
-    for j in range(M):
-        t = float(times[j])
-        if sig is not None:
-            rhs = u * (1.0 + np.einsum("bm,ms->bs", dWb[:, j, :], sig))
-        else:
-            rhs = u.copy()
-        if cm.f is not None:
-            rhs += dt * np.broadcast_to(np.asarray(cm.f(t, xs, u), dtype=float), (B, S))
-        if noisy and sig is None:
-            gj = np.asarray(cm.g(t, xs, u), dtype=float)
-            rhs += np.einsum("mbs,bm->bs", gj, dWb[:, j, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, M, K):
+            k = min(K, M - lo)
+            block = buf[1:k + 1]
+            if sig is not None:
+                np.einsum("bkm,ms->kbs", dWb[:, lo:lo + k], sig, out=block)
+                block += 1.0
+            for i in range(k):
+                j = lo + i
+                t = float(times[j])
+                u, rhs = buf[i], buf[i + 1]
+                if sig is not None:
+                    rhs *= u
+                else:
+                    rhs[...] = u
+                if cm.f is not None:
+                    rhs += dt * np.broadcast_to(np.asarray(cm.f(t, xs, u), dtype=float), (B, S))
+                if noisy and sig is None:
+                    gj = np.asarray(cm.g(t, xs, u), dtype=float)
+                    rhs += np.einsum("mbs,bm->bs", gj, dWb[:, j, :])
 
-        # A that reads neither t nor u is evaluated, and solved for, once
-        if coef is None or cm.a_deps:
-            coef = _coef_fields(cm, grid, xs, t, u if reads_u else None)
-            if implicit:
-                solve = _implicit_solver(grid, coef, dt, reused=not cm.a_deps,
-                                         rows=np.flatnonzero(~failed))
-        unew = solve(rhs) if implicit else rhs + dt * apply_operator(grid, coef, u)
+                # A that reads neither t nor u is evaluated, and solved for, once
+                if coef is None or cm.a_deps:
+                    coef = _coef_fields(cm, grid, xs, t, u if reads_u else None)
+                    if implicit:
+                        solve = _implicit_solver(grid, coef, dt, reused=not cm.a_deps,
+                                                 rows=np.flatnonzero(~failed))
+                if implicit:
+                    rhs[...] = solve(rhs)
+                else:
+                    rhs += dt * apply_operator(grid, coef, u)
 
-        bad = ~np.all(np.abs(unew) <= BLOWUP_LIMIT, axis=1)
-        fresh = bad & ~failed
-        if np.any(fresh):
-            fail_step[fresh] = j
-            failed |= fresh
-        unew[failed] = np.nan
-        u = unew
-        if keep_history:
-            hist[:, j + 1, :] = u
-        record(j + 1, u)
+            # the block passes unless an entry is past the limit or NaN; then a
+            # row fails at its first step with such an entry and reads NaN from
+            # that step's result on, and a row that failed before reads NaN
+            if failed.any() or not (block.max() <= BLOWUP_LIMIT
+                                    and block.min() >= -BLOWUP_LIMIT):
+                bad = ~np.all(np.abs(block) <= BLOWUP_LIMIT, axis=2) | failed
+                bad = np.logical_or.accumulate(bad, axis=0)
+                fresh = bad[-1] & ~failed
+                fail_step[fresh] = lo + np.argmax(bad[:, fresh], axis=0)
+                failed |= fresh
+                block[bad] = np.nan
+            if keep_history:
+                hist[:, lo + 1:lo + k + 1, :] = block.swapaxes(0, 1)
+            # record overwrites the block, so the next block's start goes first
+            buf[0] = buf[k]
+            record(lo + 1, block)
     sup[:, failed] = inf[:, failed] = neg_energy[failed] = np.nan
-    return IntegrationResult(final=u, history=hist, failed=failed, fail_step=fail_step,
-                             sup=sup, inf=inf, neg_energy=neg_energy)
+    return IntegrationResult(final=buf[0].copy(), history=hist, failed=failed,
+                             fail_step=fail_step, sup=sup, inf=inf, neg_energy=neg_energy)
 
 
 def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,

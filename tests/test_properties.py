@@ -3,19 +3,22 @@
 An ensemble's per-path summaries may not depend on the chunk size or the
 thread count, and the statistics `integrate_batch` takes in its step loop
 must equal the same reductions of the kept history and may not depend on
-which rows share a batch.  Specs and batches are generated small, over
-every kind of A, both schemes, and drifts that make some paths fail.
+which rows share a batch or on how many steps share a block.  Specs and
+batches are generated small, over every kind of A, both schemes, trig and
+expression noise, and drifts that make some paths fail.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spdelab import solver
 from spdelab.fields import Grid, region_rows
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import ExperimentSpec, run_ensemble
-from spdelab.solver import (ModelParams, SolverConfig, build_model,
-                            integrate_batch, time_axis)
+from spdelab.solver import (ModelParams, SolverConfig, build_model, draw_increments,
+                            integrate_batch, path_seed, time_axis)
 
 HORIZON = 0.25
 A_KINDS = {
@@ -26,7 +29,9 @@ A_KINDS = {
     "reads u": dict(a_kind="expr", a_expr="1 + 0.5*u/(1+abs(u))", iota=0.5),
 }
 # the cubic drift blows up large data within the horizon
-DRIFTS = {"none": dict(), "cubic": dict(f_kind="expr", f_expr="10*u*u*u", growth_bound=1e9)}
+DRIFTS = {"none": dict(), "linear": dict(f_kind="linear", lambda_f=0.5),
+          "cubic": dict(f_kind="expr", f_expr="10*u*u*u", growth_bound=1e9)}
+NOISES = {"trig": dict(), "expr": dict(g_kind="expr", g_expr="0.3*sin(u) + 0.1*u*cos(x)")}
 RECTS = {"Q": (0.05, 0.15, 1.0), "P": (0.1, HORIZON, 1.5)}
 
 
@@ -35,7 +40,8 @@ def setups(draw):
     n = draw(st.sampled_from([1, 2]))
     grid = Grid.regular(n, draw(st.sampled_from([8, 16])))
     params = ModelParams(**A_KINDS[draw(st.sampled_from(sorted(A_KINDS)))],
-                         **DRIFTS[draw(st.sampled_from(sorted(DRIFTS)))])
+                         **DRIFTS[draw(st.sampled_from(sorted(DRIFTS)))],
+                         **NOISES[draw(st.sampled_from(sorted(NOISES)))])
     scheme = draw(st.sampled_from(["semi-implicit", "explicit"]))
     # the explicit scheme's stability bound for A up to 1/iota
     dt = grid.dx**2 * params.iota / (2 * n) if scheme == "explicit" else None
@@ -80,24 +86,50 @@ def signed_batches(draw):
                                           elements=st.floats(-1.0, 1.0, allow_subnormal=False),
                                           fill=st.nothing())))
     split = draw(st.integers(1, rows - 1))
-    return grid, params, cfg, regions, u0b, split
+    # noisy batches draw each row's increments from its own seed; the others
+    # integrate the noise-free equation, so rows differ only in their data
+    noise_seed = draw(st.none() | st.integers(0, 2**16))
+    return grid, params, cfg, regions, u0b, split, noise_seed
 
 
-@settings(max_examples=40)
+def block_steps(steps, u0b):
+    """A step-block budget that makes integrate_batch take `steps` steps per block."""
+    return steps * 8 * u0b.size
+
+
+# enough examples that some rows fail inside a block of 3 steps
+@settings(max_examples=150)
 @given(batch=signed_batches())
 def test_step_loop_statistics_match_history_and_ignore_batching(batch, history_statistics):
-    grid, params, cfg, regions, u0b, split = batch
+    grid, params, cfg, regions, u0b, split, noise_seed = batch
     cm = build_model(params, grid.n, grid.extent)
-    times = time_axis(0.0, HORIZON, cfg.step_size(grid))
+    dt = cfg.step_size(grid)
+    times = time_axis(0.0, HORIZON, dt)
+    M = times.size - 1
     rows = [region_rows(grid, times, rect) for rect in regions.values()]
-    # no increments: the noise-free equation, so rows differ only in their data
-    res = integrate_batch(grid, cm, cfg, u0b, times, None, keep_history=True, regions=rows)
+    dW = None
+    if noise_seed is not None:
+        dW = np.stack([draw_increments(path_seed(noise_seed, b), M, cm.m, dt)
+                       for b in range(u0b.shape[0])])
+    res = integrate_batch(grid, cm, cfg, u0b, times, dW, keep_history=True, regions=rows)
     sup, inf, energy = history_statistics(grid, times, res, rows)
     np.testing.assert_array_equal(res.sup, sup)
     np.testing.assert_array_equal(res.inf, inf)
     np.testing.assert_array_equal(res.neg_energy, energy)
     for part in (slice(0, split), slice(split, None)):
-        alone = integrate_batch(grid, cm, cfg, u0b[part], times, None, regions=rows)
+        alone = integrate_batch(grid, cm, cfg, u0b[part], times,
+                                None if dW is None else dW[part], regions=rows)
         np.testing.assert_array_equal(alone.sup, res.sup[:, part])
         np.testing.assert_array_equal(alone.inf, res.inf[:, part])
         np.testing.assert_array_equal(alone.neg_energy, res.neg_energy[part])
+    # one step per block, a block that ends inside the run, and one block
+    for steps in (1, 3, M):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_STEP_BLOCK_BYTES", block_steps(steps, u0b))
+            blocked = integrate_batch(grid, cm, cfg, u0b, times, dW, keep_history=True,
+                                      regions=rows)
+        for name in ("final", "history", "sup", "inf", "neg_energy", "failed", "fail_step"):
+            got, want = (np.ascontiguousarray(getattr(r, name)) for r in (blocked, res))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8),
+                                          err_msg=f"{name} with {steps} steps per block")

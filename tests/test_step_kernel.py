@@ -11,6 +11,7 @@ depend on which paths share its batch.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,45 @@ def test_blowup_isolation_under_refactored_a(kind):
     alone = integrate_batch(grid, cm, SolverConfig(dt=0.5), u0b[2:], times, None,
                             keep_history=True)
     np.testing.assert_array_equal(alone.history[0], res.history[2])
+
+
+@pytest.mark.parametrize("n, kind", [(1, "identity"), (1, "random_elliptic"),
+                                     (2, "random_elliptic"), (2, "x-dependent")])
+def test_blowup_inside_a_block(monkeypatch, n, kind):
+    # the 1d FFT, the 1d cyclic dgtsv solve of A that reads t, and sparse LU
+    # in 2d, refactored every step or once: row 0 passes the blow-up limit
+    # two steps before the end of its block and keeps stepping, overflowing,
+    # until the block ends; that raises no warning, its failure step is the
+    # one of a block of one step, and rows 1 (exactly 0) and 2 keep their bits
+    grid = Grid.regular(n, 16 if n == 1 else 8)
+    params = dataclasses.replace(FACTORIZATIONS[kind][0], f_kind="expr", f_expr="u * u * u",
+                                 g_kind="zero", m=0, growth_bound=1e9)
+    cm = build_model(params, n, grid.extent)
+    times = time_axis(0.0, 10.0, 0.5)
+    u0b = np.zeros((3, grid.size))
+    u0b[0] = 2.0
+    u0b[2] = make_initial_condition("bump", grid, amplitude=0.1).flat()
+
+    def run(steps):
+        monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", steps * 8 * u0b.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return integrate_batch(grid, cm, SolverConfig(dt=0.5), u0b, times, None,
+                                   keep_history=True)
+
+    ref = run(1)
+    fail = int(ref.fail_step[0])
+    assert list(ref.failed) == [True, False, False]
+    assert 1 <= fail and fail + 3 < times.size - 1
+    got = run(fail + 3)
+    np.testing.assert_array_equal(got.failed, ref.failed)
+    np.testing.assert_array_equal(got.fail_step, ref.fail_step)
+    assert np.all(np.isfinite(got.history[0, :fail + 1]))
+    assert np.all(np.isnan(got.history[0, fail + 1:])) and np.all(np.isnan(got.final[0]))
+    for name in ("history", "final"):
+        np.testing.assert_array_equal(getattr(got, name).view(np.uint64),
+                                      getattr(ref, name).view(np.uint64))
+    assert np.all(got.history[1] == 0.0)
 
 
 def test_state_dependent_a_ignores_batch_grouping():

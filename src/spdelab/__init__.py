@@ -14,7 +14,6 @@ from .cubes import (
     CubeHierarchy,
     build_core,
     build_extended,
-    containment_ok,
     core_count,
     count_bound,
     extended_count,
@@ -52,24 +51,18 @@ from .fields import (
     FieldSnapshot,
     Grid,
     MixedNormSpec,
-    inf_on,
     interpolation_check,
     lpq_norm,
     moment_product,
-    neg_part_energy,
-    rescale,
     smoothstep,
     sup_on,
-    synthetic_path,
 )
 from .geometry import (
     Ball,
     SpaceTimeRect,
-    contains,
     cover_cylinder,
     covering_bound,
     make_cylinder,
-    volume,
 )
 from .jn import (
     LogField,

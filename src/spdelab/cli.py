@@ -12,7 +12,8 @@ A subcommand is added by one row of SUBCOMMANDS: its runner and its help
 line. The runner writes its files through a RunFiles, which lists each of
 them in the manifest automatically.
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure.
+Exit codes: 0 success, 2 validation error or a size over its budget,
+3 numeric failure.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .cubes import (
     unit_cube,
 )
 from .degiorgi import CutoffFamily, IterationParams, iteration_trace, time_window
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, ResourceLimitError
 from .fields import FieldSnapshot, Grid, MixedNormSpec, lpq_norm, sup_on
 from .geometry import Ball, SpaceTimeRect, make_cylinder
 from .jn import (fit_decay, hierarchy_stats, levelset_fractions, log_field,
@@ -604,9 +605,10 @@ def cmd_jn(spec, out, args):
     n = spec.grid.n
     H = spec.horizon
     root = Cube(l=H / 2.0, s=H / 8.0, z=math.sqrt(H / 8.0), w=(0.0,) * n)
+    # a depth over the cube budget fails before path 0 is solved
+    hier = build_core(root, spec.depth)
     cm, path = _path_zero(spec)
     lf = log_field(path, spec.mu)
-    hier = build_core(root, spec.depth)
 
     # a bad cube fails before any path runs; no table is written until
     # the fits below succeed, so a failed run leaves no result files
@@ -789,7 +791,7 @@ def main(argv=None) -> int:
                   "estimates from this run are unusable", file=sys.stderr)
             return 3
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

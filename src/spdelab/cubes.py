@@ -19,7 +19,9 @@ extended level count obeys
 Counts grow fast; builds are guarded by an explicit cube budget,
 checked before any level is allocated.  Levels are flat arrays (one
 scale per level), each allocated once with every child written in
-place; core level j is the tail of extended level j.
+place; core level j is the tail of extended level j.  A cube's row
+tells a plus child (cut from its parent's upper piece) from a minus
+child (lower piece): the first half of each parent's children are plus.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .geometry import Ball, SpaceTimeRect
 
-LINEAGES = ("root", "plus", "minus")
 DEFAULT_BUDGET = 20_000_000
 # the division factor zeta; count_bound holds only for 4
 ZETA = 4
@@ -45,7 +46,6 @@ class Cube:
     z: float
     w: tuple
     level: int = 0
-    lineage: str = "root"
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(c) for c in np.atleast_1d(self.w)))
@@ -54,8 +54,6 @@ class Cube:
         if abs(self.z * self.z - self.s) > 1e-9 * self.s:
             raise InvalidArgumentError(
                 f"cube is not parabolic: z^2={self.z * self.z} but s={self.s}")
-        if self.lineage not in LINEAGES:
-            raise InvalidArgumentError(f"unknown lineage {self.lineage!r}")
         if self.level < 0:
             raise InvalidArgumentError(f"level must be nonnegative, got {self.level}")
 
@@ -73,9 +71,6 @@ class Cube:
 
     def ball(self) -> Ball:
         return Ball(self.w, self.z)
-
-    def rect(self) -> SpaceTimeRect:
-        return SpaceTimeRect(self.time_lo, self.time_hi, self.ball())
 
 
 def unit_cube(n: int) -> Cube:
@@ -116,7 +111,10 @@ class CubeLevel:
     """All cubes of one level, as flat arrays sharing a scale.
 
     Order is deterministic: parent-major, then plus children before
-    minus children, then time slot, then space combination.
+    minus children, then time slot, then space combination.  That order
+    is how plus children are told from minus children: of the
+    2 zeta^(n+2) consecutive rows a parent writes, the first half are
+    plus.
     """
 
     level: int
@@ -124,7 +122,6 @@ class CubeLevel:
     z: float
     l: np.ndarray
     w: np.ndarray
-    lineage: np.ndarray
 
     @property
     def count(self) -> int:
@@ -137,15 +134,13 @@ class CubeLevel:
     def cube(self, k: int) -> Cube:
         if not (0 <= k < self.count):
             raise InvalidArgumentError(f"cube index {k} out of range [0, {self.count})")
-        return Cube(float(self.l[k]), self.s, self.z, tuple(self.w[k]),
-                    level=self.level, lineage=LINEAGES[int(self.lineage[k])])
+        return Cube(float(self.l[k]), self.s, self.z, tuple(self.w[k]), level=self.level)
 
 
 def _root_level(root: Cube) -> CubeLevel:
     return CubeLevel(level=root.level, s=root.s, z=root.z,
                      l=np.array([root.l]),
-                     w=np.array([root.w], dtype=float),
-                     lineage=np.zeros(1, dtype=np.uint8))
+                     w=np.array([root.w], dtype=float))
 
 
 def _subdivide(parent: CubeLevel, height: int, out: CubeLevel, at: int) -> CubeLevel:
@@ -176,9 +171,7 @@ def _subdivide(parent: CubeLevel, height: int, out: CubeLevel, at: int) -> CubeL
            out=out.l[rows].reshape(P, 2, T, Q))
     np.add(parent.w[:, None, None, None, :], space[None, None, None, :, :],
            out=out.w[rows].reshape(P, 2, T, Q, n))
-    out.lineage[rows].reshape(P, 2, T * Q)[...] = np.array([[1], [2]], dtype=np.uint8)
-    return CubeLevel(level=out.level, s=s2, z=z2,
-                     l=out.l[rows], w=out.w[rows], lineage=out.lineage[rows])
+    return CubeLevel(level=out.level, s=s2, z=z2, l=out.l[rows], w=out.w[rows])
 
 
 @dataclass
@@ -243,8 +236,7 @@ def _build(root: Cube, depth: int, budget: int, extended: bool) -> CubeHierarchy
         head = prev.count * fan if extended else 0
         size = head + core.count * fan
         level = CubeLevel(level=prev.level + 1, s=prev.s / ZETA**2, z=prev.z / ZETA,
-                          l=np.empty(size), w=np.empty((size, n)),
-                          lineage=np.empty(size, dtype=np.uint8))
+                          l=np.empty(size), w=np.empty((size, n)))
         if extended:
             _subdivide(prev, 2, level, 0)
         core = _subdivide(core, 1, level, head)
@@ -267,18 +259,3 @@ def build_extended(root: Cube, depth: int, budget: int = DEFAULT_BUDGET) -> Cube
     budget covers the core and the extended counts together.
     """
     return _build(root, depth, budget, extended=True)
-
-
-def containment_ok(h: CubeHierarchy, tol: float = 1e-9) -> bool:
-    """Exhaustive check that every cube lies inside the root cube."""
-    root = h.root
-    for lv in h.levels:
-        if float(lv.l.min()) - 4.0 * lv.s < root.time_lo - tol:
-            return False
-        if float(lv.l.max()) + 4.0 * lv.s > root.time_hi + tol:
-            return False
-        for d in range(lv.n):
-            off = np.abs(lv.w[:, d] - root.w[d])
-            if float(off.max()) + lv.z > root.z + tol:
-                return False
-    return True

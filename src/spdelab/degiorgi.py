@@ -193,9 +193,6 @@ class IterationTrace:
         vals = [r.c_hat for r in self.rows if r.c_hat is not None]
         return max(vals) if vals else 0.0
 
-    def energies(self) -> np.ndarray:
-        return np.array([r.energy for r in self.rows])
-
 
 def iteration_trace(path: FieldPath, cm: CoefficientModel, fam: CutoffFamily,
                     params: IterationParams) -> IterationTrace:

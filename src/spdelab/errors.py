@@ -3,6 +3,8 @@
 Validation failures raise subclasses of InvalidArgumentError or DomainError;
 runtime integration failures raise subclasses of NumericError.  The command
 line layer maps the first group to exit code 2 and the second to exit code 3.
+ResourceLimitError, a construction refused before anything is allocated,
+also maps to exit code 2: nothing ran, so there is no numeric failure.
 """
 from __future__ import annotations
 

@@ -197,15 +197,6 @@ class FieldPath:
         return min(max(j, 0), self.steps)
 
 
-def synthetic_path(grid: Grid, times, fn) -> FieldPath:
-    """Sample fn(t, coords) -> flat values onto a path; test/oracle helper."""
-    times = np.asarray(times, dtype=float)
-    xs = grid.coords_flat()
-    vals = np.stack([np.broadcast_to(np.asarray(fn(float(t), xs), dtype=float),
-                                     (grid.size,)) for t in times])
-    return FieldPath(grid, times, vals)
-
-
 @dataclass(frozen=True)
 class MixedNormSpec:
     """Exponent pair (p in time, q in space); math.inf selects the sup."""
@@ -237,11 +228,6 @@ def sup_on(path: FieldPath, rect: SpaceTimeRect) -> float:
     return float(path.values[np.ix_(*region_rows(path.grid, path.times, rect))].max())
 
 
-def inf_on(path: FieldPath, rect: SpaceTimeRect) -> float:
-    """Min nodal value over in-region (node, step) pairs."""
-    return float(path.values[np.ix_(*region_rows(path.grid, path.times, rect))].min())
-
-
 def moment_product(path: FieldPath, alpha: float, mu: float,
                    d1: SpaceTimeRect, d2: SpaceTimeRect) -> float:
     """Product (integral_{d1} (u+mu)^-alpha) * (integral_{d2} (u+mu)^alpha).
@@ -266,32 +252,6 @@ def moment_product(path: FieldPath, alpha: float, mu: float,
             )
         out.append(w * float(np.sum(v ** (sign * alpha))))
     return out[0] * out[1]
-
-
-def neg_part_energy(snap: FieldSnapshot) -> float:
-    """Squared L2 norm of the negative part u^- on the whole grid."""
-    neg = np.minimum(snap.values, 0.0)
-    return float(snap.grid.cell_volume() * np.sum(neg * neg))
-
-
-def rescale(path: FieldPath, r: float) -> FieldPath:
-    """Parabolic rescaling u_r(t, x) = u(r^2 t, r x) by nearest-node lookup.
-
-    The rescaled path reuses the source grid and times, which keeps the
-    lookup targets inside the source extents for any r in (0, 1].  The
-    noise record does not survive rescaling.
-    """
-    if not (0.0 < r <= 1.0):
-        raise InvalidArgumentError(f"rescale factor must lie in (0, 1], got {r}")
-    g = path.grid
-    t_idx = np.rint((r * r * path.times - path.times[0]) / path.dt).astype(int)
-    t_idx = np.clip(t_idx, 0, path.steps)
-    c = g.coords1d()
-    n_idx1 = np.rint((r * c + g.extent) / g.dx).astype(int) % g.npts
-    nodes = np.meshgrid(*(n_idx1,) * g.n, indexing="ij")
-    flat_idx = np.ravel_multi_index(nodes, g.shape).ravel()
-    vals = path.values[np.ix_(t_idx, flat_idx)]
-    return FieldPath(g, path.times.copy(), vals, scheme=path.scheme)
 
 
 def smoothstep(lo: float, hi: float, rho) -> np.ndarray:

@@ -15,17 +15,11 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidArgumentError, ResourceLimitError
 
 
-def as_point(x, dim: int | None = None) -> tuple:
+def as_point(x) -> tuple:
     """Normalize a scalar or coordinate sequence to a tuple of floats."""
     if np.isscalar(x):
-        pt = (float(x),)
-    else:
-        pt = tuple(float(c) for c in x)
-    if dim is not None and len(pt) != dim:
-        raise DimensionMismatchError(
-            f"expected a point with {dim} coordinates, got {len(pt)}"
-        )
-    return pt
+        return (float(x),)
+    return tuple(float(c) for c in x)
 
 
 @dataclass(frozen=True)
@@ -44,10 +38,6 @@ class Ball:
     @property
     def dim(self) -> int:
         return len(self.center)
-
-    def contains(self, x) -> bool:
-        pt = as_point(x, self.dim)
-        return max(abs(a - b) for a, b in zip(pt, self.center)) < self.radius
 
     def mask(self, coords: tuple) -> np.ndarray:
         """Boolean membership of flat node coordinate arrays."""
@@ -89,19 +79,6 @@ def make_cylinder(t0: float, x0, r: float) -> SpaceTimeRect:
     if not (r > 0.0):
         raise InvalidArgumentError(f"cylinder radius must be positive, got {r}")
     return SpaceTimeRect(t0 - r**2, t0, Ball(x0, r))
-
-
-def contains(rect: SpaceTimeRect, t: float, x) -> bool:
-    """Exact membership test: t in (t_lo, t_hi] and |x - center| < radius."""
-    pt = as_point(x, rect.dim)
-    if not (rect.t_lo < t <= rect.t_hi):
-        return False
-    return rect.ball.contains(pt)
-
-
-def volume(rect: SpaceTimeRect) -> float:
-    """Space-time volume; the max-norm ball of radius r has volume (2r)^n."""
-    return (rect.t_hi - rect.t_lo) * (2.0 * rect.ball.radius) ** rect.dim
 
 
 # Uniform lattice constants: the covering below needs at most

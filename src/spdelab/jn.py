@@ -235,8 +235,6 @@ def levelset_fractions(lf: LogField, cube: Cube, alphas) -> tuple:
 
 @dataclass(frozen=True)
 class LevelSetFit:
-    alphas: np.ndarray
-    fractions: np.ndarray
     decay_rate: float
     amplitude: float
     r_squared: float
@@ -267,8 +265,7 @@ def fit_decay(alphas, fractions, band: tuple = (0.0, 1.0)) -> LevelSetFit:
     resid = y - design @ coef
     sstot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if sstot == 0.0 else 1.0 - float(np.sum(resid**2)) / sstot
-    return LevelSetFit(alphas=alphas, fractions=fractions,
-                       decay_rate=float(coef[1]), amplitude=float(math.exp(coef[0])),
+    return LevelSetFit(decay_rate=float(coef[1]), amplitude=float(math.exp(coef[0])),
                        r_squared=r2)
 
 

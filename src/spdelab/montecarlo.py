@@ -80,10 +80,21 @@ class ExperimentSpec:
                 f"horizon must be positive and finite, got {self.horizon}")
         if self.chunk < 1:
             raise InvalidArgumentError(f"chunk must be >= 1, got {self.chunk}")
-        if any(g < 0.0 for g in self.gammas):
+        # each check is written so that NaN fails it; the jn and cubes
+        # settings are checked here too, so a bad one costs no simulation
+        if not all(g >= 0.0 for g in self.gammas):
             raise InvalidArgumentError("ratio thresholds must be nonnegative")
-        if self.floor < 0.0:
+        if not (self.floor >= 0.0):
             raise InvalidArgumentError(f"floor must be nonnegative, got {self.floor}")
+        if len(self.alphas) == 0 or not all(a > 0.0 for a in self.alphas):
+            raise InvalidArgumentError("alphas must be a nonempty 1d array of positive levels")
+        if not (self.mu > 0.0):
+            raise InvalidArgumentError(f"mu must be positive, got {self.mu}")
+        if not (self.nu > 0.0):
+            raise InvalidArgumentError(f"nu must be positive, got {self.nu}")
+        if self.depth < 0 or int(self.depth) != self.depth:
+            raise InvalidArgumentError(
+                f"depth must be a nonnegative integer, got {self.depth}")
         for name, rect in self.regions.items():
             if rect.t_lo < -1e-12 or rect.t_hi > self.horizon + 1e-12:
                 raise InvalidArgumentError(
@@ -331,10 +342,6 @@ class PositivityReport:
     worst_neg_energy: float
     initial_energy: float
     n_failed: int
-
-    @property
-    def all_above(self) -> bool:
-        return self.n_at_or_below == 0
 
 
 def positivity_scan(ens: Ensemble, region: SpaceTimeRect,

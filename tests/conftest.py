@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from spdelab.fields import FieldSnapshot, Grid, neg_part_energy
+from oracles import neg_part_energy
+from spdelab.fields import FieldSnapshot, Grid
 from spdelab.montecarlo import ExperimentSpec, run_ensemble
 from spdelab.solver import (ModelParams, SolverConfig, build_model,
                             make_initial_condition, path_seed, solve_path)

@@ -166,6 +166,14 @@ def test_rejected_value_reported_at_its_own_line():
         ("[solver]\nf0 = nope\n", 2),
         ("[solver]\nf0 = gaussian\nwidth = 0\n", 3),
         ("[solver]\nwidth = -0.5\n", 2),
+        # NaN fails every comparison, so it must fail each check too
+        ("[montecarlo]\nseed = 3\nfloor = nan\n", 3),
+        ("[montecarlo]\ngammas = 1, nan\n", 2),
+        # read only by jn and cubes, but checked before any subcommand runs
+        ("[montecarlo]\nmu = -1\n", 2),
+        ("[montecarlo]\npaths = 4\nnu = 0\n", 3),
+        ("[montecarlo]\nalphas = -1, 0.5\n", 2),
+        ("[montecarlo]\ndepth = -1\n", 2),
     ]
     for text, line in cases:
         with pytest.raises(ConfigError) as info:
@@ -377,6 +385,22 @@ def test_cube_depth_is_set_by_the_config_and_replays(tmp_path):
     want = (first / "cube_counts.csv").read_bytes()
     assert (replay / "cube_counts.csv").read_bytes() == want
     assert len(read_csv(first / "cube_counts.csv")) == 1 + 3
+
+
+@pytest.mark.parametrize("command", ["cubes", "jn"])
+def test_depth_over_the_cube_budget_exits_2_before_any_work(tmp_path, capsys,
+                                                            monkeypatch, command):
+    # nothing ran, so this is no numeric failure; jn builds its hierarchy
+    # before it solves path 0
+    calls = []
+    monkeypatch.setattr(cli, "solve_path", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[grid]\nnpts = 32\n\n[montecarlo]\ndepth = 6\n")
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfg), "--out", str(out), command) == 2
+    assert "core hierarchy needs" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert calls == []
 
 
 # P owns no step (dt = 1/128 at npts 32, 1/512 at the refined npts 64) or

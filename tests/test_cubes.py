@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from spdelab.cubes import (Cube, CubeHierarchy, CubeLevel, build_core, build_extended,
-                           containment_ok, core_count, count_bound,
+from oracles import containment_ok
+from spdelab.cubes import (ZETA, Cube, CubeHierarchy, CubeLevel, build_core,
+                           build_extended, core_count, count_bound,
                            extended_count, subcubes, unit_cube)
 from spdelab.errors import InvalidArgumentError, ResourceLimitError
 
@@ -13,8 +14,6 @@ def test_cube_basic_geometry():
     assert (c.l, c.s, c.z) == (1.0, 0.25, 0.5)
     assert c.time_lo == 0.0 and c.time_hi == 2.0
     assert c.ball().radius == 0.5
-    r = c.rect()
-    assert (r.t_lo, r.t_hi) == (0.0, 2.0)
 
 
 def test_cube_rejects_nonparabolic_scales():
@@ -22,8 +21,6 @@ def test_cube_rejects_nonparabolic_scales():
         Cube(l=0.0, s=0.25, z=0.4, w=(0.0,))     # z^2 != s
     with pytest.raises(InvalidArgumentError):
         Cube(l=0.0, s=-1.0, z=1.0, w=(0.0,))
-    with pytest.raises(InvalidArgumentError):
-        Cube(l=0.0, s=0.25, z=0.5, w=(0.0,), lineage="sideways")
 
 
 def test_subcubes_frozen_geometry():
@@ -87,7 +84,7 @@ def test_containment_fails_for_a_cube_outside_the_root():
     wide = lv.w.copy()
     wide[5, 1] = root.w[1] + root.z
     for l, w in ((early, lv.w), (late, lv.w), (lv.l, wide)):
-        moved = CubeLevel(lv.level, lv.s, lv.z, l, w, lv.lineage)
+        moved = CubeLevel(lv.level, lv.s, lv.z, l, w)
         assert not containment_ok(CubeHierarchy(root, 1, [h.levels[0], moved]))
 
 
@@ -110,7 +107,9 @@ def test_children_tile_parent_eighths():
 
     The construction promises: each congruent child piece is the
     same-named (d+ or d-) eighth of exactly one child cube, and those
-    pieces tile the parent's two eighths.
+    pieces tile the parent's two eighths.  Plus and minus children are
+    told apart by the documented child order: the first half of each
+    parent's 2 zeta^(n+2) children are plus.
     """
     root = unit_cube(1)
     h = build_core(root, depth=1)
@@ -119,10 +118,10 @@ def test_children_tile_parent_eighths():
     plus_boxes = []
     minus_boxes = []
     for k in range(lv.count):
-        c = lv.cube(k)
-        d = subcubes(c)
-        box = (d.d_plus if c.lineage == "plus" else d.d_minus)
-        (plus_boxes if c.lineage == "plus" else minus_boxes).append(box)
+        plus = k // ZETA ** (root.n + 2) % 2 == 0
+        d = subcubes(lv.cube(k))
+        box = (d.d_plus if plus else d.d_minus)
+        (plus_boxes if plus else minus_boxes).append(box)
     # pieces land inside the right parent eighth
     for box in plus_boxes:
         assert box.t_lo >= parts.d_plus.t_lo - 1e-12
@@ -144,10 +143,10 @@ def test_level_ordering_deterministic():
     h2 = build_core(unit_cube(1), depth=1)
     assert np.array_equal(h1.levels[1].l, h2.levels[1].l)
     assert np.array_equal(h1.levels[1].w, h2.levels[1].w)
-    # plus children enumerate before minus children
-    lin = h1.levels[1].lineage
-    split = np.argmax(lin != lin[0])
-    assert np.all(lin[:split] == lin[0]) and np.all(lin[split:] != lin[0])
+    # plus children enumerate before minus children: the first half of the
+    # root's children sit above its time center 1, the second half below
+    l, half = h1.levels[1].l, h1.levels[1].count // 2
+    assert np.all(l[:half] > 1.0) and np.all(l[half:] < 1.0)
 
 
 def test_budget_guard():
@@ -190,15 +189,14 @@ def _reference_children(parent, target):
                             (P, 2, T, Q)).reshape(-1)
     w_out = np.broadcast_to(parent.w[:, None, None, None, :] + space[None, None, None, :, :],
                             (P, 2, T, Q, n)).reshape(-1, n)
-    lin = np.tile(np.repeat(np.array([1, 2], dtype=np.uint8), T * Q), P)
-    return CubeLevel(parent.level + 1, s2, z2, l_out, w_out, lin)
+    return CubeLevel(parent.level + 1, s2, z2, l_out, w_out)
 
 
 def _reference_levels(root, depth, extended):
     """Yield levels 0..depth: core by eighths, extended as quarter
     children of the previous level concatenated with the core level."""
     core = CubeLevel(root.level, root.s, root.z, np.array([root.l]),
-                     np.array([root.w], dtype=float), np.zeros(1, dtype=np.uint8))
+                     np.array([root.w], dtype=float))
     prev = core
     yield core
     for _ in range(depth):
@@ -207,8 +205,7 @@ def _reference_levels(root, depth, extended):
             kids = _reference_children(prev, "quarter")
             prev = CubeLevel(core.level, kids.s, kids.z,
                              np.concatenate([kids.l, core.l]),
-                             np.concatenate([kids.w, core.w]),
-                             np.concatenate([kids.lineage, core.lineage]))
+                             np.concatenate([kids.w, core.w]))
             del kids
         else:
             prev = core
@@ -225,7 +222,7 @@ def test_levels_match_reference_build(build, n, depth):
     for j, want in enumerate(ref):
         got = h.levels[j]
         assert (got.level, got.s, got.z) == (want.level, want.s, want.z)
-        for name in ("l", "w", "lineage"):
+        for name in ("l", "w"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (j, name)
         h.levels[j] = None      # release each compared level

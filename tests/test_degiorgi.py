@@ -118,15 +118,16 @@ def test_energy_vanishes_above_double_sup(grid32):
 
 
 def test_martingale_sup_brute_force(long_path, default_model):
-    """Single-pass X* equals the O(M^2) max over increment windows."""
+    """The trace's single-pass X* equals the O(M^2) max over increment windows."""
     fam = CutoffFamily(1)
     a = 0.25 * sup_on(long_path, SpaceTimeRect(0.0, 1.0, Ball((0.0,), 1.0)))
+    trace = iteration_trace(long_path, default_model, fam, IterationParams(a=a, K=1))
     for k in (0, 1):
         _, incr = _martingale_increments(long_path, default_model, fam, k, a, 1.0)
         prefix = np.concatenate([[0.0], np.cumsum(incr)])
         brute = max(float(prefix[t] - prefix[s])
                     for t in range(prefix.size) for s in range(t + 1))
-        got = martingale_sup(long_path, default_model, fam, k, a)
+        got = trace.rows[k].mart_sup
         assert got == pytest.approx(max(brute, 0.0), rel=1e-12)
         assert got >= 0.0
 
@@ -171,8 +172,7 @@ def test_iteration_trace_consistency(long_path, default_model):
         else:
             assert tr.rows[k].c_hat is None
     assert tr.c_hat_max == max(r.c_hat for r in tr.rows[1:] if r.c_hat is not None)
-    energies = tr.energies()
-    assert np.all(energies >= 0.0)
+    assert all(r.energy >= 0.0 for r in tr.rows)
 
 
 def test_iteration_trace_vanishing_path(grid32):

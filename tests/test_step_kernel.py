@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from oracles import neg_part_energy
 from spdelab import solver
 from spdelab.errors import NumericError
-from spdelab.fields import FieldSnapshot, Grid, neg_part_energy, region_rows
+from spdelab.fields import FieldSnapshot, Grid, region_rows
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.solver import (ModelParams, SolverConfig, _circulant_solve,
                             _coef_fields, _cyclic_parts, _cyclic_solve,

@@ -1,16 +1,16 @@
 """Dyadic parabolic cube hierarchies.
 
 A cube here is a space-time box (l - 4s, l + 4s) x B_z(w) in the max
-norm, kept parabolic through z^2 = s.  Each cube carries six named
-subregions: upper and lower halves, upper and lower eighths, and upper
-and lower quarters of its time span, all over the same ball.
+norm, kept parabolic through z^2 = s.  Its two named subregions are the
+top and bottom eighths of its time span, over the same ball.
 
 Two recursive collections are built from a root cube.  The core
 collection subdivides the top and bottom eighths of every cube into
 zeta^(n+2) congruent pieces (time split zeta^2-fold, each space axis
 zeta-fold) and reads each piece as the corresponding eighth of a new,
 eight-times-taller cube.  The extended collection applies the same move
-to the quarters instead, seeded from every cube of the core collection.
+to the top and bottom quarters, (l + 2s, l + 4s) and (l - 4s, l - 2s),
+instead, seeded from every cube of the core collection.
 Levels group cubes by spatial radius z_j = z_root / zeta^j, so the
 extended level count obeys
 
@@ -82,28 +82,19 @@ def unit_cube(n: int) -> Cube:
 
 @dataclass(frozen=True)
 class SubcubeSet:
-    """The six canonical time subregions of a cube, over its ball."""
+    """The top (d_plus) and bottom (d_minus) eighths of a cube's time
+    span, over its ball."""
 
-    c_plus: SpaceTimeRect
-    c_minus: SpaceTimeRect
     d_plus: SpaceTimeRect
     d_minus: SpaceTimeRect
-    i_plus: SpaceTimeRect
-    i_minus: SpaceTimeRect
 
 
 def subcubes(c: Cube) -> SubcubeSet:
-    """Upper/lower halves (c), eighths (d), and quarters (i) of a cube."""
+    """The top and bottom eighths of a cube."""
     b = c.ball()
     l, s = c.l, c.s
-    return SubcubeSet(
-        c_plus=SpaceTimeRect(l, l + 4 * s, b),
-        c_minus=SpaceTimeRect(l - 4 * s, l, b),
-        d_plus=SpaceTimeRect(l + 3 * s, l + 4 * s, b),
-        d_minus=SpaceTimeRect(l - 4 * s, l - 3 * s, b),
-        i_plus=SpaceTimeRect(l + 2 * s, l + 4 * s, b),
-        i_minus=SpaceTimeRect(l - 4 * s, l - 2 * s, b),
-    )
+    return SubcubeSet(d_plus=SpaceTimeRect(l + 3 * s, l + 4 * s, b),
+                      d_minus=SpaceTimeRect(l - 4 * s, l - 3 * s, b))
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, StateError
+from .errors import InvalidArgumentError
 from .fields import FieldPath, Grid, MixedNormSpec, lpq_norm, smoothstep
 from .geometry import Ball, SpaceTimeRect
 from .solver import CoefficientModel, g_along_path
@@ -63,19 +63,6 @@ class CutoffFamily:
     def _radii(k: int) -> tuple:
         return shrink_radius(k), shrink_radius(k - 1) if k > 0 else 1.5
 
-    def value(self, k: int, x) -> np.ndarray:
-        """Profile at points x, shape (..., n) or scalar/1d when n == 1."""
-        pts = np.asarray(x, dtype=float)
-        if self.n == 1:
-            rho = np.abs(pts)
-        else:
-            if pts.shape[-1] != self.n:
-                raise InvalidArgumentError(
-                    f"points have last axis {pts.shape[-1]}, expected {self.n}")
-            rho = np.max(np.abs(pts), axis=-1)
-        inner, outer = self._radii(k)
-        return smoothstep(inner, outer, rho)
-
     def sample(self, grid: Grid, k: int) -> np.ndarray:
         """Flat node samples of the k-th profile."""
         inner, outer = self._radii(k)
@@ -115,8 +102,6 @@ def _martingale_increments(path: FieldPath, cm: CoefficientModel,
     The integrand v uses the next truncation and squared next cutoff,
     matching the martingale whose running supremum controls step k.
     """
-    if cm.m > 0 and path.noise is None:
-        raise StateError("path has no recorded noise increments")
     grid = path.grid
     lo, hi = time_window(k)
     steps = path.step_indices(lo, hi)
@@ -130,7 +115,7 @@ def _martingale_increments(path: FieldPath, cm: CoefficientModel,
         return np.sum(gv * v, axis=-1).T
 
     p = grid.cell_volume() * g_along_path(path, cm, steps, pairings)
-    return steps, eps * np.sum(p * path.noise[steps], axis=1)
+    return steps, eps * np.sum(p * path.increments(steps, cm.m), axis=1)
 
 
 def _running_sup(incr: np.ndarray) -> float:

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     EmptyRegionError,
     InvalidArgumentError,
+    StateError,
 )
 from .geometry import Ball, SpaceTimeRect
 
@@ -69,11 +70,8 @@ class Grid:
 
     def coords_flat(self) -> tuple:
         """Per-dimension coordinate arrays of flattened (C-order) nodes."""
-        c = self.coords1d()
-        if self.n == 1:
-            return (c,)
-        g0, g1 = np.meshgrid(c, c, indexing="ij")
-        return (g0.ravel(), g1.ravel())
+        return tuple(g.ravel() for g in np.meshgrid(*(self.coords1d(),) * self.n,
+                                                    indexing="ij"))
 
     def max_dist(self, center=0.0) -> np.ndarray:
         """max_d |x_d - center_d| over the flattened nodes."""
@@ -152,6 +150,8 @@ class FieldPath:
 
     values has shape (M + 1, grid.size) in C-order; noise, when recorded,
     has shape (M, m) holding the Brownian increments consumed by each step.
+    Code that reads the increments goes through `increments`, which
+    rejects a path without a record.
     """
 
     def __init__(self, grid: Grid, times, values, noise=None,
@@ -186,6 +186,18 @@ class FieldPath:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    def increments(self, steps, m: int) -> np.ndarray:
+        """The recorded noise increments of the given steps for a model
+        with m channels, shape (len(steps), m).  StateError when the path
+        carries no record; DimensionMismatchError when it records another
+        channel count, which would otherwise broadcast silently."""
+        if self.noise is None:
+            raise StateError("path has no recorded noise increments")
+        if self.noise.shape[1] != m:
+            raise DimensionMismatchError(
+                f"path records {self.noise.shape[1]} noise channels, the model has {m}")
+        return self.noise[steps]
 
     def step_indices(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Steps whose left endpoint lies in (t_lo, t_hi]."""

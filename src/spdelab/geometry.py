@@ -67,10 +67,6 @@ class SpaceTimeRect:
                 f"time interval is empty: ({self.t_lo}, {self.t_hi}]"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.ball.dim
-
 
 def make_cylinder(t0: float, x0, r: float) -> SpaceTimeRect:
     """The parabolic cylinder Q_r(t0, x0): time depth r^2 below the anchor

@@ -31,7 +31,6 @@ from .errors import (
     EmptyRegionError,
     InsufficientDataError,
     InvalidArgumentError,
-    StateError,
 )
 from .fields import FieldPath, Grid, moment_product, region_rows, smoothstep
 from .geometry import SpaceTimeRect
@@ -99,15 +98,14 @@ def _cube_weights(grid: Grid, cube: Cube) -> np.ndarray:
     return w2
 
 
-def cube_average(lf: LogField, cube: Cube, t: float) -> float:
-    """Weighted spatial average H of h at the snapshot nearest t."""
-    tol = 1e-9 * max(1.0, abs(cube.s))
-    if not (cube.time_lo - tol <= t <= cube.time_hi + tol):
-        raise InvalidArgumentError(
-            f"time {t} outside the cube extent ({cube.time_lo}, {cube.time_hi})")
-    w2 = _cube_weights(lf.grid, cube)
-    j = lf.path.time_index(t)
-    return float(np.dot(lf.values[j], w2) / np.sum(w2))
+def _center_average(lf: LogField, w2: np.ndarray, jc: int) -> float:
+    """Average of h at snapshot jc, weighted by the cube weight w2."""
+    return float(np.dot(lf.values[jc], w2) / np.sum(w2))
+
+
+def cube_average(lf: LogField, cube: Cube) -> float:
+    """Weighted spatial average of h at the cube's time center l."""
+    return _center_average(lf, _cube_weights(lf.grid, cube), lf.path.time_index(cube.l))
 
 
 def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
@@ -125,8 +123,6 @@ def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
     at the start of its step.
     """
     path = lf.path
-    if cm.m > 0 and path.noise is None:
-        raise StateError("path has no recorded noise increments")
     if sign > 0:
         side, t_lo, t_hi = "upper", cube.l, cube.time_hi
         visited = np.arange(jc + 1, path.time_index(cube.time_hi) + 1)
@@ -152,7 +148,7 @@ def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
         return np.sum(gt * w2, axis=-1).T / np.sum(w2)
 
     coefs = g_along_path(path, cm, sources, averages)
-    return visited, flip * np.sum(coefs * path.noise[noise_rows], axis=1)
+    return visited, flip * np.sum(coefs * path.increments(noise_rows, cm.m), axis=1)
 
 
 def _side_average(lf: LogField, nodes: np.ndarray, visited, incr, a_c: float) -> float:
@@ -188,7 +184,7 @@ def cube_stats(lf: LogField, cm: CoefficientModel, cube: Cube) -> CubeStats:
     if nodes.size == 0:
         raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")
     jc = path.time_index(cube.l)
-    a_c = float(np.dot(lf.values[jc], w2) / np.sum(w2))
+    a_c = _center_average(lf, w2, jc)
     visited, incr = _increment_series(lf, cm, cube, w2, jc, +1)
     offsets = path.times[visited] - path.times[jc]
     return CubeStats(
@@ -221,7 +217,7 @@ def levelset_fractions(lf: LogField, cube: Cube, alphas) -> tuple:
     if alphas.ndim != 1 or alphas.size == 0 or np.any(alphas <= 0.0):
         raise InvalidArgumentError("alphas must be a nonempty 1d array of positive levels")
     parts = subcubes(cube)
-    a_c = cube_average(lf, cube, cube.l)
+    a_c = cube_average(lf, cube)
     out = []
     for rect, orient in ((parts.d_plus, +1.0), (parts.d_minus, -1.0)):
         rows = region_rows(lf.grid, lf.path.times, rect)

@@ -3,12 +3,13 @@
 Each is a direct statement of a definition, kept out of the package
 because no experiment runs it: exact region membership of a point, the
 region infimum of a stored path, the negative-part energy of one
-snapshot, and the containment of a cube hierarchy in its root.
+snapshot, the containment of a cube hierarchy in its root, and the
+cutoff profile at arbitrary points.
 """
 import numpy as np
 
-from spdelab.errors import DimensionMismatchError
-from spdelab.fields import region_rows
+from spdelab.errors import DimensionMismatchError, InvalidArgumentError
+from spdelab.fields import region_rows, smoothstep
 from spdelab.geometry import as_point
 
 
@@ -52,3 +53,18 @@ def containment_ok(h, tol: float = 1e-9) -> bool:
             if float(off.max()) + lv.z > root.z + tol:
                 return False
     return True
+
+
+def cutoff_value(fam, k: int, x) -> np.ndarray:
+    """Profile of the k-th member of a CutoffFamily at points x, shape
+    (..., n) or scalar/1d when n == 1."""
+    pts = np.asarray(x, dtype=float)
+    if fam.n == 1:
+        rho = np.abs(pts)
+    else:
+        if pts.shape[-1] != fam.n:
+            raise InvalidArgumentError(
+                f"points have last axis {pts.shape[-1]}, expected {fam.n}")
+        rho = np.max(np.abs(pts), axis=-1)
+    inner, outer = fam._radii(k)
+    return smoothstep(inner, outer, rho)

@@ -174,6 +174,17 @@ def test_rejected_value_reported_at_its_own_line():
         ("[montecarlo]\npaths = 4\nnu = 0\n", 3),
         ("[montecarlo]\nalphas = -1, 0.5\n", 2),
         ("[montecarlo]\ndepth = -1\n", 2),
+        ("[grid]\nn = 3\n", 2),
+        ("[grid]\nnpts = 2\n", 2),
+        ("[grid]\nextent = -1\n", 2),
+        ("[model]\nlambda_f = -1\n", 2),
+        ("[model]\nm = -1\n", 2),
+        ("[model]\ngrowth_bound = -1\n", 2),
+        ("[model]\ng = expr\n", 2),
+        ("[solver]\nscheme = rk4\n", 2),
+        ("[montecarlo]\ngammas = ,\n", 2),
+        # a constant A outside [iota, 1/iota] is the pair's fault, not one key's
+        ("[model]\na = constant\niota = 0.5\na_value = 5\n", None),
     ]
     for text, line in cases:
         with pytest.raises(ConfigError) as info:
@@ -460,10 +471,11 @@ def test_comparison_needs_region_q(tmp_path, capsys, command):
 
 
 def test_degiorgi_needs_a_wide_box(tmp_path, capsys):
-    cfg = tmp_path / "narrow.cfg"
-    cfg.write_text("[grid]\nnpts = 20\nextent = 1.25\n")
-    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "degiorgi") == 2
-    assert "needs the box to cover |x| <= 3/2" in capsys.readouterr().err
+    for text in ("[grid]\nnpts = 20\nextent = 1.25\n", "[grid]\nextent = 1.0\n"):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(text)
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "degiorgi") == 2
+        assert "needs the box to cover |x| <= 3/2" in capsys.readouterr().err
 
 
 def test_blown_up_single_path_exits_3(tmp_path, capsys):

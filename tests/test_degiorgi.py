@@ -13,6 +13,8 @@ from spdelab.fields import (FieldPath, Grid, MixedNormSpec, lpq_norm,
                             smoothstep, sup_on)
 from spdelab.geometry import Ball, SpaceTimeRect
 
+from oracles import cutoff_value
+
 
 def test_shrink_radius_sequence():
     # [TRIVIAL] b_k = 1/2 + 2^-(k+1)
@@ -38,10 +40,10 @@ def test_cutoff_plateau_and_support():
     for k in (0, 1, 3):
         inner = shrink_radius(k)
         outer = 1.5 if k == 0 else shrink_radius(k - 1)
-        assert fam.value(k, 0.0) == 1.0
-        assert fam.value(k, inner * 0.999) == 1.0
-        assert fam.value(k, outer * 1.001) == 0.0
-        mid = fam.value(k, (inner + outer) / 2.0)
+        assert cutoff_value(fam, k, 0.0) == 1.0
+        assert cutoff_value(fam, k, inner * 0.999) == 1.0
+        assert cutoff_value(fam, k, outer * 1.001) == 0.0
+        mid = cutoff_value(fam, k, (inner + outer) / 2.0)
         assert 0.0 < mid < 1.0
 
 
@@ -50,7 +52,7 @@ def test_cutoff_slope_within_budget():
     fam = CutoffFamily(1)
     for k in (0, 1, 2, 4):
         x = np.linspace(0.0, 1.6, 20001)
-        v = fam.value(k, x)
+        v = cutoff_value(fam, k, x)
         slope = np.abs(np.diff(v)) / (x[1] - x[0])
         assert slope.max() <= 3.0 * 2.0**k * (1.0 + 1e-6)
         assert 3.0 * 2.0**k <= 1 * 2.0 ** (k + 2)
@@ -59,14 +61,14 @@ def test_cutoff_slope_within_budget():
 def test_cutoff_sample_matches_value(grid32):
     fam = CutoffFamily(1)
     xs = grid32.coords1d()
-    assert np.allclose(fam.sample(grid32, 2), fam.value(2, xs))
+    assert np.allclose(fam.sample(grid32, 2), cutoff_value(fam, 2, xs))
     grid = Grid.regular(2, 16)
     fam2 = CutoffFamily(2)
     pts = np.stack(grid.coords_flat(), -1)
     for k in (0, 2):
-        assert np.allclose(fam2.sample(grid, k), fam2.value(k, pts))
+        assert np.allclose(fam2.sample(grid, k), cutoff_value(fam2, k, pts))
     with pytest.raises(InvalidArgumentError, match="last axis 3"):
-        fam2.value(2, np.zeros((4, 3)))
+        cutoff_value(fam2, 2, np.zeros((4, 3)))
 
 
 def test_truncate_exact(grid32):

@@ -67,10 +67,8 @@ def test_cube_average_constant_field(grid64):
     path = constant_slice_path(grid64, [2.0] * 9)
     # center time l = 0.5 sits on the 9-point axis exactly
     lf = log_field(path, 0.5)
-    got = cube_average(lf, ROOT, ROOT.l)
+    got = cube_average(lf, ROOT)
     assert got == pytest.approx(-math.log(2.5), rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        cube_average(lf, ROOT, 5.0)       # outside the cube's time extent
 
 
 def test_cube_average_weighted_formula(grid64):
@@ -82,7 +80,7 @@ def test_cube_average_weighted_formula(grid64):
     w2 = master_cutoff(np.abs(xs - ROOT.w[0]) / (2.0 * ROOT.z)) ** 2
     j = path.time_index(ROOT.l)
     want = float(np.dot(lf.values[j], w2) / np.sum(w2))
-    assert cube_average(lf, ROOT, ROOT.l) == pytest.approx(want, rel=1e-12)
+    assert cube_average(lf, ROOT) == pytest.approx(want, rel=1e-12)
 
 
 def test_noise_martingale_zero_without_channels(grid64):
@@ -117,7 +115,7 @@ def test_local_bmo_and_cube_stats(long_path, default_model):
     st = cube_stats(lf, default_model, ROOT)
     assert st.cube == ROOT
     assert st.plus_avg > 0.0 and st.minus_avg >= 0.0 and st.qv_ratio > 0.0
-    assert st.a_c == cube_average(lf, ROOT, ROOT.l)
+    assert st.a_c == cube_average(lf, ROOT)
 
 
 def test_hierarchy_stats_respects_limit(long_path, default_model):
@@ -174,7 +172,7 @@ def test_levelset_fractions_rejects_an_empty_eighth(grid32, cube, what):
 def levelset_fractions_by_alpha(lf, cube, alphas):
     """Reference: one comparison pass over the excess per alpha."""
     parts = subcubes(cube)
-    a_c = cube_average(lf, cube, cube.l)
+    a_c = cube_average(lf, cube)
     nodes = np.nonzero(lf.grid.node_mask(cube.ball()))[0]
     out = []
     for rect, orient in ((parts.d_plus, +1.0), (parts.d_minus, -1.0)):
@@ -197,7 +195,7 @@ def test_levelset_fractions_match_per_alpha_loop(long_path):
     h[up[2], nodes[3]] = np.nan
     h[lo[1], nodes[7]] = np.nan
     lf = LogField(path=lf.path, mu=lf.mu, values=h, clamp_fraction=lf.clamp_fraction)
-    a_c = cube_average(lf, ROOT, ROOT.l)
+    a_c = cube_average(lf, ROOT)
     ties = [h[up[1], nodes[5]] - a_c, a_c - h[lo[0], nodes[2]]]
     assert min(ties) > 0.0
     alphas = np.sort(np.concatenate([np.geomspace(0.01, 3.0, 24), ties]))
@@ -274,4 +272,4 @@ def test_cube_weights_boundary_guard(grid32):
     lf = log_field(path, 0.1)
     near_edge = Cube(l=0.5, s=0.125, z=math.sqrt(0.125), w=(1.8,))
     with pytest.raises(InvalidArgumentError):
-        cube_average(lf, near_edge, 0.5)
+        cube_average(lf, near_edge)

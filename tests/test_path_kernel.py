@@ -16,7 +16,8 @@ from spdelab.cubes import Cube
 from spdelab.degiorgi import (CutoffFamily, IterationParams,
                               _martingale_increments, iteration_trace,
                               time_window)
-from spdelab.fields import Grid
+from spdelab.errors import DimensionMismatchError, StateError
+from spdelab.fields import FieldPath, Grid
 from spdelab.jn import _cube_weights, _increment_series, cube_stats, log_field
 from spdelab.solver import (ModelParams, SolverConfig, TestFunction,
                             _coef_fields, apply_operator, build_model,
@@ -76,9 +77,8 @@ def g_at(cm, path, j):
 def ref_qv(path, cm, phi):
     grid, dt = path.grid, path.dt
     xs = grid.coords_flat()
-    phi2 = TestFunction(grid, phi.values**2)
     implicit = path.scheme == "semi-implicit"
-    empirical = pairing = squared = 0.0
+    empirical = pairing = 0.0
     for j in range(path.steps):
         t = float(path.times[j])
         uj, ujp = path.values[j], path.values[j + 1]
@@ -91,8 +91,7 @@ def ref_qv(path, cm, phi):
         empirical += incr * incr
         gv = g_at(cm, path, j)
         pairing += dt * float(np.sum(phi.pair(gv) ** 2))
-        squared += dt * float(np.sum(phi2.pair(gv * gv)))
-    return empirical, pairing, squared
+    return empirical, pairing
 
 
 def ref_weak_terms(path, cm, phi, s, t):
@@ -192,7 +191,7 @@ def test_qv_check_matches_per_step_loop(case):
     cm, path = case
     phi = TestFunction.bump(path.grid, 0.0, 1.0, 1.0)
     rep = qv_check(path, cm, phi)
-    close([rep.empirical_qv, rep.pairing_qv, rep.squared_qv], ref_qv(path, cm, phi))
+    close([rep.empirical_qv, rep.pairing_qv], ref_qv(path, cm, phi))
 
 
 def test_weak_residual_matches_per_step_loop(case):
@@ -262,6 +261,41 @@ def test_cube_stats_weighs_once_and_calls_g_once_per_half(case, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the noise record
+
+def without_noise(path, noise=None):
+    return FieldPath(path.grid, path.times, path.values, noise=noise, scheme=path.scheme)
+
+
+def test_noise_readers_reject_a_path_without_its_record(case):
+    """weak_residual, iteration_trace and cube_stats pair g with the
+    recorded increments, so a noisy model on a bare path is an error, and
+    so is a record of 2m channels, which broadcasts against m = 1."""
+    cm, path = case
+    phi = TestFunction.bump(path.grid, 0.0, 1.0, 1.0)
+    params = IterationParams(a=0.25 * float(path.values.max()), K=1)
+    cube = make_cube(path.grid.n, *ROOT_CUBE)
+    assert cm.m > 0
+    for bare, error, message in ((without_noise(path), StateError, "no recorded noise"),
+                                 (without_noise(path, np.repeat(path.noise, 2, axis=1)),
+                                  DimensionMismatchError, "the model has")):
+        with pytest.raises(error, match=message):
+            weak_residual(bare, cm, phi, 0.25, 0.75)
+        with pytest.raises(error, match=message):
+            iteration_trace(bare, cm, CutoffFamily(path.grid.n), params)
+        with pytest.raises(error, match=message):
+            cube_stats(log_field(bare, 1e-4), cm, cube)
+
+
+def test_qv_check_needs_no_noise_record(case):
+    """qv_check reads the states and g only: a bare path gives the
+    recorded path's report exactly."""
+    cm, path = case
+    phi = TestFunction.bump(path.grid, 0.0, 1.0, 1.0)
+    assert qv_check(without_noise(path), cm, phi) == qv_check(path, cm, phi)
+
+
+# ---------------------------------------------------------------------------
 # block independence
 
 def test_blocked_results_are_bitwise_equal(case, monkeypatch):
@@ -285,7 +319,7 @@ def test_blocked_results_are_bitwise_equal(case, monkeypatch):
     def run():
         calls.clear()
         rep = qv_check(path, cm, phi)
-        out = [np.array([rep.empirical_qv, rep.pairing_qv, rep.squared_qv]),
+        out = [np.array([rep.empirical_qv, rep.pairing_qv]),
                np.array([weak_residual(path, cm, phi, 0.25, 0.75)]),
                _martingale_increments(path, cm, fam, 1, a, 1.0)[1],
                _increment_series(lf, cm, cube, w2, jc, +1)[1],

@@ -136,7 +136,7 @@ def test_step_loop_statistics_match_history_and_ignore_batching(batch, history_s
             mp.setattr(solver, "_STEP_BLOCK_BYTES", block_steps(steps, u0b))
             blocked = integrate_batch(grid, cm, cfg, u0b, times, dW, keep_history=True,
                                       regions=rows)
-        for name in ("final", "history", "sup", "inf", "neg_energy", "failed", "fail_step"):
+        for name in ("history", "sup", "inf", "neg_energy", "failed", "fail_step"):
             got, want = (np.ascontiguousarray(getattr(r, name)) for r in (blocked, res))
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8),

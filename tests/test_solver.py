@@ -344,8 +344,8 @@ def test_blowup_isolation_in_batch(grid32):
     res = integrate_batch(grid32, cm, cfg, u0b, times, None, keep_history=True)
     assert res.failed[0] and not res.failed[1]
     assert res.fail_step[0] >= 0
-    assert np.all(np.isnan(res.final[0]))
-    assert np.all(res.final[1] == 0.0)
+    assert np.all(np.isnan(res.history[0, -1]))
+    assert np.all(res.history[1, -1] == 0.0)
     # frozen at NaN from the failing step onward
     assert np.all(np.isnan(res.history[0, res.fail_step[0] + 1:]))
 
@@ -400,7 +400,7 @@ def test_weak_residual_stochastic_consistency(stoch_path, default_model):
 ])
 def test_qv_ratio(empirical, pairing, want):
     # with no pairing QV the ratio is 1 only when the empirical QV is 0 too
-    ratio = QvReport(empirical_qv=empirical, pairing_qv=pairing, squared_qv=0.0).ratio
+    ratio = QvReport(empirical_qv=empirical, pairing_qv=pairing).ratio
     assert ratio == want or (math.isnan(want) and math.isnan(ratio))
 
 

@@ -41,7 +41,8 @@ def one_step(case: str) -> np.ndarray:
                     for b in range(3)])
     dW = np.stack([draw_increments(path_seed(61, b), 1, cm.m, dt) for b in range(3)])
     times = np.array([0.25, 0.25 + dt])
-    return integrate_batch(grid, cm, SolverConfig(), u0b, times, dW).final
+    return integrate_batch(grid, cm, SolverConfig(), u0b, times, dW,
+                           keep_history=True).history[:, -1]
 
 
 def run_fresh(*scripts: str) -> list:

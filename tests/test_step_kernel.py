@@ -280,10 +280,8 @@ def test_blowup_inside_a_block(monkeypatch, n, kind):
     np.testing.assert_array_equal(got.failed, ref.failed)
     np.testing.assert_array_equal(got.fail_step, ref.fail_step)
     assert np.all(np.isfinite(got.history[0, :fail + 1]))
-    assert np.all(np.isnan(got.history[0, fail + 1:])) and np.all(np.isnan(got.final[0]))
-    for name in ("history", "final"):
-        np.testing.assert_array_equal(getattr(got, name).view(np.uint64),
-                                      getattr(ref, name).view(np.uint64))
+    assert np.all(np.isnan(got.history[0, fail + 1:]))
+    np.testing.assert_array_equal(got.history.view(np.uint64), ref.history.view(np.uint64))
     assert np.all(got.history[1] == 0.0)
 
 
@@ -313,7 +311,8 @@ def test_state_dependent_a_step_matches_dense_solve(monkeypatch, n, npts):
     assert dW is None
     calls, name = [], "dgtsv" if n == 1 else "splu"
     monkeypatch.setattr(solver, name, counting(getattr(solver, name), calls))
-    got = integrate_batch(grid, cm, SolverConfig(), u0b, times[:2], None).final
+    got = integrate_batch(grid, cm, SolverConfig(), u0b, times[:2], None,
+                          keep_history=True).history[:, -1]
     assert len(calls) == B_ROWS
     dt = float(times[1] - times[0])
     xs = grid.coords_flat()

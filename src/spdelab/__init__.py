@@ -66,7 +66,6 @@ from .geometry import (
 )
 from .jn import (
     LogField,
-    cube_average,
     cube_stats,
     fit_decay,
     hierarchy_stats,

@@ -36,15 +36,13 @@ from .cubes import (
     core_count,
     count_bound,
     extended_count,
-    subcubes,
     unit_cube,
 )
 from .degiorgi import CutoffFamily, IterationParams, iteration_trace, time_window
-from .errors import ConfigError, InvalidArgumentError, ResourceLimitError
+from .errors import ConfigError, DomainError, InvalidArgumentError, ResourceLimitError
 from .fields import FieldSnapshot, Grid, MixedNormSpec, lpq_norm, sup_on
 from .geometry import Ball, SpaceTimeRect, make_cylinder
-from .jn import (fit_decay, hierarchy_stats, levelset_fractions, log_field,
-                 moment_tail_value, tail_quantiles)
+from .jn import eighth_reads, fit_decay, hierarchy_stats, log_field, tail_quantiles
 from .montecarlo import (
     ExperimentSpec,
     comparison_experiment,
@@ -502,11 +500,12 @@ def _named_regions(spec, *names):
     return out
 
 
-def _path_zero(spec):
-    """The spec's coefficient model and its path 0 over the whole horizon."""
+def _solved_path(spec, index=0):
+    """The spec's coefficient model and its path `index`, solved alone over
+    the whole horizon."""
     cm, u0 = spec.build()
     return cm, solve_path(u0, cm, spec.solver, spec.horizon,
-                          seed=path_seed(spec.master_seed, 0))
+                          seed=path_seed(spec.master_seed, index))
 
 
 def cmd_harnack(spec, out, args):
@@ -582,7 +581,7 @@ def cmd_degiorgi(spec, out, args):
     if spec.grid.extent < 1.5:
         raise InvalidArgumentError(
             "the cutoff family needs the box to cover |x| <= 3/2")
-    cm, path = _path_zero(spec)
+    cm, path = _solved_path(spec)
     lo, hi = time_window(0)
     base = sup_on(path, SpaceTimeRect(lo, hi, Ball((0.0,) * n, 1.0)))
     if base <= 0.0:
@@ -607,7 +606,7 @@ def cmd_jn(spec, out, args):
     root = Cube(l=H / 2.0, s=H / 8.0, z=math.sqrt(H / 8.0), w=(0.0,) * n)
     # a depth over the cube budget fails before path 0 is solved
     hier = build_core(root, spec.depth)
-    cm, path = _path_zero(spec)
+    cm, path = _solved_path(spec)
     lf = log_field(path, spec.mu)
 
     # a bad cube fails before any path runs; no table is written until
@@ -618,20 +617,29 @@ def cmd_jn(spec, out, args):
 
     # the decay fit uses ensemble-median fractions: one path's fractions
     # are too quantized at desk scale to survive the band filter
-    parts = subcubes(root)
     alphas = np.asarray(spec.alphas, dtype=float)
     frac_up = np.full((spec.n_paths, alphas.size), np.nan)
     frac_lo = np.full((spec.n_paths, alphas.size), np.nan)
     values = np.full(spec.n_paths, np.nan)
+    # every path shares path 0's times, so its rows serve them all, and the
+    # ensemble captures those rows instead of keeping whole paths
+    reads = eighth_reads(path, root)
 
-    def consume(i, p):
-        lf_i = log_field(p, spec.mu)
-        _, up, lo = levelset_fractions(lf_i, root, alphas)
-        frac_up[i], frac_lo[i] = up, lo
-        values[i] = moment_tail_value(p, spec.mu, spec.nu,
-                                      parts.d_plus, parts.d_minus)
+    def consume(i, u):
+        _, frac_up[i], frac_lo[i] = reads.fractions(u, spec.mu, alphas)
+        try:
+            values[i] = reads.tail_value(u, spec.mu, spec.nu)
+        except DomainError:
+            # u + mu <= 0 puts the path below -mu/2, reported after the run
+            pass
 
+    consume.captures = reads.rows
     ens = run_ensemble(spec, consumers=(consume,), threads=args.threads)
+    # log_field's check of whole paths: the first path with a value below
+    # -mu/2 is solved again alone, bitwise as in its batch, and raises there
+    below = np.flatnonzero(ens.ok & (ens.neg_min < -0.5 * spec.mu))
+    if below.size:
+        log_field(_solved_path(spec, int(below[0]))[1], spec.mu)
     med_up = np.median(frac_up[ens.ok], axis=0)
     med_lo = np.median(frac_lo[ens.ok], axis=0)
     fit_plus = fit_decay(alphas, med_up, band=(0.05, 0.9))
@@ -685,7 +693,7 @@ def cmd_cubes(spec, out, args):
 
 
 def cmd_norms(spec, out, args):
-    _, path = _path_zero(spec)
+    _, path = _solved_path(spec)
     if "Q" in spec.regions:
         rect = spec.regions["Q"]
     else:

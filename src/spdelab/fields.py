@@ -247,22 +247,36 @@ def moment_product(path: FieldPath, alpha: float, mu: float,
     The shift mu >= 0 regularizes the negative power; with mu = 0 the field
     must be strictly positive on d1 and d2.
     """
+    def regions():
+        for rect in (d1, d2):
+            steps, nodes = region_rows(path.grid, path.times, rect)
+            yield path.times[steps], path.values[np.ix_(steps, nodes)]
+
+    return rows_moment_product(regions(), alpha, mu, path.dt * path.grid.cell_volume())
+
+
+def rows_moment_product(regions, alpha: float, mu: float, weight: float) -> float:
+    """moment_product of u given on the rows of d1 and d2.
+
+    regions yields (times, u) for d1, then for d2: u on the region's
+    (steps, nodes) rows and the time of each step.  weight is the
+    quadrature weight dt dx^n.  alpha and mu are checked before regions
+    is read.
+    """
     if not (alpha > 0.0):
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     if mu < 0.0:
         raise InvalidArgumentError(f"mu must be nonnegative, got {mu}")
-    w = path.dt * path.grid.cell_volume()
     out = []
-    for rect, sign in ((d1, -1.0), (d2, 1.0)):
-        steps, nodes = region_rows(path.grid, path.times, rect)
-        v = path.values[np.ix_(steps, nodes)] + mu
+    for (times, u), sign in zip(regions, (-1.0, 1.0)):
+        v = u + mu
         if np.any(v <= 0.0):
             j, i = np.argwhere(v <= 0.0)[0]
             raise DomainError(
                 f"nonpositive shifted value {v[j, i]} inside region",
-                witness=(float(path.times[steps[j]]), float(v[j, i])),
+                witness=(float(times[j]), float(v[j, i])),
             )
-        out.append(w * float(np.sum(v ** (sign * alpha))))
+        out.append(weight * float(np.sum(v ** (sign * alpha))))
     return out[0] * out[1]
 
 

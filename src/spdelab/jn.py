@@ -1,7 +1,9 @@
 """Oscillation diagnostics for the log transform of a positive solution.
 
-Everything here works on h = -log(max(u, 0) + mu).  For each parabolic
-cube, `cube_stats` makes one pass: it finds the cube's cutoff weight, its
+Everything here works on h = -log(max(u, 0) + mu), which `log_transform`
+takes elementwise on just the values a reader needs; `log_field` only
+checks that a path lies in its domain.  For each parabolic cube,
+`cube_stats` makes one pass: it finds the cube's cutoff weight, its
 ball's grid nodes and its time-center snapshot once, takes the weighted
 spatial average a of h at the center, builds the compensating noise
 martingale M driven by g/(u + mu) on each half, and returns the two
@@ -15,7 +17,11 @@ fractions of the excess of h over a (fit_decay fits their exponential
 decay profile), and per path it evaluates the two-sided moment product
 (integral of v^-nu over the top eighth) * (integral of v^nu over the
 bottom eighth), v = u + mu, whose ensemble quantiles (tail_quantiles)
-quantify the reverse Cauchy-Schwarz tail.
+quantify the reverse Cauchy-Schwarz tail.  Both read only the cube's
+center snapshot and its two eighths: `eighth_reads` names those rows, so
+an ensemble can capture them instead of keeping whole paths, and the
+path-level `levelset_fractions` and `moment_tail_value` slice a path and
+call the same code.
 """
 from __future__ import annotations
 
@@ -32,7 +38,14 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
-from .fields import FieldPath, Grid, moment_product, region_rows, smoothstep
+from .fields import (
+    FieldPath,
+    Grid,
+    moment_product,
+    region_rows,
+    rows_moment_product,
+    smoothstep,
+)
 from .geometry import SpaceTimeRect
 from .solver import CoefficientModel, g_along_path
 
@@ -45,13 +58,23 @@ def master_cutoff(xi: np.ndarray) -> np.ndarray:
     return smoothstep(_PLATEAU, _SUPPORT, xi)
 
 
+def log_transform(u, mu: float) -> np.ndarray:
+    """h = -log(max(u, 0) + mu) of any array of values u.
+
+    Elementwise, so h of some rows of a path is bitwise those rows of h
+    over the whole path; each reader takes it on the rows it reads.
+    """
+    return -np.log(np.clip(u, 0.0, None) + mu)
+
+
 @dataclass(frozen=True)
 class LogField:
-    """h = -log(max(u, 0) + mu) over a whole path."""
+    """A path whose log transform at shift mu is defined: no value lies
+    below -mu/2.  clamp_fraction is the share of its values in [-mu/2, 0),
+    which log_transform clamps to 0."""
 
     path: FieldPath
     mu: float
-    values: np.ndarray
     clamp_fraction: float
 
     @property
@@ -60,7 +83,8 @@ class LogField:
 
 
 def log_field(path: FieldPath, mu: float) -> LogField:
-    """Log transform with clamping of small discrete negativity.
+    """Check a whole path for the log transform, with clamping of small
+    discrete negativity.
 
     Values below -mu/2 indicate the field is not a positive solution at
     this mu and raise DomainError with a witness; values in [-mu/2, 0)
@@ -74,9 +98,8 @@ def log_field(path: FieldPath, mu: float) -> LogField:
         raise DomainError(
             f"field value {vmin:.6g} at step {j}, node {node} is below -mu/2 = {-0.5 * mu:.6g}",
             witness=(int(j), int(node), vmin))
-    clamp_fraction = float(np.mean(path.values < 0.0))
-    h = -np.log(np.clip(path.values, 0.0, None) + mu)
-    return LogField(path=path, mu=mu, values=h, clamp_fraction=clamp_fraction)
+    clamp_fraction = 0.0 if vmin >= 0.0 else float(np.mean(path.values < 0.0))
+    return LogField(path=path, mu=mu, clamp_fraction=clamp_fraction)
 
 
 def _cube_weights(grid: Grid, cube: Cube) -> np.ndarray:
@@ -98,14 +121,9 @@ def _cube_weights(grid: Grid, cube: Cube) -> np.ndarray:
     return w2
 
 
-def _center_average(lf: LogField, w2: np.ndarray, jc: int) -> float:
-    """Average of h at snapshot jc, weighted by the cube weight w2."""
-    return float(np.dot(lf.values[jc], w2) / np.sum(w2))
-
-
-def cube_average(lf: LogField, cube: Cube) -> float:
-    """Weighted spatial average of h at the cube's time center l."""
-    return _center_average(lf, _cube_weights(lf.grid, cube), lf.path.time_index(cube.l))
+def _center_average(u: np.ndarray, mu: float, w2: np.ndarray) -> float:
+    """Average of h over one snapshot u, weighted by the cube weight w2."""
+    return float(np.dot(log_transform(u, mu), w2) / np.sum(w2))
 
 
 def _increment_series(lf: LogField, cm: CoefficientModel, cube: Cube,
@@ -155,7 +173,7 @@ def _side_average(lf: LogField, nodes: np.ndarray, visited, incr, a_c: float) ->
     """Mean over one cube half of sqrt((h - M - a)^+) on the ball's node
     rows, compensated in time, from that half's increment series."""
     comp = np.cumsum(incr)
-    sub = lf.values[np.ix_(visited, nodes)]
+    sub = log_transform(lf.path.values[np.ix_(visited, nodes)], lf.mu)
     excess = np.clip(sub - comp[:, None] - a_c, 0.0, None)
     return float(np.mean(np.sqrt(excess)))
 
@@ -184,7 +202,7 @@ def cube_stats(lf: LogField, cm: CoefficientModel, cube: Cube) -> CubeStats:
     if nodes.size == 0:
         raise EmptyRegionError(f"grid does not resolve the cube ball of radius {cube.z}")
     jc = path.time_index(cube.l)
-    a_c = _center_average(lf, w2, jc)
+    a_c = _center_average(path.values[jc], lf.mu, w2)
     visited, incr = _increment_series(lf, cm, cube, w2, jc, +1)
     offsets = path.times[visited] - path.times[jc]
     return CubeStats(
@@ -206,27 +224,68 @@ def hierarchy_stats(lf: LogField, cm: CoefficientModel, hierarchy: CubeHierarchy
 # ---------------------------------------------------------------------------
 # level-set decay and the moment-product tail
 
-def levelset_fractions(lf: LogField, cube: Cube, alphas) -> tuple:
-    """Excess level-set fractions on the top/bottom eighths of a cube.
+@dataclass(frozen=True)
+class EighthReads:
+    """The rows of a path that the level-set fractions and the moment
+    tail read on one cube, found once for all paths on the same times.
 
-    Returns (a_c, upper fractions, lower fractions): the measure
-    fraction of {h - a_c > alpha} on the top eighth and of
-    {a_c - h > alpha} on the bottom eighth, per alpha.
+    rows holds three `(steps, nodes)` row sets: the center snapshot on
+    every node (its weighted average is a_c), then the top and the bottom
+    eighth.  w2 is the cube weight, times the step times of each eighth's
+    rows, and weight the quadrature weight dt dx^n.  The methods take u
+    on those rows, one array per row set, as path.values[np.ix_(*rows[k])]
+    or as `run_ensemble` captures them.
     """
+
+    rows: tuple
+    w2: np.ndarray
+    times: tuple
+    weight: float
+
+    def fractions(self, u, mu: float, alphas: np.ndarray) -> tuple:
+        """(a_c, upper fractions, lower fractions): the measure fraction of
+        {h - a_c > alpha} on the top eighth and of {a_c - h > alpha} on
+        the bottom eighth, per alpha."""
+        center, upper, lower = u
+        a_c = _center_average(center[0], mu, self.w2)
+        out = []
+        for rows, orient in ((upper, +1.0), (lower, -1.0)):
+            excess = np.sort(orient * (log_transform(rows, mu) - a_c), axis=None)
+            # NaN sorts last and exceeds no alpha
+            finite = excess[:excess.size - np.count_nonzero(np.isnan(excess))]
+            above = finite.size - np.searchsorted(finite, alphas, side="right")
+            out.append(above / excess.size)
+        return a_c, out[0], out[1]
+
+    def tail_value(self, u, mu: float, nu: float) -> float:
+        """moment_tail_value over the top and bottom eighths."""
+        exponent = _tail_exponent(nu)
+        return float(rows_moment_product(zip(self.times, u[1:]), nu, mu, self.weight)
+                     ** exponent)
+
+
+def eighth_reads(path: FieldPath, cube: Cube) -> EighthReads:
+    """The rows the level-set fractions and moment tail of `cube` read of
+    `path`, and of any path on the same grid and times."""
+    w2 = _cube_weights(path.grid, cube)
+    center = (np.array([path.time_index(cube.l)]), np.arange(path.grid.size))
+    parts = subcubes(cube)
+    eighths = [region_rows(path.grid, path.times, rect)
+               for rect in (parts.d_plus, parts.d_minus)]
+    return EighthReads(rows=(center, *eighths), w2=w2,
+                       times=tuple(path.times[steps] for steps, _ in eighths),
+                       weight=path.dt * path.grid.cell_volume())
+
+
+def levelset_fractions(lf: LogField, cube: Cube, alphas) -> tuple:
+    """Excess level-set fractions on the top/bottom eighths of a cube:
+    `EighthReads.fractions` of the path's rows."""
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(alphas <= 0.0):
         raise InvalidArgumentError("alphas must be a nonempty 1d array of positive levels")
-    parts = subcubes(cube)
-    a_c = cube_average(lf, cube)
-    out = []
-    for rect, orient in ((parts.d_plus, +1.0), (parts.d_minus, -1.0)):
-        rows = region_rows(lf.grid, lf.path.times, rect)
-        excess = np.sort(orient * (lf.values[np.ix_(*rows)] - a_c), axis=None)
-        # NaN sorts last and exceeds no alpha
-        finite = excess[:excess.size - np.count_nonzero(np.isnan(excess))]
-        above = finite.size - np.searchsorted(finite, alphas, side="right")
-        out.append(above / excess.size)
-    return a_c, out[0], out[1]
+    reads = eighth_reads(lf.path, cube)
+    return reads.fractions([lf.path.values[np.ix_(*rows)] for rows in reads.rows],
+                           lf.mu, alphas)
 
 
 @dataclass(frozen=True)
@@ -265,12 +324,18 @@ def fit_decay(alphas, fractions, band: tuple = (0.0, 1.0)) -> LevelSetFit:
                        r_squared=r2)
 
 
+def _tail_exponent(nu: float) -> float:
+    """1/nu, which takes a moment product of order nu to its tail value."""
+    if not (nu > 0.0):
+        raise InvalidArgumentError(f"nu must be positive, got {nu}")
+    return 1.0 / nu
+
+
 def moment_tail_value(path: FieldPath, mu: float, nu: float,
                       d_plus: SpaceTimeRect, d_minus: SpaceTimeRect) -> float:
     """Per-path statistic: the two-region moment product to the power 1/nu."""
-    if not (nu > 0.0):
-        raise InvalidArgumentError(f"nu must be positive, got {nu}")
-    return float(moment_product(path, nu, mu, d_plus, d_minus) ** (1.0 / nu))
+    exponent = _tail_exponent(nu)
+    return float(moment_product(path, nu, mu, d_plus, d_minus) ** exponent)
 
 
 def tail_quantiles(values, eps_levels=(0.1, 0.05, 0.01)) -> dict:

@@ -4,10 +4,11 @@ Paths are integrated in batches with per-path counter-derived seeds, so
 an ensemble's results do not depend on chunk size or thread count: path
 i always consumes the stream seeded by (master_seed, spawn_key=(i,)),
 all reductions are row-local, and every recorded statistic lands in a
-preallocated slot indexed by i.  Region extrema and the negative-part
-energy are taken inside `solver.integrate_batch`'s step loop (failed
-paths read NaN); full path histories are materialized only when per-path
-consumers ask for them.
+preallocated slot indexed by i.  Region extrema, the negative-part
+energy and the least value are taken inside `solver.integrate_batch`'s
+step loop (failed paths read NaN).  A per-path consumer may declare the
+rows it reads; it then gets those rows, captured in the step loop, and
+full path histories are kept only when some consumer reads whole paths.
 
 On top of the ensemble sit the experiment drivers: the joint-tail
 estimator with Wilson intervals, the sup/inf inequality curve over a
@@ -37,6 +38,7 @@ from .solver import (
     SolverConfig,
     build_model,
     draw_increments,
+    history_capacity,
     integrate_batch,
     make_initial_condition,
     path_seed,
@@ -125,6 +127,7 @@ class Ensemble:
     sup: dict
     inf: dict
     neg_energy: np.ndarray
+    neg_min: np.ndarray
     failed: np.ndarray
     fail_steps: np.ndarray
 
@@ -162,10 +165,22 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
                  threads: int = 1) -> Ensemble:
     """Integrate all paths of the spec and collect streaming summaries.
 
-    consumers are callables (index, FieldPath) invoked for every
-    successful path; they must write only to per-index slots because
-    invocation order is unspecified when threads > 1.  Blown-up paths
-    are recorded in the failure roster and excluded from summaries.
+    consumers are callables invoked for every successful path; they must
+    write only to per-index slots because invocation order is unspecified
+    when threads > 1.  Blown-up paths are recorded in the failure roster
+    and excluded from summaries.
+
+    A consumer is called as consume(index, FieldPath) unless it declares
+    the rows it reads in a `captures` attribute: a sequence of
+    `(steps, nodes)` rows, steps being snapshot indices 0..M and nodes
+    flat grid nodes.  It is then called as consume(index, arrays), one
+    array of shape (len(steps), len(nodes)) per declared row set, equal to
+    path.values[np.ix_(steps, nodes)] bit for bit.  The declaration is an
+    attribute of the function, so a wrapper made with functools.wraps
+    keeps it.  Full histories are kept only when some consumer declares
+    nothing; their chunks are then shrunk to fit solver._HISTORY_BYTES
+    (results do not depend on the chunk), and a single path over that
+    budget raises ResourceLimitError before any path runs.
     """
     grid = spec.grid
     cm, u0 = spec.build()
@@ -179,10 +194,21 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
     sup = {name: np.full(N, np.nan) for name in rows}
     inf = {name: np.full(N, np.nan) for name in rows}
     neg_energy = np.full(N, np.nan)
+    neg_min = np.full(N, np.nan)
     failed = np.zeros(N, dtype=bool)
     fail_steps = np.full(N, -1, dtype=int)
     u0_flat = u0.flat()
-    keep_history = bool(consumers)
+    declared = [getattr(consume, "captures", None) for consume in consumers]
+    keep_history = any(wanted is None for wanted in declared)
+    chunk = min(spec.chunk, history_capacity(M, grid.size)) if keep_history else spec.chunk
+    # every declared row set, and each declaring consumer's slice of them
+    captures, reads = [], []
+    for wanted in declared:
+        if wanted is None:
+            reads.append(None)
+        else:
+            reads.append(slice(len(captures), len(captures) + len(wanted)))
+            captures += wanted
 
     def run_chunk(lo: int, hi: int):
         B = hi - lo
@@ -193,31 +219,33 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
                 dW[b] = draw_increments(path_seed(spec.master_seed, i), M, cm.m, dt)
         res = integrate_batch(grid, cm, spec.solver, np.tile(u0_flat, (B, 1)),
                               times, dW, keep_history=keep_history,
-                              regions=list(rows.values()))
+                              regions=list(rows.values()), captures=captures)
         for r, name in enumerate(rows):
             sup[name][lo:hi] = res.sup[r]
             inf[name][lo:hi] = res.inf[r]
         neg_energy[lo:hi] = res.neg_energy
+        neg_min[lo:hi] = res.neg_min
         failed[lo:hi] = res.failed
         fail_steps[lo:hi] = res.fail_step
-        if consumers:
-            for b, i in enumerate(range(lo, hi)):
-                if res.failed[b]:
-                    continue
+        for b, i in enumerate(range(lo, hi)):
+            if res.failed[b]:
+                continue
+            fp = None
+            if keep_history:
                 fp = FieldPath(grid, times, res.history[b],
                                noise=dW[b] if dW is not None else None,
                                scheme=spec.solver.scheme)
-                for consume in consumers:
-                    consume(i, fp)
+            for consume, read in zip(consumers, reads):
+                consume(i, fp if read is None else tuple(c[b] for c in res.captured[read]))
 
-    bounds = [(lo, min(lo + spec.chunk, N)) for lo in range(0, N, spec.chunk)]
+    bounds = [(lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda ab: run_chunk(*ab), bounds))
     else:
         for lo, hi in bounds:
             run_chunk(lo, hi)
-    return Ensemble(spec=spec, sup=sup, inf=inf, neg_energy=neg_energy,
+    return Ensemble(spec=spec, sup=sup, inf=inf, neg_energy=neg_energy, neg_min=neg_min,
                     failed=failed, fail_steps=fail_steps)
 
 

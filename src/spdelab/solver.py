@@ -20,8 +20,10 @@ row-local, so results are bit-identical however paths are grouped into
 batches.  `integrate_batch` runs the steps in blocks of K, sized by a
 private byte budget: each step multiplies in its noise factor, adds f and
 g, evaluates A when A reads t or u, and solves; each block forms its
-multiplicative-noise factors in one call, checks for blow-up, reduces the
-per-path statistics and copies the history.  Every step and reduction is
+multiplicative-noise factors in one call, checks for blow-up, copies the
+rows a caller captures, reduces the per-path statistics and copies the
+history when one is kept.  A kept history is bounded by a second private
+budget, checked before anything is allocated.  Every step and reduction is
 the same per row and per snapshot whatever K is, so results are
 bit-identical for every K as well.  A that reads u is solved only for the
 rows that have not failed, so it takes one step per block.  A row that
@@ -58,6 +60,7 @@ from .errors import (
     InvalidArgumentError,
     ModelInvalidError,
     NumericError,
+    ResourceLimitError,
 )
 from .fields import FieldPath, FieldSnapshot, Grid, smoothstep
 
@@ -472,14 +475,17 @@ def _circulant_solve(grid: Grid, c: float, dt: float):
     N = grid.npts
     symbol = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(N) / N)
     half = symbol[:N // 2 + 1]
-    eig = 1.0 + dt / grid.dx**2 * c * (symbol[:, None] + half if grid.n == 2 else half)
+    inv = 1.0 / (1.0 + dt / grid.dx**2 * c * (symbol[:, None] + half if grid.n == 2 else half))
     shape, lead = grid.shape, range(-grid.n, -1)
 
     def solve(rhs):
         spec = np.fft.rfft(rhs.reshape(rhs.shape[:-1] + shape))
         for axis in lead:
             spec = np.fft.fft(spec, axis=axis)
-        spec = spec / eig
+        # numpy divides by a real c as by c + 0i, which multiplies both parts
+        # by 1/c; doing that in place skips the complex division
+        spec.real *= inv
+        spec.imag *= inv
         for axis in lead:
             spec = np.fft.ifft(spec, axis=axis)
         return np.fft.irfft(spec, n=N).reshape(rhs.shape)
@@ -585,11 +591,17 @@ def time_axis(t0: float, horizon: float, dt: float) -> np.ndarray:
 
 @dataclass
 class IntegrationResult:
-    """The batch's history when kept, its failures, and per-path
-    statistics taken in the step loop: sup/inf of shape (R, B) over each
-    requested region, and neg_energy of shape (B,), the running max over
-    snapshots of dx^n * sum(min(u, 0)^2).  A failed row reads NaN in all
-    three."""
+    """The batch's history when kept, its failures, per-path statistics
+    taken in the step loop, and the captured rows.
+
+    sup/inf have shape (R, B), over each requested region; neg_energy has
+    shape (B,), the running max over snapshots of dx^n * sum(min(u, 0)^2),
+    and neg_min shape (B,), the least min(u, 0) over every snapshot and
+    node.  A failed row reads NaN in all four.  captured holds one array
+    of shape (B, len(steps), len(nodes)) per requested capture, equal to
+    history[:, steps][:, :, nodes]; a failed row reads NaN from its
+    failing step on, as in the history.
+    """
 
     history: np.ndarray | None
     failed: np.ndarray
@@ -597,16 +609,35 @@ class IntegrationResult:
     sup: np.ndarray
     inf: np.ndarray
     neg_energy: np.ndarray
+    neg_min: np.ndarray
+    captured: list
 
 
 # integrate_batch takes as many steps per block as (B, S) snapshots fit in
 # this many bytes
 _STEP_BLOCK_BYTES = 384 << 10
 
+# the full path histories one integrate_batch call may keep; run_ensemble
+# shrinks its chunks to fit, and solve_path refuses a path that does not
+_HISTORY_BYTES = 512 << 20
+
+
+def history_capacity(steps: int, size: int) -> int:
+    """How many full histories of steps + 1 snapshots of `size` nodes fit
+    in _HISTORY_BYTES.  Raises ResourceLimitError, before anything is
+    allocated, when not even one does."""
+    per_path = 8 * (steps + 1) * size
+    if per_path > _HISTORY_BYTES:
+        raise ResourceLimitError(
+            f"one path history of {steps + 1} snapshots x {size} nodes takes "
+            f"{per_path} bytes, over the history budget of {_HISTORY_BYTES}")
+    return _HISTORY_BYTES // per_path
+
 
 def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                     u0b: np.ndarray, times: np.ndarray, dWb,
-                    keep_history: bool = False, regions: Sequence = ()) -> IntegrationResult:
+                    keep_history: bool = False, regions: Sequence = (),
+                    captures: Sequence = ()) -> IntegrationResult:
     """Advance a batch of paths through all steps of `times`.
 
     u0b has shape (B, S); dWb has shape (B, M, m) or is None when m = 0.
@@ -615,10 +646,12 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
 
     regions are `(steps, nodes)` rows from `fields.region_rows`: step j
     of a region reads snapshot j, the left endpoint of that step.  The
-    negative-part energy reads every snapshot 0..M, but a block of
-    snapshots with no negative entry adds exactly 0.0 and is skipped; one
-    with a NaN row is not, so the other rows keep their energy after a
-    failure.
+    negative-part energy and neg_min read every snapshot 0..M, but a block
+    of snapshots with no negative entry changes neither and is skipped; one
+    with a NaN row is not, so the other rows keep their values after a
+    failure.  captures are `(steps, nodes)` index arrays too, with steps
+    any snapshot indices 0..M: each block copies the captured rows it
+    holds, so a consumer that reads only those rows needs no history.
 
     The steps run in blocks of K, through a step-major buffer of K + 1
     snapshots; K is the number of (B, S) snapshots that fit in
@@ -626,14 +659,14 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     factor is multiplied in, f and a g without sigma are added, A is
     evaluated anew when it reads t or u, and the solve runs.  Per block:
     the multiplicative-noise factors 1 + sum_i sigma_i dW^i of all K
-    steps, the blow-up check, the region sup/inf and negative-part
-    energy, and the copy into the history.  A that reads u is solved only
-    for rows that have not failed, so K = 1 then.  A row that fails
-    inside a block steps on to the block's end, overflowing in its own row
-    only, before it is set to NaN from its failing step on; overflow and
-    invalid operations raise no warning in the step loop, so a failure
-    shows in failed/fail_step (and an ensemble's manifest), never as a
-    warning.
+    steps, the blow-up check, the captures, the region sup/inf and
+    negative-part energy, and the copy into the history.  A that reads u
+    is solved only for rows that have not failed, so K = 1 then.  A row
+    that fails inside a block steps on to the block's end, overflowing in
+    its own row only, before it is set to NaN from its failing step on;
+    overflow and invalid operations raise no warning in the step loop, so
+    a failure shows in failed/fail_step (and an ensemble's manifest),
+    never as a warning.
     """
     if cm.n != grid.n:
         raise DimensionMismatchError(f"model dimension {cm.n} != grid dimension {grid.n}")
@@ -664,11 +697,18 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     sup = np.full((len(regions), B), -np.inf)
     inf = np.full((len(regions), B), np.inf)
     neg_energy = np.zeros(B)
+    neg_min = np.zeros(B)
+    captured = [np.empty((B, len(steps), len(nodes))) for steps, nodes in captures]
     vol = grid.cell_volume()
 
     def record(first, snaps):
         """Fold snapshots first, first + 1, ... of shape (k, B, S) into the
-        statistics; the negative-part energy is reduced in place in snaps."""
+        captures and statistics; the negative part is taken in place in
+        snaps, so the captures are copied first."""
+        for (steps, nodes), out in zip(captures, captured):
+            at = np.flatnonzero((steps >= first) & (steps < first + len(snaps)))
+            if at.size:
+                out[:, at] = snaps[steps[at] - first][..., nodes].swapaxes(0, 1)
         for r, (_, nodes) in enumerate(regions):
             mask = read[r, first:first + len(snaps)]
             if mask.any():
@@ -677,6 +717,7 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                 np.minimum(inf[r], sub.min(axis=0)[:, nodes].min(axis=1), out=inf[r])
         if not snaps.min() >= 0.0:
             neg = np.minimum(snaps, 0.0, out=snaps)
+            np.minimum(neg_min, neg.min(axis=2).min(axis=0), out=neg_min)
             neg *= neg
             energy = vol * np.sum(neg, axis=-1)
             np.maximum(neg_energy, energy.max(axis=0), out=neg_energy)
@@ -734,9 +775,10 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
             # record overwrites the block, so the next block's start goes first
             buf[0] = buf[k]
             record(lo + 1, block)
-    sup[:, failed] = inf[:, failed] = neg_energy[failed] = np.nan
+    sup[:, failed] = inf[:, failed] = neg_energy[failed] = neg_min[failed] = np.nan
     return IntegrationResult(history=hist, failed=failed, fail_step=fail_step,
-                             sup=sup, inf=inf, neg_energy=neg_energy)
+                             sup=sup, inf=inf, neg_energy=neg_energy, neg_min=neg_min,
+                             captured=captured)
 
 
 def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
@@ -744,7 +786,8 @@ def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
     """Integrate one path from u0 over [u0.t, u0.t + horizon].
 
     seed may be an integer or a SeedSequence; explicit `increments`
-    (steps x m) override the seeded draw and are recorded as given.
+    (steps x m) override the seeded draw and are recorded as given.  A
+    history over _HISTORY_BYTES is refused before anything is integrated.
     """
     if not (horizon > 0.0):
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
@@ -752,6 +795,7 @@ def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
     dt = cfg.step_size(grid)
     times = time_axis(u0.t, horizon, dt)
     M = times.size - 1
+    history_capacity(M, grid.size)
     if increments is not None:
         dW = np.asarray(increments, dtype=float)
         if dW.shape != (M, cm.m):

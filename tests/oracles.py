@@ -3,14 +3,16 @@
 Each is a direct statement of a definition, kept out of the package
 because no experiment runs it: exact region membership of a point, the
 region infimum of a stored path, the negative-part energy of one
-snapshot, the containment of a cube hierarchy in its root, and the
-cutoff profile at arbitrary points.
+snapshot, the weighted average of h at a cube's time center, the
+containment of a cube hierarchy in its root, and the cutoff profile at
+arbitrary points.
 """
 import numpy as np
 
 from spdelab.errors import DimensionMismatchError, InvalidArgumentError
 from spdelab.fields import region_rows, smoothstep
 from spdelab.geometry import as_point
+from spdelab.jn import _center_average, _cube_weights
 
 
 def ball_contains(ball, x) -> bool:
@@ -32,6 +34,12 @@ def contains(rect, t: float, x) -> bool:
 def inf_on(path, rect) -> float:
     """Min nodal value over in-region (node, step) pairs."""
     return float(path.values[np.ix_(*region_rows(path.grid, path.times, rect))].min())
+
+
+def cube_average(lf, cube) -> float:
+    """Weighted spatial average of h at the cube's time center l."""
+    w2 = _cube_weights(lf.grid, cube)
+    return _center_average(lf.path.values[lf.path.time_index(cube.l)], lf.mu, w2)
 
 
 def neg_part_energy(snap) -> float:

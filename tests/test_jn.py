@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cube_average
 from spdelab.cubes import Cube, build_core, subcubes, unit_cube
 from spdelab.errors import (DomainError, EmptyRegionError,
                             InsufficientDataError, InvalidArgumentError)
 from spdelab.fields import FieldPath, Grid
 from spdelab.geometry import Ball, SpaceTimeRect
-from spdelab.jn import (LogField, _cube_weights, _increment_series,
-                        cube_average, cube_stats, fit_decay, hierarchy_stats,
-                        levelset_fractions, log_field, master_cutoff,
+from spdelab.jn import (_cube_weights, _increment_series, cube_stats,
+                        fit_decay, hierarchy_stats, levelset_fractions,
+                        log_field, log_transform, master_cutoff,
                         moment_tail_value, stability_spread, tail_quantiles)
 from spdelab.solver import ModelParams, build_model
 
@@ -30,7 +31,7 @@ def test_log_field_exact_transform(grid32):
     path = constant_slice_path(grid32, [1.0, 2.0, 0.5, 1.0, 3.0])
     mu = 0.25
     lf = log_field(path, mu)
-    assert np.allclose(lf.values, -np.log(path.values + mu))
+    assert np.allclose(log_transform(path.values, mu), -np.log(path.values + mu))
     assert lf.clamp_fraction == 0.0
     assert lf.mu == mu
 
@@ -42,7 +43,7 @@ def test_log_field_clamps_small_negativity(grid32):
     lf = log_field(path, 0.1)
     assert lf.clamp_fraction == pytest.approx(1.0 / (3 * grid32.size))
     # clamped to 0 before the shift
-    assert lf.values[1, 5] == pytest.approx(-math.log(0.1))
+    assert log_transform(path.values, lf.mu)[1, 5] == pytest.approx(-math.log(0.1))
 
 
 def test_log_field_rejects_deep_negativity(grid32):
@@ -58,8 +59,8 @@ def test_log_field_rejects_deep_negativity(grid32):
 
 def test_log_field_monotone_in_mu(grid32):
     path = constant_slice_path(grid32, [0.5, 1.0, 2.0])
-    h_small = log_field(path, 1e-6).values
-    h_large = log_field(path, 1e-2).values
+    h_small = log_transform(path.values, 1e-6)
+    h_large = log_transform(path.values, 1e-2)
     assert np.all(h_large <= h_small)
 
 
@@ -79,7 +80,7 @@ def test_cube_average_weighted_formula(grid64):
     xs = grid64.coords1d()
     w2 = master_cutoff(np.abs(xs - ROOT.w[0]) / (2.0 * ROOT.z)) ** 2
     j = path.time_index(ROOT.l)
-    want = float(np.dot(lf.values[j], w2) / np.sum(w2))
+    want = float(np.dot(log_transform(path.values[j], lf.mu), w2) / np.sum(w2))
     assert cube_average(lf, ROOT) == pytest.approx(want, rel=1e-12)
 
 
@@ -177,7 +178,7 @@ def levelset_fractions_by_alpha(lf, cube, alphas):
     out = []
     for rect, orient in ((parts.d_plus, +1.0), (parts.d_minus, -1.0)):
         steps = lf.path.step_indices(rect.t_lo, rect.t_hi)
-        excess = orient * (lf.values[np.ix_(steps, nodes)] - a_c)
+        excess = orient * (log_transform(lf.path.values[np.ix_(steps, nodes)], lf.mu) - a_c)
         out.append(np.array([float(np.mean(excess > al)) for al in alphas]))
     return a_c, out[0], out[1]
 
@@ -185,16 +186,16 @@ def levelset_fractions_by_alpha(lf, cube, alphas):
 def test_levelset_fractions_match_per_alpha_loop(long_path):
     # ties at an alpha, repeated values and NaN entries (which exceed no
     # alpha) on both eighths; the fractions must agree bit for bit
-    lf = log_field(long_path, 1e-4)
     parts = subcubes(ROOT)
-    nodes = np.nonzero(lf.grid.node_mask(ROOT.ball()))[0]
+    nodes = np.nonzero(long_path.grid.node_mask(ROOT.ball()))[0]
     up = long_path.step_indices(parts.d_plus.t_lo, parts.d_plus.t_hi)
     lo = long_path.step_indices(parts.d_minus.t_lo, parts.d_minus.t_hi)
-    h = lf.values.copy()
-    h[up[0], nodes[:4]] = h[up[1], nodes[5]]
-    h[up[2], nodes[3]] = np.nan
-    h[lo[1], nodes[7]] = np.nan
-    lf = LogField(path=lf.path, mu=lf.mu, values=h, clamp_fraction=lf.clamp_fraction)
+    u = long_path.values.copy()
+    u[up[0], nodes[:4]] = u[up[1], nodes[5]]
+    u[up[2], nodes[3]] = np.nan
+    u[lo[1], nodes[7]] = np.nan
+    lf = log_field(FieldPath(long_path.grid, long_path.times, u), 1e-4)
+    h = log_transform(u, lf.mu)
     a_c = cube_average(lf, ROOT)
     ties = [h[up[1], nodes[5]] - a_c, a_c - h[lo[0], nodes[2]]]
     assert min(ties) > 0.0

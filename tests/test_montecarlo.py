@@ -44,7 +44,7 @@ def synthetic_ensemble(supq, infp, failed=None):
     sup = {"Q": np.asarray(supq, dtype=float), "P": np.full(n, np.nan)}
     inf = {"Q": np.full(n, np.nan), "P": np.asarray(infp, dtype=float)}
     return Ensemble(spec=spec, sup=sup, inf=inf, neg_energy=np.zeros(n),
-                    failed=failed, fail_steps=np.where(failed, 3, -1))
+                    neg_min=np.zeros(n), failed=failed, fail_steps=np.where(failed, 3, -1))
 
 
 def test_spec_validation():
@@ -303,6 +303,7 @@ def test_positivity_scan_rejects_signed_data(region_ensemble):
     spec.initial_condition = lambda: FieldSnapshot(grid, 0.0, vals)
     ens = Ensemble(spec=spec, sup=region_ensemble.sup, inf=region_ensemble.inf,
                    neg_energy=region_ensemble.neg_energy,
+                   neg_min=region_ensemble.neg_min,
                    failed=region_ensemble.failed,
                    fail_steps=region_ensemble.fail_steps)
     with pytest.raises(ModelInvalidError) as err:

@@ -152,14 +152,15 @@ def ref_cube_stats(lf, cm, cube):
     w2 = _cube_weights(lf.grid, cube)
     nodes = np.nonzero(lf.grid.node_mask(cube.ball()))[0]
     jc = path.time_index(cube.l)
-    a_c = float(np.sum(lf.values[jc] * w2) / np.sum(w2))
+    h = -np.log(np.clip(path.values, 0.0, None) + lf.mu)
+    a_c = float(np.sum(h[jc] * w2) / np.sum(w2))
     avgs = []
     for sign in (+1, -1):
         total = count = comp = 0.0
         for j, d in zip(*ref_half(lf, cm, cube, sign)):
             comp += d
             for node in nodes:
-                total += math.sqrt(max(lf.values[j, node] - comp - a_c, 0.0))
+                total += math.sqrt(max(h[j, node] - comp - a_c, 0.0))
                 count += 1
         avgs.append(total / count)
     qv = ratio = 0.0

@@ -9,7 +9,9 @@ batches are generated small, over every kind of A, both schemes, trig and
 expression noise, and drifts that make some paths fail.
 
 `region_rows` must equal a brute-force membership over every (step, node)
-pair, and the canonical config text must round-trip through the parser.
+pair, every implicit solve must leave a residual of at most 1e-13 of its
+right-hand side, and the canonical config text must round-trip through
+the parser.
 """
 import json
 
@@ -183,6 +185,36 @@ def test_region_rows_equal_brute_force_membership(setup):
     got_steps, got_nodes = region_rows(grid, times, rect)
     assert got_steps.tolist() == steps
     assert got_nodes.tolist() == nodes
+
+
+@st.composite
+def implicit_systems(draw):
+    """A coefficient field in [iota, 1/iota], shared by every row or one per
+    row, or one value everywhere (the FFT solve when reused), with the
+    right-hand sides of B rows."""
+    n = draw(st.sampled_from([1, 2]))
+    grid = Grid.regular(n, draw(st.sampled_from([4, 5, 8, 16, 33] if n == 1 else [4, 5, 8, 16])))
+    iota = draw(st.floats(0.1, 1.0))
+    rows = draw(st.integers(1, 4))
+    field = draw(st.sampled_from(["constant", "shared", "per row"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = {"constant": 1, "shared": grid.size, "per row": (rows, grid.size)}[field]
+    a = rng.uniform(iota, 1.0 / iota, size=shape)
+    if field == "constant":
+        a = np.full(grid.size, a[0])
+    rhs = rng.normal(size=(rows, grid.size)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    # the per-row solve serves one step; the others are picked by `reused`
+    reused = field != "per row" and draw(st.booleans())
+    return grid, a, draw(st.floats(0.25, 2.0)) * grid.dx**2, reused, rhs
+
+
+@settings(max_examples=200)
+@given(system=implicit_systems())
+def test_implicit_solver_inverts_the_operator(system):
+    grid, a, dt, reused, rhs = system
+    x = solver._implicit_solver(grid, a, dt, reused=reused, rows=np.arange(len(rhs)))(rhs)
+    residual = x - dt * solver.apply_operator(grid, a, x) - rhs
+    assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
 
 
 def _float_list(elements, max_size=4):

@@ -25,20 +25,18 @@ rows a caller captures, reduces the per-path statistics and copies the
 history when one is kept.  A kept history is bounded by a second private
 budget, checked before anything is allocated.  Every step and reduction is
 the same per row and per snapshot whatever K is, so results are
-bit-identical for every K as well.  A that reads u is solved only for the
-rows that have not failed, so it takes one step per block.  A row that
-fails inside a block steps on to the block's end, with numpy's overflow
-and invalid-value warnings off; a failure shows in the result's
-failed/fail_step, never as a warning.
+bit-identical for every K as well.  A row that fails inside a block steps
+on to the block's end, with numpy's overflow and invalid-value warnings
+off; a failure shows in the result's failed/fail_step, never as a warning.
 
 `_implicit_solver` picks the implicit solve from what A reads
 and from n.  A free of t and u and constant in space makes I - dt L_A
 circulant, solved by a real FFT; any other A free of t and u shares one
-sparse LU factorization per call.  A that reads t is solved anew every
-step for all rows, and A that reads u every step for each path: in 1d by
-LAPACK dgtsv on the cyclic tridiagonal matrix with a Sherman-Morrison
-correction, in 2d by sparse LU.  The FFT solve carries roundoff of order
-1e-16 max|u|, so nodes where u is nearly 0 may come out slightly negative.
+sparse LU factorization per call.  A that reads t (one field for all rows)
+or u (one per row) is solved anew every step: in 1d by one LAPACK dgtsv
+call with a Sherman-Morrison correction, in 2d by sparse LU per field.
+The FFT solve carries roundoff of order 1e-16 max|u|, so nodes where u is
+nearly 0 may come out slightly negative.
 
 scipy is imported only inside `dgtsv`, `splu` and `_implicit_matrix`, on
 first use.  A run whose A is the identity, or free of t and u and constant
@@ -500,61 +498,63 @@ def _cyclic_parts(grid: Grid, a: np.ndarray, dt: float) -> tuple:
     c = -lam af_{N-1}.  It equals T + w v^T with w = (gamma, 0, ..., 0, c),
     v = (1, 0, ..., 0, c / gamma) and gamma = -d_0, where T is tridiagonal
     with off-diagonal e and diagonal d (d_0 doubled, d_{N-1} less c^2/gamma).
-    Returns (e, d, gamma, c), each with the leading axes of a.
+    Returns (e, d, gamma, c), each with the leading axes of a; e has N
+    entries, the last 0, the coupling to the next matrix in a stack.
     """
     lam = dt / grid.dx**2
     af, afm = _faces(a, -1)
     d = 1.0 + lam * (af + afm)
-    off = -lam * af
-    gamma, c = -d[..., 0], off[..., -1]
+    e = -lam * af
+    gamma, c = -d[..., 0], e[..., -1].copy()
+    e[..., -1] = 0.0
     d[..., 0] -= gamma
     d[..., -1] -= c * c / gamma
-    return off[..., :-1], d, gamma, c
+    return e, d, gamma, c
 
 
 def _cyclic_solve(parts: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve (T + w v^T) x = rhs for one matrix from _cyclic_parts, rhs (K, N).
+    """Solve (T + w v^T) x = rhs for R matrices from _cyclic_parts, rhs (K, N),
+    row k with matrix k mod R: R = 1 for a shared field, R = K for one per row.
 
-    One LAPACK dgtsv call solves T against w and every row of rhs as its
-    columns, so it always has at least 2 columns; columns never mix, so a
-    row's result does not depend on the other rows.
+    One LAPACK dgtsv call solves the R matrices, on the diagonal of one
+    tridiagonal with zero coupling, against the stacked w and K / R rhs rows.
+    A row's result depends on no other row while every entry is finite.
     """
     e, d, gamma, c = parts
-    b = np.zeros((rhs.shape[0] + 1, rhs.shape[1]))
-    b[0, 0], b[0, -1] = gamma, c
-    b[1:] = rhs
-    x, info = dgtsv(e, d, e, b.T, overwrite_b=True)[3:]
+    b = np.zeros((1 + rhs.size // d.size,) + d.shape)
+    b[0, ..., 0], b[0, ..., -1] = gamma, c
+    b[1:] = rhs.reshape(b[1:].shape)
+    dl = e.ravel()[:d.size - 1]
+    x, info = dgtsv(dl, d.ravel(), dl, b.reshape(len(b), -1).T, overwrite_b=True)[3:]
     if info != 0:
         raise NumericError(f"tridiagonal solve failed: LAPACK dgtsv info = {info}")
-    z, y = x.T[0], x.T[1:]
+    z, y = x.T[0].reshape(d.shape), x.T[1:].reshape(b[1:].shape)
     ratio = c / gamma
-    scale = (y[:, 0] + ratio * y[:, -1]) / (1.0 + z[0] + ratio * z[-1])
-    return y - scale[:, None] * z
+    # z.T[0] is z[..., 0], but a faster numpy scalar for one matrix
+    scale = (y[..., 0] + ratio * y[..., -1]) / (1.0 + z.T[0] + ratio * z.T[-1])
+    return (y - scale[..., None] * z).reshape(rhs.shape)
 
 
 def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
     """The solve rhs (B, S) -> (B, S) of I - dt L_a.
 
     a is one coefficient field (S,) shared by every row, or one field per
-    row (B, S); then only the row indices `rows` are solved and the other
-    rows come back NaN.  reused: the solver serves every step of the call
-    (A reads neither t nor u), so a factorization pays off; otherwise it
-    serves one step.
+    row (B, S); then only the rows listed in `rows` whose field and rhs are
+    finite are solved, and the other rows come back NaN.  reused: the
+    solver serves every step of the call (A reads neither t nor u), so a
+    factorization pays off; otherwise it serves one step.
     """
     if a.ndim == 2:
-        if grid.n == 1:
-            e, d, gamma, c = _cyclic_parts(grid, a, dt)
-
-            def solve_row(b, rhs):
-                return _cyclic_solve((e[b], d[b], gamma[b], c[b]), rhs[b:b + 1])[0]
-        else:
-            def solve_row(b, rhs):
-                return splu(_implicit_matrix(grid, a[b], dt)).solve(rhs[b])
+        parts = _cyclic_parts(grid, a, dt) if grid.n == 1 else None
 
         def solve(rhs):
             out = np.full_like(rhs, np.nan)
-            for b in rows:
-                out[b] = solve_row(b, rhs)
+            live = rows[np.all(np.isfinite(a[rows]) & np.isfinite(rhs[rows]), axis=1)]
+            if parts is None:
+                for b in live:
+                    out[b] = splu(_implicit_matrix(grid, a[b], dt)).solve(rhs[b])
+            elif live.size:
+                out[live] = _cyclic_solve(tuple(p[live] for p in parts), rhs[live])
             return out
         return solve
     if reused and np.all(a == a[0]):
@@ -660,13 +660,11 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     evaluated anew when it reads t or u, and the solve runs.  Per block:
     the multiplicative-noise factors 1 + sum_i sigma_i dW^i of all K
     steps, the blow-up check, the captures, the region sup/inf and
-    negative-part energy, and the copy into the history.  A that reads u
-    is solved only for rows that have not failed, so K = 1 then.  A row
-    that fails inside a block steps on to the block's end, overflowing in
-    its own row only, before it is set to NaN from its failing step on;
-    overflow and invalid operations raise no warning in the step loop, so
-    a failure shows in failed/fail_step (and an ensemble's manifest),
-    never as a warning.
+    negative-part energy, and the copy into the history.  A row that fails
+    inside a block steps on to the block's end, overflowing in its own row
+    only, before it is set to NaN from its failing step on; the step loop
+    raises no overflow or invalid-value warning, so a failure shows in
+    failed/fail_step (and an ensemble's manifest), never as a warning.
     """
     if cm.n != grid.n:
         raise DimensionMismatchError(f"model dimension {cm.n} != grid dimension {grid.n}")
@@ -682,8 +680,7 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                 f"explicit scheme unstable: dt={dt} exceeds dx^2*iota/(2n)="
                 f"{grid.dx**2 * cm.iota / (2.0 * grid.n):.3e}")
 
-    reads_u = "u" in cm.a_deps
-    K = 1 if reads_u else max(1, min(M, _STEP_BLOCK_BYTES // (8 * B * S)))
+    K = max(1, min(M, _STEP_BLOCK_BYTES // (8 * B * S)))
     buf = np.empty((K + 1, B, S))
     buf[0] = u0b
     failed = np.zeros(B, dtype=bool)
@@ -750,10 +747,12 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
 
                 # A that reads neither t nor u is evaluated, and solved for, once
                 if coef is None or cm.a_deps:
-                    coef = _coef_fields(cm, grid, xs, t, u if reads_u else None)
+                    coef = _coef_fields(cm, grid, xs, t, u if "u" in cm.a_deps else None)
                     if implicit:
-                        solve = _implicit_solver(grid, coef, dt, reused=not cm.a_deps,
-                                                 rows=np.flatnonzero(~failed))
+                        # per row: rows whose results so far (not the data) pass the failure test
+                        rows = None if coef.ndim == 1 else np.flatnonzero(
+                            (j == 0) | np.all(np.abs(u) <= BLOWUP_LIMIT, axis=1))
+                        solve = _implicit_solver(grid, coef, dt, not cm.a_deps, rows)
                 if implicit:
                     rhs[...] = solve(rhs)
                 else:

@@ -11,9 +11,13 @@ expression noise, and drifts that make some paths fail.
 `region_rows` must equal a brute-force membership over every (step, node)
 pair, every implicit solve must leave a residual of at most 1e-13 of its
 right-hand side, and the canonical config text must round-trip through
-the parser.
+the parser.  A compiled expression must give the bits of a reference
+evaluator over the generated tree, and one construct outside the grammar
+anywhere in an expression must be rejected when it is compiled.
 """
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import ball_contains
 from spdelab import cli, solver
-from spdelab.errors import EmptyRegionError
+from spdelab.errors import EmptyRegionError, InvalidArgumentError
 from spdelab.fields import Grid, region_rows
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import ExperimentSpec, run_ensemble
@@ -338,3 +342,107 @@ def test_config_round_trips_through_its_canonical_text(a_kind, data):
     canon = cli.print_config(spec)
     assert cli.parse_config(canon) == spec
     assert cli.print_config(cli.parse_config(canon)) == canon
+
+
+# the expression grammar at n = 2: names, constants, unary signs, the four
+# operators and the six functions, each with the numpy call it stands for
+EXPR_NAMES = ["t", "u", "x", "x1", "x2", "pi"]
+EXPR_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
+              "min": np.minimum, "max": np.maximum}
+
+
+def expression_trees():
+    """Trees of ("name", id), ("const", text), ("sign", op, arg),
+    ("op", op, left, right) and ("call", name, args)."""
+    leaves = (st.sampled_from(EXPR_NAMES).map(lambda name: ("name", name))
+              | st.integers(0, 9).map(lambda v: ("const", str(v)))
+              | st.floats(0.0, 1e3, allow_subnormal=False).map(lambda v: ("const", repr(v))))
+
+    def extend(sub):
+        return (st.tuples(st.just("sign"), st.sampled_from("+-"), sub)
+                | st.tuples(st.just("op"), st.sampled_from(sorted(EXPR_OPS)), sub, sub)
+                | st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "exp", "abs"]),
+                            st.tuples(sub))
+                | st.tuples(st.just("call"), st.sampled_from(["min", "max"]),
+                            st.tuples(sub, sub)))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def expression_text(tree) -> str:
+    kind = tree[0]
+    if kind in ("name", "const"):
+        return tree[1]
+    if kind == "sign":
+        return f"{tree[1]}({expression_text(tree[2])})"
+    if kind == "op":
+        return f"({expression_text(tree[2])} {tree[1]} {expression_text(tree[3])})"
+    return f"{tree[1]}({', '.join(expression_text(a) for a in tree[2])})"
+
+
+def expression_value(tree, t, xs, u):
+    """The reference evaluator: the numpy calls of the tree, left to right."""
+    kind = tree[0]
+    if kind == "name":
+        return {"t": t, "u": u, "x": xs[0], "x1": xs[0], "x2": xs[1], "pi": math.pi}[tree[1]]
+    if kind == "const":
+        return float(tree[1])
+    if kind == "sign":
+        value = expression_value(tree[2], t, xs, u)
+        return -value if tree[1] == "-" else +value
+    if kind == "op":
+        return EXPR_OPS[tree[1]](expression_value(tree[2], t, xs, u),
+                                 expression_value(tree[3], t, xs, u))
+    return EXPR_FUNCS[tree[1]](*(expression_value(a, t, xs, u) for a in tree[2]))
+
+
+def expression_names(tree) -> set:
+    if tree[0] in ("name", "const"):
+        return {tree[1]} if tree[0] == "name" else set()
+    return set().union(*map(expression_names, tree[2] if tree[0] == "call" else tree[2:]))
+
+
+@settings(max_examples=200)
+@given(tree=expression_trees(), seed=st.integers(0, 2**16))
+def test_compiled_expression_equals_reference_evaluator(tree, seed):
+    rng = np.random.default_rng(seed)
+    xs = (rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6))
+    t, u = float(rng.uniform(0.0, 2.0)), rng.normal(size=(3, 6)) * 10.0
+    fn, used = solver.compile_expression(expression_text(tree), 2)
+    # overflow and division by zero give the same inf and NaN on both sides
+    with np.errstate(all="ignore"):
+        got, want = (np.asarray(v, dtype=float) for v in (fn(t, xs, u),
+                                                          expression_value(tree, t, xs, u)))
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert used == expression_names(tree)
+
+
+# constructs outside the grammar, around an in-grammar expression e, and the
+# message each is rejected with
+OUTSIDE_GRAMMAR = {
+    "attribute": ("({e}).real", "unsupported syntax Attribute"),
+    "subscript": ("({e})[0]", "unsupported syntax Subscript"),
+    "lambda": ("(lambda v: {e})", "unsupported syntax Lambda"),
+    "lambda call": ("(lambda v: v)({e})", "unknown function"),
+    "list comprehension": ("[v for v in {e}]", "unsupported syntax ListComp"),
+    "generator in a call": ("sum(v for v in {e})", "unknown function"),
+    "unknown call": ("open({e})", "unknown function"),
+    "import": ("__import__('os')", "unknown function"),
+}
+
+
+@settings(max_examples=100)
+@given(valid=expression_trees(), inner=expression_trees(),
+       construct=st.sampled_from(sorted(OUTSIDE_GRAMMAR)),
+       place=st.sampled_from(["{bad}", "({valid}) * {bad}", "{bad} - ({valid})",
+                              "max({valid}, {bad})", "-sin({bad})"]))
+def test_construct_outside_the_grammar_is_rejected_when_compiled(valid, inner, construct,
+                                                                 place):
+    # the in-grammar parts hold no offending node, so the construct is the
+    # first one reported, by compile_expression itself: nothing is evaluated
+    pattern, message = OUTSIDE_GRAMMAR[construct]
+    bad = pattern.format(e=expression_text(inner))
+    text = place.format(valid=expression_text(valid), bad=bad)
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        solver.compile_expression(text, 2)

@@ -107,6 +107,23 @@ def test_cyclic_solve_matches_sparse_lu(npts, iota, rng):
         close(_cyclic_solve((e[b], d[b], gamma[b], c[b]), rhs[b:b + 1])[0], want)
 
 
+@pytest.mark.parametrize("npts", [4, 5, 64, 128])
+@pytest.mark.parametrize("iota", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_stacked_cyclic_solve_equals_rows_alone(npts, iota, rows, rng):
+    # one field per row, stacked into one dgtsv call, against each row's
+    # matrix solved in a call of its own: the same bits, rhs scales apart
+    grid = Grid.regular(1, npts)
+    dt = rng.uniform(0.25, 2.0) * grid.dx**2
+    a = rng.uniform(iota, 1.0 / iota, size=(rows, npts))
+    rhs = rng.normal(size=(rows, npts)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+    parts = _cyclic_parts(grid, a, dt)
+    stacked = _cyclic_solve(parts, rhs)
+    alone = np.stack([_cyclic_solve(tuple(p[b] for p in parts), rhs[b:b + 1])[0]
+                      for b in range(rows)])
+    np.testing.assert_array_equal(stacked.view(np.uint64), alone.view(np.uint64))
+
+
 def test_cyclic_solve_raises_on_lapack_failure():
     # T has an exactly zero pivot at its second node: dgtsv reports info = 2
     parts = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), -1.0, 0.0)
@@ -130,7 +147,7 @@ FACTORIZATIONS = {
     "random_elliptic": (ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
                         (0, M_STEPS, M_STEPS)),
     "u-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*u"),
-                    (0, M_STEPS * B_ROWS, M_STEPS * B_ROWS)),
+                    (0, M_STEPS * B_ROWS, M_STEPS)),
 }
 
 
@@ -249,12 +266,14 @@ def test_blowup_isolation_under_refactored_a(kind):
 
 
 @pytest.mark.parametrize("n, kind", [(1, "identity"), (1, "random_elliptic"),
-                                     (2, "random_elliptic"), (2, "x-dependent")])
+                                     (1, "u-dependent"), (2, "random_elliptic"),
+                                     (2, "x-dependent"), (2, "u-dependent")])
 def test_blowup_inside_a_block(monkeypatch, n, kind):
-    # the 1d FFT, the 1d cyclic dgtsv solve of A that reads t, and sparse LU
-    # in 2d, refactored every step or once: row 0 passes the blow-up limit
-    # two steps before the end of its block and keeps stepping, overflowing,
-    # until the block ends; that raises no warning, its failure step is the
+    # the 1d FFT, the 1d cyclic dgtsv solve of A that reads t or u, and
+    # sparse LU in 2d, refactored every step, per row or once: row 0 passes
+    # the blow-up limit two steps before the end of its block and keeps
+    # stepping, overflowing, until the block ends (A that reads u is not
+    # solved for it again); that raises no warning, its failure step is the
     # one of a block of one step, and rows 1 (exactly 0) and 2 keep their bits
     grid = Grid.regular(n, 16 if n == 1 else 8)
     params = dataclasses.replace(FACTORIZATIONS[kind][0], f_kind="expr", f_expr="u * u * u",
@@ -285,6 +304,50 @@ def test_blowup_inside_a_block(monkeypatch, n, kind):
     assert np.all(got.history[1] == 0.0)
 
 
+def test_failed_row_is_not_solved_again(monkeypatch):
+    # A that reads u with every step in one block: row 0 passes the blow-up
+    # limit at its failure step, and no later step of the block lists it
+    # among the rows to solve; the other rows are listed at every step
+    grid = Grid.regular(1, 16)
+    params = dataclasses.replace(FACTORIZATIONS["u-dependent"][0], f_kind="expr",
+                                 f_expr="u * u * u", g_kind="zero", m=0, growth_bound=1e9)
+    cm = build_model(params, 1, grid.extent)
+    times = time_axis(0.0, 10.0, 0.5)
+    u0b = np.zeros((3, grid.size))
+    u0b[0] = 2.0
+    u0b[2] = make_initial_condition("bump", grid, amplitude=0.1).flat()
+    listed, build = [], solver._implicit_solver
+
+    def spy(grid, a, dt, reused, rows):
+        listed.append(rows.tolist())
+        return build(grid, a, dt, reused, rows)
+
+    monkeypatch.setattr(solver, "_implicit_solver", spy)
+    monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", (times.size - 1) * 8 * u0b.size)
+    res = integrate_batch(grid, cm, SolverConfig(dt=0.5), u0b, times, None)
+    fail = int(res.fail_step[0])
+    assert list(res.failed) == [True, False, False] and fail + 1 < times.size - 1
+    assert listed == [[0, 1, 2] if j <= fail else [1, 2] for j in range(times.size - 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["t-dependent", "u-dependent"])
+def test_data_past_the_blowup_limit_is_stepped(n, kind):
+    # the failure test reads results, never the data: a spike past the limit
+    # that the first implicit step spreads below it fails no row, whether A
+    # is solved for all rows at once or per row
+    grid = Grid.regular(n, 16 if n == 1 else 8)
+    params = dataclasses.replace(FACTORIZATIONS[kind][0], g_kind="zero", m=0)
+    cm = build_model(params, n, grid.extent)
+    u0b = np.zeros((2, grid.size))
+    u0b[0, 0] = 1.5 * solver.BLOWUP_LIMIT
+    u0b[1] = make_initial_condition("bump", grid, amplitude=0.1).flat()
+    res = integrate_batch(grid, cm, SolverConfig(dt=0.5), u0b, time_axis(0.0, 2.0, 0.5),
+                          None, keep_history=True)
+    assert not res.failed.any()
+    assert 0.0 < np.max(res.history[0, 1]) < solver.BLOWUP_LIMIT
+
+
 def test_state_dependent_a_ignores_batch_grouping():
     grid = grid_for(1)
     cm = build_model(ModelParams(a_kind="expr", a_expr="1 + 0.5*u/(1+abs(u))",
@@ -313,7 +376,7 @@ def test_state_dependent_a_step_matches_dense_solve(monkeypatch, n, npts):
     monkeypatch.setattr(solver, name, counting(getattr(solver, name), calls))
     got = integrate_batch(grid, cm, SolverConfig(), u0b, times[:2], None,
                           keep_history=True).history[:, -1]
-    assert len(calls) == B_ROWS
+    assert len(calls) == (1 if n == 1 else B_ROWS)
     dt = float(times[1] - times[0])
     xs = grid.coords_flat()
     for b in range(B_ROWS):
@@ -372,7 +435,7 @@ SOLVES = {
     "fft": (True, False, (0, 0), (0, 0)),
     "shared-lu": (True, False, (1, 0), (1, 0)),
     "per-step": (False, False, (0, 1), (1, 0)),
-    "per-row": (False, True, (0, B_ROWS), (B_ROWS, 0)),
+    "per-row": (False, True, (0, 1), (B_ROWS, 0)),
 }
 
 
@@ -402,14 +465,23 @@ def test_every_solve_inverts_the_operator(monkeypatch, n, npts, dt_per_dx2, name
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_per_row_solve_skips_unlisted_rows(n, rng):
+    # row 1 is left out of `rows`, or has one non-finite entry in its rhs or
+    # its field; in the stacked 1d call that entry would reach row 2
     grid = grid_for(n)
     dt = grid.dx**2
     a = rng.uniform(0.5, 2.0, size=(B_ROWS, grid.size))
     rhs = rng.normal(size=(B_ROWS, grid.size))
     every = solver._implicit_solver(grid, a, dt, reused=False, rows=np.arange(B_ROWS))(rhs)
-    some = solver._implicit_solver(grid, a, dt, reused=False, rows=np.array([0, 2]))(rhs)
-    assert np.all(np.isnan(some[1]))
-    np.testing.assert_array_equal(some[[0, 2]], every[[0, 2]])
+    for row1 in ("unlisted", "inf rhs", "nan rhs", "inf field", "nan field"):
+        rows = np.array([0, 2]) if row1 == "unlisted" else np.arange(B_ROWS)
+        bad_a, bad_rhs = a.copy(), rhs.copy()
+        if row1 != "unlisted":
+            value, where = row1.split()
+            (bad_rhs if where == "rhs" else bad_a)[1, grid.size // 2] = float(value)
+        some = solver._implicit_solver(grid, bad_a, dt, reused=False, rows=rows)(bad_rhs)
+        assert np.all(np.isnan(some[1])), row1
+        np.testing.assert_array_equal(some[[0, 2]].view(np.uint64),
+                                      every[[0, 2]].view(np.uint64), err_msg=row1)
 
 
 # ---------------------------------------------------------------------------

@@ -204,27 +204,38 @@ def _region(raw: str) -> SpaceTimeRect:
         f"{{t_lo, t_hi, center, radius}}, got {sorted(keys)}")
 
 
-def _rejected(build) -> bool:
-    """True when build() raises InvalidArgumentError."""
+def _rejection(build) -> str | None:
+    """The message of the InvalidArgumentError build() raises, or None."""
     try:
         build()
-    except InvalidArgumentError:
-        return True
-    return False
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return None
 
 
 def _construct(make, base: dict, given: list):
     """make(**base) with the (attr, value, line) triples of given applied.
 
     A rejection is reported at the line of the first given key whose value
-    alone, on top of base, is rejected, and at no line when none is.
+    alone, on top of base, is rejected with the same message: that value is
+    wrong whatever the other keys say.  Failing that, at the line of the
+    only given key without which the others are accepted: a kind key whose
+    expression is bad, as an expression is read only once its kind key
+    selects it.  Otherwise several keys are at fault together (or base
+    is), and no line is reported.
     """
     try:
         return make(**{**base, **{attr: value for attr, value, _ in given}})
     except InvalidArgumentError as exc:
-        line = None if _rejected(lambda: make(**base)) else next(
-            (ln for attr, value, ln in given
-             if _rejected(lambda: make(**{**base, attr: value}))), None)
+        line = None
+        if _rejection(lambda: make(**base)) is None:
+            line = next((ln for attr, value, ln in given
+                         if _rejection(lambda: make(**{**base, attr: value})) == str(exc)),
+                        None)
+            if line is None:
+                culprits = [ln for attr, _, ln in given if _rejection(lambda: make(
+                    **{**base, **{a: v for a, v, _ in given if a != attr}})) is None]
+                line = culprits[0] if len(culprits) == 1 else None
         raise ConfigError(str(exc), line=line) from None
 
 

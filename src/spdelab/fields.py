@@ -39,8 +39,8 @@ class Grid:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise InvalidArgumentError(f"spatial dimension must be 1 or 2, got {self.n}")
-        if not (self.dx > 0.0 and self.extent > 0.0):
-            raise InvalidArgumentError("dx and extent must be positive")
+        if not (0.0 < self.dx < math.inf and 0.0 < self.extent < math.inf):
+            raise InvalidArgumentError("dx and extent must be positive and finite")
         ratio = 2.0 * self.extent / self.dx
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 4:
             raise InvalidArgumentError(

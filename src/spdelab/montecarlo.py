@@ -82,6 +82,11 @@ class ExperimentSpec:
                 f"horizon must be positive and finite, got {self.horizon}")
         if self.chunk < 1:
             raise InvalidArgumentError(f"chunk must be >= 1, got {self.chunk}")
+        # numpy's SeedSequence takes nonnegative entropy only
+        if self.master_seed < 0:
+            raise InvalidArgumentError(f"master seed must be nonnegative, got {self.master_seed}")
+        if self.ic_seed < 0:
+            raise InvalidArgumentError(f"ic_seed must be nonnegative, got {self.ic_seed}")
         # each check is written so that NaN fails it; the jn and cubes
         # settings are checked here too, so a bad one costs no simulation
         if not all(g >= 0.0 for g in self.gammas):
@@ -417,7 +422,7 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
 
     All initial data evolve as one batch per grid, with no noise; A reads
     t, so each step takes one implicit solve for the whole batch (one
-    LAPACK dgtsv call in 1d, one sparse LU factorization in 2d).  The
+    LAPACK dptsv call in 1d, one sparse LU factorization in 2d).  The
     refined pass doubles the resolution with the time step following the
     parabolic default.
     """

@@ -31,16 +31,25 @@ off; a failure shows in the result's failed/fail_step, never as a warning.
 
 `_implicit_solver` picks the implicit solve from what A reads
 and from n.  A free of t and u and constant in space makes I - dt L_A
-circulant, solved by a real FFT; any other A free of t and u shares one
-sparse LU factorization per call.  A that reads t (one field for all rows)
-or u (one per row) is solved anew every step: in 1d by one LAPACK dgtsv
-call with a Sherman-Morrison correction, in 2d by sparse LU per field.
-The FFT solve carries roundoff of order 1e-16 max|u|, so nodes where u is
-nearly 0 may come out slightly negative.
+circulant, solved by a real FFT.  In 1d every other A gives a cyclic
+tridiagonal matrix, symmetric and, while every face value of A is
+positive, strictly diagonally dominant with a positive diagonal, so
+positive definite.  It is solved with LAPACK's routines for symmetric
+positive definite tridiagonals, which need no pivoting, plus a
+Sherman-Morrison correction for the corners: A free of t and u is factored
+once per call (dpttrf) and each step costs one dpttrs call; A that reads
+t (one field for all rows) or u (one per row) takes one dptsv call per
+step.  A 1d field with a face value <= 0 or a non-finite entry is not
+solved: its rows come back NaN and fail.  In 2d any A that is not
+constant in space is solved by sparse LU: once per call for A free of t
+and u, per field and step otherwise.  The FFT solve carries roundoff of
+order 1e-16 max|u|, so nodes where u is nearly 0 may come out slightly
+negative.
 
-scipy is imported only inside `dgtsv`, `splu` and `_implicit_matrix`, on
-first use.  A run whose A is the identity, or free of t and u and constant
-in space, solves by FFT (or steps explicitly) and never loads it.
+scipy is imported only inside `splu`, `_lapack` and `_implicit_matrix`,
+on first use, and scipy.sparse only by 2d runs.  A run
+whose A is the identity, or free of t and u and constant in space, solves
+by FFT (or steps explicitly) and never loads scipy.
 """
 from __future__ import annotations
 
@@ -240,8 +249,10 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
     p = params
     if not (0.0 < p.iota <= 1.0):
         raise InvalidArgumentError(f"iota must lie in (0, 1], got {p.iota}")
-    if p.lambda_f < 0.0 or p.lambda_g < 0.0:
+    if not (p.lambda_f >= 0.0 and p.lambda_g >= 0.0):
         raise InvalidArgumentError("lambda_f and lambda_g must be nonnegative")
+    if p.a_seed < 0:
+        raise InvalidArgumentError(f"a_seed must be nonnegative, got {p.a_seed}")
 
     # diffusion coefficient
     a_deps: frozenset = frozenset()
@@ -296,14 +307,15 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
     else:
         raise InvalidArgumentError(f"unknown f_kind {p.f_kind!r}")
 
-    # noise
+    # noise; m = 0 turns it off, but a bad m or kind is rejected even then
+    if p.m < 0:
+        raise InvalidArgumentError(f"channel count m must be >= 0, got {p.m}")
+    if p.g_kind not in ("zero", "trig", "expr"):
+        raise InvalidArgumentError(f"unknown g_kind {p.g_kind!r}")
     sigma = None
     if p.g_kind == "zero" or p.m == 0 or (p.g_kind == "trig" and p.lambda_g == 0.0):
         g_fn, m_eff = None, 0
     elif p.g_kind == "trig":
-        if p.m < 1:
-            raise InvalidArgumentError(f"channel count m must be >= 1, got {p.m}")
-
         def sigma(xs, _lam=float(p.lambda_g), _m=int(p.m)):
             return _lam * _trig_profiles(_m, n, extent, xs)
 
@@ -324,8 +336,6 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
                                    u.shape)[None]
 
         m_eff = 1
-    else:
-        raise InvalidArgumentError(f"unknown g_kind {p.g_kind!r}")
 
     growth = p.growth_bound if p.growth_bound is not None else p.lambda_f + p.lambda_g
     return CoefficientModel(n=n, a=a_fn, f=f_fn, g=g_fn, iota=float(p.iota),
@@ -410,9 +420,21 @@ def _coef_fields(cm: CoefficientModel, grid: Grid, xs, t: float, u) -> np.ndarra
 
 def _faces(a: np.ndarray, axis: int) -> tuple:
     """(a_{i+1/2}, a_{i-1/2}) along one axis: a face takes the mean of the
-    coefficients at its two nodes, with periodic wrap."""
-    af = 0.5 * (a + np.roll(a, -1, axis=axis))
-    return af, np.roll(af, 1, axis=axis)
+    coefficients at its two nodes, with periodic wrap.  Written as slice
+    copies into new arrays, the bits of 0.5 * (a + np.roll(a, -1)) and its
+    roll by one, at about half the cost of two np.roll calls."""
+    rest = (slice(None),) * (a.ndim - 1 - axis % a.ndim)
+    lo, hi, first, last = ((Ellipsis, cut) + rest for cut in (
+        slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
+    af = np.empty(a.shape)
+    af[lo] = a[hi]
+    af[last] = a[first]
+    af += a
+    af *= 0.5
+    afm = np.empty(a.shape)
+    afm[hi] = af[lo]
+    afm[first] = af[last]
+    return af, afm
 
 
 def apply_operator(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -433,10 +455,30 @@ def splu(matrix):
     return factorize(matrix)
 
 
-def dgtsv(dl, d, du, b, overwrite_b=False):
-    """LAPACK's tridiagonal solve, as scipy.linalg.lapack.dgtsv."""
-    from scipy.linalg.lapack import dgtsv as solve
-    return solve(dl, d, du, b, overwrite_b=overwrite_b)
+@functools.cache
+def _lapack(name: str):
+    """scipy's wrapper of the LAPACK routine `name`, imported on first use;
+    the cache spares each per-step call an import statement."""
+    from scipy.linalg import lapack
+    return getattr(lapack, name)
+
+
+def dptsv(d, e, b, overwrite_b=False):
+    """LAPACK's symmetric positive definite tridiagonal solve, as
+    scipy.linalg.lapack.dptsv."""
+    return _lapack("dptsv")(d, e, b, overwrite_b=overwrite_b)
+
+
+def dpttrf(d, e):
+    """LAPACK's L D L^T factorization of a symmetric positive definite
+    tridiagonal, as scipy.linalg.lapack.dpttrf."""
+    return _lapack("dpttrf")(d, e)
+
+
+def dpttrs(d, e, b):
+    """LAPACK's solve with a dpttrf factorization, as
+    scipy.linalg.lapack.dpttrs."""
+    return _lapack("dpttrs")(d, e, b)
 
 
 def _implicit_matrix(grid: Grid, a: np.ndarray, dt: float):
@@ -497,9 +539,14 @@ def _cyclic_parts(grid: Grid, a: np.ndarray, dt: float) -> tuple:
     entry -lam af_i between nodes i and i + 1 (mod N), so both corners hold
     c = -lam af_{N-1}.  It equals T + w v^T with w = (gamma, 0, ..., 0, c),
     v = (1, 0, ..., 0, c / gamma) and gamma = -d_0, where T is tridiagonal
-    with off-diagonal e and diagonal d (d_0 doubled, d_{N-1} less c^2/gamma).
-    Returns (e, d, gamma, c), each with the leading axes of a; e has N
-    entries, the last 0, the coupling to the next matrix in a stack.
+    with off-diagonal e and diagonal d (d_0 doubled, d_{N-1} less c^2/gamma),
+    so T = M + w w^T / d_0 for the matrix M without its corners.  Returns
+    (e, d, gamma, c), each with the leading axes of a; e has N entries, the
+    last 0, the coupling to the next matrix in a stack.
+
+    When every face af_i is positive, M is symmetric and strictly
+    diagonally dominant with a positive diagonal, so positive definite,
+    and T is too; `_definite` tells which matrices of a stack are.
     """
     lam = dt / grid.dx**2
     af, afm = _faces(a, -1)
@@ -512,55 +559,118 @@ def _cyclic_parts(grid: Grid, a: np.ndarray, dt: float) -> tuple:
     return e, d, gamma, c
 
 
+def _definite(parts: tuple) -> np.ndarray:
+    """Which matrices of _cyclic_parts have every face positive (every
+    off-diagonal and corner below 0) and a finite diagonal: then T is
+    symmetric positive definite, its L D L^T pivots stay above 1, and its
+    LAPACK solve touches no other matrix of a stack.  A coefficient that is
+    NaN, infinite or so large that a face overflows fails it."""
+    e, d, _, c = parts
+    # a NaN fails the comparison of a max, and a NaN or infinity makes the sum
+    # non-finite (as would finite entries whose sum overflows, near 1e308)
+    return (e[..., :-1].max(axis=-1) < 0.0) & (c < 0.0) & np.isfinite(d.sum(axis=-1))
+
+
+def _sherman_morrison(z: np.ndarray, gamma, c):
+    """The correction for z = T^{-1} w and v = (1, 0, ..., 0, c / gamma)
+    from _cyclic_parts: rows y = T^{-1} rhs, with the leading axes of z or
+    more, become x = y - z (v^T y) / (1 + v^T z), in place."""
+    ratio = c / gamma
+    # z.T[0] is z[..., 0], but a faster numpy scalar for one matrix
+    denom = 1.0 + z.T[0] + ratio * z.T[-1]
+
+    def correct(y):
+        y -= ((y[..., 0] + ratio * y[..., -1]) / denom)[..., None] * z
+        return y
+    return correct
+
+
 def _cyclic_solve(parts: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve (T + w v^T) x = rhs for R matrices from _cyclic_parts, rhs (K, N),
     row k with matrix k mod R: R = 1 for a shared field, R = K for one per row.
 
-    One LAPACK dgtsv call solves the R matrices, on the diagonal of one
-    tridiagonal with zero coupling, against the stacked w and K / R rhs rows.
-    A row's result depends on no other row while every entry is finite.
+    One LAPACK dptsv call factors the R matrices as L D L^T, with no
+    pivoting, on the diagonal of one symmetric tridiagonal with zero
+    coupling, and solves against the stacked w and K / R rhs rows.  A row's
+    result depends on no other row while every matrix passes `_definite` and
+    every rhs entry is finite.  A matrix that is not positive definite stops
+    the call: NumericError.
     """
     e, d, gamma, c = parts
     b = np.zeros((1 + rhs.size // d.size,) + d.shape)
     b[0, ..., 0], b[0, ..., -1] = gamma, c
     b[1:] = rhs.reshape(b[1:].shape)
-    dl = e.ravel()[:d.size - 1]
-    x, info = dgtsv(dl, d.ravel(), dl, b.reshape(len(b), -1).T, overwrite_b=True)[3:]
+    x, info = dptsv(d.ravel(), e.ravel()[:d.size - 1], b.reshape(len(b), -1).T,
+                    overwrite_b=True)[2:]
     if info != 0:
-        raise NumericError(f"tridiagonal solve failed: LAPACK dgtsv info = {info}")
+        raise NumericError(f"tridiagonal solve failed: LAPACK dptsv info = {info}")
     z, y = x.T[0].reshape(d.shape), x.T[1:].reshape(b[1:].shape)
-    ratio = c / gamma
-    # z.T[0] is z[..., 0], but a faster numpy scalar for one matrix
-    scale = (y[..., 0] + ratio * y[..., -1]) / (1.0 + z.T[0] + ratio * z.T[-1])
-    return (y - scale[..., None] * z).reshape(rhs.shape)
+    return _sherman_morrison(z, gamma, c)(y).reshape(rhs.shape)
+
+
+def _factored_cyclic_solve(parts: tuple):
+    """The solve rhs (B, N) -> (B, N) for one matrix of _cyclic_parts that
+    serves many steps: T is factored once by LAPACK dpttrf and z = T^{-1} w
+    solved once, so a step costs one dpttrs call, with a column per row,
+    and the Sherman-Morrison correction.  Each column is solved on its own,
+    so a row's bits do not depend on the rows beside it, nor on B = 1."""
+    e, d, gamma, c = parts
+    df, ef, info = dpttrf(d, e[:d.size - 1])
+    if info != 0:
+        raise NumericError(f"tridiagonal factorization failed: LAPACK dpttrf info = {info}")
+    w = np.zeros((d.size, 1))
+    w[0], w[-1] = gamma, c
+    correct = _sherman_morrison(dpttrs(df, ef, w)[0][:, 0], gamma, c)
+    return lambda rhs: correct(dpttrs(df, ef, rhs.T)[0].T)
 
 
 def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
     """The solve rhs (B, S) -> (B, S) of I - dt L_a.
 
     a is one coefficient field (S,) shared by every row, or one field per
-    row (B, S); then only the rows listed in `rows` whose field and rhs are
-    finite are solved, and the other rows come back NaN.  reused: the
-    solver serves every step of the call (A reads neither t nor u), so a
-    factorization pays off; otherwise it serves one step.
+    row (B, S).  reused: the solver serves every step of the call (A reads
+    neither t nor u), so a factorization pays off; otherwise it serves one
+    step.
+
+    A reused field that is constant in space is solved by FFT.  In 1d every
+    other field is cyclic tridiagonal and, while its faces are positive,
+    symmetric positive definite (_cyclic_parts): a reused field is factored
+    once by dpttrf, and a field for one step, or the fields of all rows, is
+    solved by one dptsv call.  A shared 1d field that is not positive
+    definite, or not finite, gives NaN for every row, which the step loop
+    records as failures.  In 2d sparse LU factors the reused field once,
+    else each field in each step.
+
+    For one field per row, only the rows listed in `rows` whose rhs and
+    field are finite (in 1d: whose matrix passes `_definite`) are solved,
+    and the other rows come back NaN.
     """
     if a.ndim == 2:
-        parts = _cyclic_parts(grid, a, dt) if grid.n == 1 else None
-
         def solve(rhs):
             out = np.full_like(rhs, np.nan)
-            live = rows[np.all(np.isfinite(a[rows]) & np.isfinite(rhs[rows]), axis=1)]
-            if parts is None:
-                for b in live:
+            live = rows[np.all(np.isfinite(rhs[rows]), axis=1)]
+            if grid.n == 2:
+                for b in live[np.all(np.isfinite(a[live]), axis=1)]:
                     out[b] = splu(_implicit_matrix(grid, a[b], dt)).solve(rhs[b])
-            elif live.size:
-                out[live] = _cyclic_solve(tuple(p[live] for p in parts), rhs[live])
+                return out
+            # the parts of the listed rows alone; a row whose matrix is not
+            # positive definite is dropped before the stacked call
+            parts = _cyclic_parts(grid, a[live], dt)
+            definite = _definite(parts)
+            if not definite.all():
+                live, parts = live[definite], tuple(p[definite] for p in parts)
+            if live.size:
+                out[live] = _cyclic_solve(parts, rhs[live])
             return out
         return solve
     if reused and np.all(a == a[0]):
         return _circulant_solve(grid, float(a[0]), dt)
-    if not reused and grid.n == 1:
+    if grid.n == 1:
         parts = _cyclic_parts(grid, a, dt)
+        if not _definite(parts):
+            return lambda rhs: np.full_like(rhs, np.nan)
+        if reused:
+            return _factored_cyclic_solve(parts)
         return lambda rhs: _cyclic_solve(parts, rhs)
     lu = splu(_implicit_matrix(grid, a, dt))
     return lambda rhs: lu.solve(rhs.T).T

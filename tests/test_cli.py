@@ -204,6 +204,28 @@ def test_rejected_model_reported_at_its_key_line():
             parse_config(text)
 
 
+def test_corrupted_values_found_by_the_property_test():
+    # shrunk cases of test_one_corrupted_value_is_reported_at_its_own_line.
+    # A kind key given as expr is rejected alone, without its expression,
+    # yet the error is another key's: that key's line is reported.  A
+    # negative seed or an infinite extent is rejected at its line, not by
+    # numpy; a bad channel count or noise kind is rejected with noise off
+    cases = [
+        ("[model]\nf = expr\nf_expr = 0.5*u\ng = nope\n", 4, "unknown g_kind"),
+        ("[model]\na = expr\na_expr = 1 + 0*x\nlambda_f = -1\n", 4, "must be nonnegative"),
+        ("[model]\na = expr\na_expr = 1 + 0*x\nlambda_f = nan\n", 4, "must be nonnegative"),
+        ("[model]\na = random_elliptic\na_seed = -1\n", 3, "a_seed must be nonnegative"),
+        ("[solver]\nf0 = random_positive\nic_seed = -1\n", 3, "ic_seed must be nonnegative"),
+        ("[montecarlo]\nseed = -1\n", 2, "master seed must be nonnegative"),
+        ("[grid]\nextent = inf\n", 2, "positive and finite"),
+        ("[model]\ng = zero\nm = -1\n", 3, "m must be >= 0"),
+        ("[model]\nm = 0\ng = nope\n", 3, "unknown g_kind"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ConfigError, match=f"line {line}: .*{message}"):
+            parse_config(text)
+
+
 def _readme_example():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text().split("A config that exercises most sections:\n", 1)[1]

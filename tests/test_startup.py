@@ -1,10 +1,12 @@
 """Start-up cost: scipy is loaded only by the solves that call it.
 
 The FFT solve of an identity or constant A needs nothing from scipy, so
-parsing configs and running a subcommand that never solves with `dgtsv`
-or `splu` must not import it.  Each case runs in a fresh interpreter,
-because the test process itself has loaded scipy long before.  The cold
-runs of the three scipy solves must give bitwise the step computed here.
+parsing configs and running a subcommand that never solves with LAPACK
+or `splu` must not import it, and a 1d run, which solves with LAPACK
+alone, must not import scipy.sparse.  Each case runs in a fresh
+interpreter, because the test process itself has loaded scipy long
+before.  The cold runs of the scipy solves must give bitwise the step
+computed here.
 """
 import json
 import os
@@ -25,9 +27,10 @@ SRC = Path(spdelab.__file__).resolve().parents[1]
 
 # scipy branch -> (n, npts, a_expr, scipy module the solve loads)
 COLD_STEPS = {
-    "dgtsv-1d-t": (1, 32, "1 + 0.5*sin(3*t)", "scipy.linalg.lapack"),
+    "dptsv-1d-t": (1, 32, "1 + 0.5*sin(3*t)", "scipy.linalg.lapack"),
+    "dptsv-1d-u": (1, 32, "1 + 0.5*u/(1+abs(u))", "scipy.linalg.lapack"),
+    "dpttrf-1d-x": (1, 32, "1 + 0.5*sin(x)", "scipy.linalg.lapack"),
     "splu-2d-t": (2, 8, "1 + 0.5*sin(3*t)", "scipy.sparse.linalg"),
-    "splu-1d-x": (1, 32, "1 + 0.5*sin(x)", "scipy.sparse.linalg"),
 }
 
 
@@ -100,4 +103,6 @@ def test_scipy_solves_load_it_on_first_use():
     for case, got in zip(cases, runs):
         assert got["before"] == [], case
         assert COLD_STEPS[case][3] in got["after"], case
+        sparse = [m for m in got["after"] if m.startswith("scipy.sparse")]
+        assert bool(sparse) == (COLD_STEPS[case][0] == 2), (case, sparse)
         assert bytes.fromhex(got["final"]) == one_step(case).tobytes(), case

@@ -1,8 +1,9 @@
 """The implicit step kernel against the general paths it shortcuts.
 
 A free of t and u and constant in space is solved by FFT instead of a
-sparse LU; in 1d, A that reads t or u is solved as a cyclic tridiagonal
-system by LAPACK with a Sherman-Morrison correction; noise declared
+sparse LU; in 1d, every other A is solved as a cyclic symmetric positive
+definite tridiagonal system by LAPACK with a Sherman-Morrison correction,
+factored once when A varies only in x; noise declared
 through `sigma` is formed from profiles built once per batch instead of a
 g call per step.  Each shortcut is checked against the general
 computation, the choice of solve is pinned by counting factorizations and
@@ -22,8 +23,9 @@ from spdelab import solver
 from spdelab.errors import NumericError
 from spdelab.fields import FieldSnapshot, Grid, region_rows
 from spdelab.geometry import Ball, SpaceTimeRect
-from spdelab.solver import (ModelParams, SolverConfig, _circulant_solve,
-                            _coef_fields, _cyclic_parts, _cyclic_solve,
+from spdelab.solver import (CoefficientModel, ModelParams, SolverConfig,
+                            _circulant_solve, _coef_fields, _cyclic_parts,
+                            _cyclic_solve, _definite, _factored_cyclic_solve,
                             _implicit_matrix, build_model,
                             draw_increments, integrate_batch,
                             make_initial_condition, path_seed,
@@ -111,7 +113,7 @@ def test_cyclic_solve_matches_sparse_lu(npts, iota, rng):
 @pytest.mark.parametrize("iota", [1.0, 0.5, 0.1])
 @pytest.mark.parametrize("rows", [1, 2, 7])
 def test_stacked_cyclic_solve_equals_rows_alone(npts, iota, rows, rng):
-    # one field per row, stacked into one dgtsv call, against each row's
+    # one field per row, stacked into one dptsv call, against each row's
     # matrix solved in a call of its own: the same bits, rhs scales apart
     grid = Grid.regular(1, npts)
     dt = rng.uniform(0.25, 2.0) * grid.dx**2
@@ -125,47 +127,154 @@ def test_stacked_cyclic_solve_equals_rows_alone(npts, iota, rows, rng):
 
 
 def test_cyclic_solve_raises_on_lapack_failure():
-    # T has an exactly zero pivot at its second node: dgtsv reports info = 2
+    # T has an exactly zero pivot at its second node: dptsv reports info = 2
     parts = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), -1.0, 0.0)
     with pytest.raises(NumericError, match="info = 2"):
         _cyclic_solve(parts, np.ones((2, 4)))
+
+
+def test_factored_solve_raises_on_lapack_failure():
+    # the matrix of test_cyclic_solve_raises_on_lapack_failure, factored once
+    parts = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), -1.0, 0.0)
+    with pytest.raises(NumericError, match="dpttrf info = 2"):
+        _factored_cyclic_solve(parts)
+
+
+@pytest.mark.parametrize("npts", [4, 5, 64, 128])
+@pytest.mark.parametrize("iota", [1.0, 0.5, 0.1])
+def test_positive_definite_solves_match_sparse_lu(npts, iota, rng):
+    # against sparse LU of I - dt L_a: one field factored once by dpttrf
+    # and solved twice, and one field per row stacked into one dptsv call
+    # (test_cyclic_solve_matches_sparse_lu covers one field for one step)
+    grid = Grid.regular(1, npts)
+    dt = 2.0 * grid.dx**2
+    rhs = rng.normal(size=(5, npts))
+    a = rng.uniform(iota, 1.0 / iota, size=npts)
+    want = splu(_implicit_matrix(grid, a, dt)).solve(rhs.T).T
+    parts = _cyclic_parts(grid, a, dt)
+    assert _definite(parts)
+    factored = _factored_cyclic_solve(parts)
+    for _ in range(2):
+        close(factored(rhs), want)
+    rows = rng.uniform(iota, 1.0 / iota, size=(5, npts))
+    parts = _cyclic_parts(grid, rows, dt)
+    assert _definite(parts).all()
+    got = _cyclic_solve(parts, rhs)
+    for b in range(5):
+        close(got[b], splu(_implicit_matrix(grid, rows[b], dt)).solve(rhs[b]))
+
+
+@pytest.mark.parametrize("npts", [4, 5, 64])
+@pytest.mark.parametrize("rows", [2, 7])
+def test_factored_solve_batch_equals_rows_alone(npts, rows, rng):
+    # dpttrs solves each column on its own: a batch gives bitwise the rows
+    # it gives one at a time, through LAPACK's single-column path (B = 1)
+    grid = Grid.regular(1, npts)
+    dt = rng.uniform(0.25, 2.0) * grid.dx**2
+    solve = _factored_cyclic_solve(_cyclic_parts(grid, rng.uniform(0.5, 2.0, npts), dt))
+    rhs = rng.normal(size=(rows, npts)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+    batch = solve(rhs)
+    alone = np.stack([solve(rhs[b:b + 1])[0] for b in range(rows)])
+    np.testing.assert_array_equal(batch.view(np.uint64), alone.view(np.uint64))
+
+
+def hand_built(a, deps):
+    """A 1d model of diffusion alone, with a coefficient that validate_model
+    would reject: integrate_batch must not rely on that check."""
+    return CoefficientModel(n=1, a=a, f=None, g=None, iota=0.5, growth=0.0, m=0,
+                            a_deps=frozenset(deps))
+
+
+def test_rows_whose_a_is_not_positive_definite_fail_alone():
+    # A reads u and turns negative past u = 5: row 1 has two neighbouring
+    # nodes there, so a face of -1; row 3 one node, so two faces of exactly
+    # 0.  Neither is solved, each fails at the first step, and rows 0 and 2
+    # keep the bits of their runs alone
+    cm = hand_built(lambda t, xs, u: np.where(u > 5.0, -1.0, 1.0 + 0.5 * u / (1.0 + np.abs(u))),
+                    "u")
+    grid = grid_for(1)
+    u0b, times, _ = batch_inputs(grid, cm, rows=4)
+    u0b[1, 10:12] = 10.0
+    u0b[3] = 0.0
+    u0b[3, 20] = 10.0
+    cfg = SolverConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_batch(grid, cm, cfg, u0b, times, None, keep_history=True)
+    assert list(res.failed) == [False, True, False, True]
+    assert list(res.fail_step[[1, 3]]) == [0, 0]
+    assert np.all(np.isnan(res.history[[1, 3], 1:]))
+    for b in (0, 2):
+        alone = integrate_batch(grid, cm, cfg, u0b[b:b + 1], times, None, keep_history=True)
+        np.testing.assert_array_equal(alone.history[0].view(np.uint64),
+                                      res.history[b].view(np.uint64))
+
+
+@pytest.mark.parametrize("deps", ["t", ""], ids=["reads-t", "x-only"])
+def test_shared_a_not_positive_definite_fails_every_row(deps):
+    # one field for every row, whose faces turn negative at step 3 (A reads
+    # t) or from the start (A varies only in x): every row fails at that
+    # step, through failed/fail_step, and nothing is raised
+    bad = 3 if deps else 0
+
+    def a(t, xs, u):
+        return (-1.0 if t >= times[bad] else 1.0) * (1.0 + 0.5 * np.sin(xs[0]))
+
+    grid = grid_for(1)
+    cm = hand_built(a, deps)
+    u0b, times, _ = batch_inputs(grid, cm, rows=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_batch(grid, cm, SolverConfig(), u0b, times, None, keep_history=True)
+    assert res.failed.all()
+    assert list(res.fail_step) == [bad] * 3
+    assert np.all(np.isfinite(res.history[:, :bad + 1]))
+    assert np.all(np.isnan(res.history[:, bad + 1:]))
 
 
 M_STEPS = 8        # steps of the runs that count factorizations
 B_ROWS = 3
 
 # expected splu calls per integrate_batch call of M_STEPS steps on B_ROWS
-# rows in 1d and in 2d, and dgtsv calls in 1d (2d never calls dgtsv)
+# rows in 2d, and dptsv and dpttrf calls in 1d (1d never calls splu, and
+# 2d never calls LAPACK's tridiagonal routines)
 FACTORIZATIONS = {
     "identity": (ModelParams(), (0, 0, 0)),
     "constant": (ModelParams(a_kind="constant", a_value=0.5, iota=0.5), (0, 0, 0)),
     "constant-expr": (ModelParams(a_kind="expr", a_expr="0.75", iota=0.5), (0, 0, 0)),
     "x-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5),
-                    (1, 1, 0)),
+                    (1, 0, 1)),
     "t-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*t"),
-                    (0, M_STEPS, M_STEPS)),
+                    (M_STEPS, M_STEPS, 0)),
     "random_elliptic": (ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
-                        (0, M_STEPS, M_STEPS)),
+                        (M_STEPS, M_STEPS, 0)),
     "u-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*u"),
-                    (0, M_STEPS * B_ROWS, M_STEPS)),
+                    (M_STEPS * B_ROWS, M_STEPS, 0)),
 }
+FACTORIZERS = ("splu", "dptsv", "dpttrf")
+
+
+def count_factorizers(monkeypatch):
+    """Count the calls of each of FACTORIZERS, by name."""
+    calls = {name: [] for name in FACTORIZERS}
+    for name, got in calls.items():
+        monkeypatch.setattr(solver, name, counting(getattr(solver, name), got))
+    return calls
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", sorted(FACTORIZATIONS))
 def test_solve_path_is_chosen_by_coefficient(monkeypatch, n, name):
-    params, (splu_1d, splu_2d, dgtsv_1d) = FACTORIZATIONS[name]
+    params, (splu_2d, dptsv_1d, dpttrf_1d) = FACTORIZATIONS[name]
     grid = grid_for(n)
     cm = build_model(params, n, grid.extent)
-    calls, lapack_calls = [], []
-    monkeypatch.setattr(solver, "splu", counting(solver.splu, calls))
-    monkeypatch.setattr(solver, "dgtsv", counting(solver.dgtsv, lapack_calls))
+    calls = count_factorizers(monkeypatch)
     u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS)
     times = times[:M_STEPS + 1]
     integrate_batch(grid, cm, SolverConfig(), u0b, times,
                     dW[:, :M_STEPS], keep_history=True)
-    assert len(calls) == (splu_1d if n == 1 else splu_2d)
-    assert len(lapack_calls) == (dgtsv_1d if n == 1 else 0)
+    want = (0, dptsv_1d, dpttrf_1d) if n == 1 else (splu_2d, 0, 0)
+    assert tuple(len(calls[name]) for name in FACTORIZERS) == want
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +378,7 @@ def test_blowup_isolation_under_refactored_a(kind):
                                      (1, "u-dependent"), (2, "random_elliptic"),
                                      (2, "x-dependent"), (2, "u-dependent")])
 def test_blowup_inside_a_block(monkeypatch, n, kind):
-    # the 1d FFT, the 1d cyclic dgtsv solve of A that reads t or u, and
+    # the 1d FFT, the 1d cyclic dptsv solve of A that reads t or u, and
     # sparse LU in 2d, refactored every step, per row or once: row 0 passes
     # the blow-up limit two steps before the end of its block and keeps
     # stepping, overflowing, until the block ends (A that reads u is not
@@ -372,7 +481,7 @@ def test_state_dependent_a_step_matches_dense_solve(monkeypatch, n, npts):
                                  iota=0.5, g_kind="zero"), n, grid.extent)
     u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS)
     assert dW is None
-    calls, name = [], "dgtsv" if n == 1 else "splu"
+    calls, name = [], "dptsv" if n == 1 else "splu"
     monkeypatch.setattr(solver, name, counting(getattr(solver, name), calls))
     got = integrate_batch(grid, cm, SolverConfig(), u0b, times[:2], None,
                           keep_history=True).history[:, -1]
@@ -430,12 +539,12 @@ def test_2d_heat_kernel_second_order_and_mass():
 # ---------------------------------------------------------------------------
 # every solve inverts I - dt L_a
 
-# solve -> (reused, per-row field, (splu, dgtsv) calls in 1d, in 2d)
+# solve -> (reused, per-row field, (splu, dptsv, dpttrf) calls in 1d, in 2d)
 SOLVES = {
-    "fft": (True, False, (0, 0), (0, 0)),
-    "shared-lu": (True, False, (1, 0), (1, 0)),
-    "per-step": (False, False, (0, 1), (1, 0)),
-    "per-row": (False, True, (0, 1), (B_ROWS, 0)),
+    "fft": (True, False, (0, 0, 0), (0, 0, 0)),
+    "shared-lu": (True, False, (0, 0, 1), (1, 0, 0)),
+    "per-step": (False, False, (0, 1, 0), (1, 0, 0)),
+    "per-row": (False, True, (0, 1, 0), (B_ROWS, 0, 0)),
 }
 
 
@@ -453,12 +562,11 @@ def test_every_solve_inverts_the_operator(monkeypatch, n, npts, dt_per_dx2, name
     else:
         a = rng.uniform(0.5, 2.0, size=(B_ROWS, grid.size) if per_row else grid.size)
     rhs = rng.normal(size=(B_ROWS, grid.size))
-    calls, lapack_calls = [], []
-    monkeypatch.setattr(solver, "splu", counting(solver.splu, calls))
-    monkeypatch.setattr(solver, "dgtsv", counting(solver.dgtsv, lapack_calls))
+    calls = count_factorizers(monkeypatch)
     x = solver._implicit_solver(grid, a, dt, reused=reused,
                                 rows=np.arange(B_ROWS))(rhs)
-    assert (len(calls), len(lapack_calls)) == (calls_1d if n == 1 else calls_2d)
+    assert tuple(len(calls[name]) for name in FACTORIZERS) == (
+        calls_1d if n == 1 else calls_2d)
     residual = x - dt * solver.apply_operator(grid, a, x) - rhs
     assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
 

@@ -17,14 +17,20 @@ extended level count obeys
     x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j,  x_0 = 1.
 
 Counts grow fast; builds are guarded by an explicit cube budget,
-checked before any level is allocated.  Levels are flat arrays (one
-scale per level), each allocated once with every child written in
-place; core level j is the tail of extended level j.  A cube's row
-tells a plus child (cut from its parent's upper piece) from a minus
-child (lower piece): the first half of each parent's children are plus.
+checked before anything is built.  A built level is its recursion, not
+its arrays: it holds its scales, its count and its parts, the parent
+levels whose children fill it in row order with the offsets that place
+them.  Counts and `CubeLevel.cube(k)` are read from the parts and write
+no array; a level's flat arrays (one scale per level) are written on
+first read and then kept.  Core level j is the tail of extended level j.
+A cube's row tells a plus child (cut from its parent's upper piece) from
+a minus child (lower piece): the first half of each parent's children
+are plus.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +54,9 @@ class Cube:
     level: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(float(c) for c in np.atleast_1d(self.w)))
+        # a tuple (as CubeLevel.cube passes) skips the array round trip
+        w = self.w if isinstance(self.w, tuple) else np.atleast_1d(self.w)
+        object.__setattr__(self, "w", tuple(map(float, w)))
         if not (self.s > 0.0 and self.z > 0.0):
             raise InvalidArgumentError(f"cube scales must be positive, got s={self.s}, z={self.z}")
         if abs(self.z * self.z - self.s) > 1e-9 * self.s:
@@ -97,72 +105,126 @@ def subcubes(c: Cube) -> SubcubeSet:
                       d_minus=SpaceTimeRect(l - 4 * s, l - 3 * s, b))
 
 
-@dataclass
-class CubeLevel:
-    """All cubes of one level, as flat arrays sharing a scale.
+def _is_index(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
-    Order is deterministic: parent-major, then plus children before
-    minus children, then time slot, then space combination.  That order
-    is how plus children are told from minus children: of the
-    2 zeta^(n+2) consecutive rows a parent writes, the first half are
-    plus.
+
+class CubeLevel:
+    """All cubes of one level, sharing a scale.
+
+    A level is made either from flat arrays, l of shape (count,) and w of
+    shape (count, n), as the root is, or from parts: each part holds a
+    parent level and the offsets that place its children, and the parts'
+    children fill the level in row order.  A level made from parts takes
+    its count and `cube(k)` from them; its l and w are written on first
+    read and then kept.
+
+    Order is deterministic: part by part, then parent-major, then plus
+    children before minus children, then time slot, then space
+    combination.  That order is how plus children are told from minus
+    children: of the 2 zeta^(n+2) consecutive rows a parent writes, the
+    first half are plus.
     """
 
-    level: int
-    s: float
-    z: float
-    l: np.ndarray
-    w: np.ndarray
+    def __init__(self, level: int, s: float, z: float, l=None, w=None, parts=()):
+        self.level, self.s, self.z = level, s, z
+        self.parts = tuple(parts)
+        self._l, self._w = l, w
+        if l is None:
+            self.count = sum(part.count for part in self.parts)
+            self.n = len(self.parts[0].space[0])
+        else:
+            self.count = int(l.size)
+            self.n = int(w.shape[1])
 
     @property
-    def count(self) -> int:
-        return int(self.l.size)
+    def l(self) -> np.ndarray:
+        if self._l is None:
+            self._write()
+        return self._l
 
     @property
-    def n(self) -> int:
-        return int(self.w.shape[1])
+    def w(self) -> np.ndarray:
+        if self._w is None:
+            self._write()
+        return self._w
+
+    def _write(self):
+        l, w = np.empty(self.count), np.empty((self.count, self.n))
+        at = 0
+        for part in self.parts:
+            rows = slice(at, at + part.count)
+            _subdivide(part, l[rows], w[rows])
+            at = rows.stop
+        self._l, self._w = l, w
 
     def cube(self, k: int) -> Cube:
+        if not _is_index(k):
+            raise InvalidArgumentError(f"cube index must be an integer, got {k!r}")
         if not (0 <= k < self.count):
             raise InvalidArgumentError(f"cube index {k} out of range [0, {self.count})")
-        return Cube(float(self.l[k]), self.s, self.z, tuple(self.w[k]), level=self.level)
+        l, w = self._row(int(k))
+        return Cube(l, self.s, self.z, w, level=self.level)
+
+    def _row(self, k: int) -> tuple:
+        """(l, w) of row k: read from the arrays once they are written,
+        else the parent row plus the child's offsets, the same additions
+        `_subdivide` makes."""
+        if self._l is not None:
+            return self._l.item(k), tuple(self._w[k].tolist())
+        for part in self.parts:
+            if k < part.count:
+                break
+            k -= part.count
+        p, k = divmod(k, len(part.time) * len(part.space))
+        i, q = divmod(k, len(part.space))
+        l, w = part.parent._row(p)
+        return l + part.time[i], tuple(map(operator.add, w, part.space[q]))
+
+
+@dataclass(frozen=True)
+class _Part:
+    """The children of every cube of a parent level, as the offsets added
+    to each parent row: time holds 2 zeta^2 offsets (plus then minus, by
+    time slot), space zeta^n tuples of n offsets."""
+
+    parent: CubeLevel
+    time: tuple
+    space: tuple
+    count: int
 
 
 def _root_level(root: Cube) -> CubeLevel:
-    return CubeLevel(level=root.level, s=root.s, z=root.z,
-                     l=np.array([root.l]),
-                     w=np.array([root.w], dtype=float))
+    return CubeLevel(root.level, root.s, root.z,
+                     l=np.array([root.l]), w=np.array([root.w], dtype=float))
 
 
-def _subdivide(parent: CubeLevel, height: int, out: CubeLevel, at: int) -> CubeLevel:
-    """Write the children of every cube of a level into out, from row at.
+def _part(parent: CubeLevel, height: int, s2: float, z2: float) -> _Part:
+    """The children of every cube of a level, at scales s2 and z2.
 
     Height 1 subdivides the top and bottom eighths (l+3s, l+4s) and
     (l-4s, l-3s), height 2 the quarters (l+2s, l+4s) and (l-4s, l-2s),
-    into pieces height * s2 tall, where out carries the child scales.
-    Each congruent piece is the same-named subregion of exactly one
-    child cube, which fixes the child center: for the top pieces the
-    child's time top coincides with the piece top, for the bottom
-    pieces the bottoms coincide.  Returns the written rows as a view.
+    into pieces height * s2 tall.  Each congruent piece is the same-named
+    subregion of exactly one child cube, which fixes the child center:
+    for the top pieces the child's time top coincides with the piece top,
+    for the bottom pieces the bottoms coincide.
     """
-    s, z, s2, z2 = parent.s, parent.z, out.s, out.z
-    k = np.arange(ZETA**2)
-    plus_off = (4.0 - height) * s + height * (k + 1) * s2 - 4.0 * s2
-    minus_off = -4.0 * s + height * k * s2 + 4.0 * s2
-    offs = np.stack([plus_off, minus_off])
+    s, z, slots = parent.s, parent.z, range(ZETA**2)
+    time = tuple([(4.0 - height) * s + height * (k + 1) * s2 - 4.0 * s2 for k in slots]
+                 + [-4.0 * s + height * k * s2 + 4.0 * s2 for k in slots])
+    axis = [-z + (2.0 * i + 1.0) * z2 for i in range(ZETA)]
+    space = tuple(itertools.product(axis, repeat=parent.n))
+    return _Part(parent, time, space, parent.count * len(time) * len(space))
 
-    n = parent.n
-    axis = -z + (2.0 * np.arange(ZETA) + 1.0) * z2
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    space = np.stack([g.ravel() for g in grids], axis=1)
 
-    P, T, Q = parent.count, ZETA**2, ZETA**n
-    rows = slice(at, at + P * 2 * T * Q)
-    np.add(parent.l[:, None, None, None], offs[None, :, :, None],
-           out=out.l[rows].reshape(P, 2, T, Q))
-    np.add(parent.w[:, None, None, None, :], space[None, None, None, :, :],
-           out=out.w[rows].reshape(P, 2, T, Q, n))
-    return CubeLevel(level=out.level, s=s2, z=z2, l=out.l[rows], w=out.w[rows])
+def _subdivide(part: _Part, l: np.ndarray, w: np.ndarray):
+    """Write the children of a part into l and w, parent-major."""
+    P, T, Q, n = part.parent.count, len(part.time), len(part.space), len(part.space[0])
+    np.add(part.parent.l[:, None, None], np.array(part.time)[None, :, None],
+           out=l.reshape(P, T, Q))
+    np.add(part.parent.w[:, None, None, :], np.array(part.space)[None, None, :, :],
+           out=w.reshape(P, T, Q, n))
 
 
 @dataclass
@@ -183,13 +245,22 @@ class CubeHierarchy:
         return sum(lv.count for lv in self.levels)
 
 
+def _check_count_args(n: int, j: int):
+    if not (_is_index(n) and n in (1, 2)):
+        raise InvalidArgumentError(f"counts hold for spatial dimension 1 or 2, got {n!r}")
+    if not (_is_index(j) and j >= 0):
+        raise InvalidArgumentError(f"level must be a nonnegative integer, got {j!r}")
+
+
 def core_count(n: int, j: int) -> int:
     """Cubes at level j of the core collection: (2 zeta^(n+2))^j."""
+    _check_count_args(n, j)
     return (2 * ZETA ** (n + 2)) ** j
 
 
 def extended_count(n: int, j: int) -> int:
     """Reference recurrence x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j."""
+    _check_count_args(n, j)
     x = 1
     for i in range(1, j + 1):
         x = 2 * ZETA ** (n + 2) * x + core_count(n, i)
@@ -198,14 +269,19 @@ def extended_count(n: int, j: int) -> int:
 
 def count_bound(n: int, j: int) -> int:
     """Closed-form cap 4^((n+3)j) on the extended level count (zeta = 4)."""
+    _check_count_args(n, j)
     return 4 ** ((n + 3) * j)
 
 
 def _build(root: Cube, depth: int, budget: int, extended: bool) -> CubeHierarchy:
-    """Levels 0..depth of the core or the extended collection.
+    """Levels 0..depth of the core or the extended collection, as parts.
 
-    Each level is sized from the levels already built, never from the
-    count formulas, so comparing counts with them stays a check.
+    A core level has one part, the eighth children of the core level
+    above; an extended level has two, the quarter children of the level
+    above and then the eighth children of the core level above, so its
+    tail is core level j.  Each count is summed from the parts, never
+    taken from the count formulas, so comparing counts with them stays a
+    check.  No level array is written here.
     """
     if depth < 0 or int(depth) != depth:
         raise InvalidArgumentError(f"depth must be a nonnegative integer, got {depth}")
@@ -219,19 +295,15 @@ def _build(root: Cube, depth: int, budget: int, extended: bool) -> CubeHierarchy
         raise ResourceLimitError(
             f"{'extended' if extended else 'core'} hierarchy needs {total} cubes "
             f"at depth {depth}, over budget {budget}")
-    fan = 2 * ZETA ** (n + 2)
     core = _root_level(root)
     levels = [core]
     for _ in range(depth):
         prev = levels[-1]
-        head = prev.count * fan if extended else 0
-        size = head + core.count * fan
-        level = CubeLevel(level=prev.level + 1, s=prev.s / ZETA**2, z=prev.z / ZETA,
-                          l=np.empty(size), w=np.empty((size, n)))
-        if extended:
-            _subdivide(prev, 2, level, 0)
-        core = _subdivide(core, 1, level, head)
-        levels.append(level)
+        j, s2, z2 = prev.level + 1, prev.s / ZETA**2, prev.z / ZETA
+        eighths = _part(core, 1, s2, z2)
+        core = CubeLevel(j, s2, z2, parts=(eighths,))
+        levels.append(CubeLevel(j, s2, z2, parts=(_part(prev, 2, s2, z2), eighths))
+                      if extended else core)
     return CubeHierarchy(root, depth, levels)
 
 
@@ -245,8 +317,8 @@ def build_extended(root: Cube, depth: int, budget: int = DEFAULT_BUDGET) -> Cube
 
     Level j holds the quarter-subdivision children of level j-1 plus
     the core-collection cubes of level j, reproducing the recurrence
-    x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j.  Both parts are
-    written in place into level j, whose tail is core level j.  The
-    budget covers the core and the extended counts together.
+    x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j.  Level j's tail is
+    core level j.  The budget covers the core and the extended counts
+    together.
     """
     return _build(root, depth, budget, extended=True)

@@ -1,4 +1,6 @@
 """Parabolic cube hierarchy: geometry, counts, and containment."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,16 @@ def _reference_levels(root, depth, extended):
         yield prev
 
 
+def _checked_rows(count, fan, tail, seed):
+    """Rows to read one at a time: the first and last, both sides of the
+    boundary between the parts (tail rows from the end) and of every
+    parent block (fan rows), and a seeded sample."""
+    edges = {count - tail, *range(0, count + 1, fan)}
+    rows = {k for e in edges for k in (e - 1, e) if 0 <= k < count}
+    rows.update(np.random.default_rng(seed).integers(0, count, 200).tolist())
+    return sorted(rows)
+
+
 @pytest.mark.parametrize("n, depth", [(1, 0), (1, 1), (1, 2), (1, 3),
                                       (2, 0), (2, 1), (2, 2)])
 @pytest.mark.parametrize("build", [build_core, build_extended])
@@ -218,7 +230,47 @@ def test_levels_match_reference_build(build, n, depth):
     for j, want in enumerate(ref):
         got = h.levels[j]
         assert (got.level, got.s, got.z) == (want.level, want.s, want.z)
+        assert (got.count, got.n) == (want.count, want.n)
+        # rows from the recursion, before any level array is written
+        rows = _checked_rows(want.count, 2 * ZETA ** (n + 2), core_count(n, j), seed=j)
+        cubes = [got.cube(k) for k in rows]
+        assert all((c.s, c.z, c.level) == (want.s, want.z, want.level) for c in cubes)
+        assert np.array([c.l for c in cubes]).tobytes() == want.l[rows].tobytes(), j
+        assert np.array([c.w for c in cubes]).tobytes() == want.w[rows].tobytes(), j
         for name in ("l", "w"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (j, name)
         h.levels[j] = None      # release each compared level
+
+
+def test_counts_and_cube_reads_write_no_level_arrays():
+    # written out, level 3 alone is 8388608 rows: 128 MiB of l and w
+    tracemalloc.start()
+    try:
+        h = build_extended(unit_cube(1), 3)
+        counts = [h.count_level(j) for j in range(4)]
+        cubes = [lv.cube(k) for lv in h.levels for k in range(min(32, lv.count))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [extended_count(1, j) for j in range(4)] and h.total == sum(counts)
+    assert len(cubes) == 1 + 3 * 32
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("count, args", [(core_count, (1, -1)), (count_bound, (1, -1)),
+                                         (extended_count, (1, -2)), (core_count, (3, 1)),
+                                         (extended_count, (0, 1)), (count_bound, (3, 1)),
+                                         (core_count, (1, 1.0)), (core_count, (True, 1)),
+                                         (extended_count, (1, True))])
+def test_counts_reject_bad_arguments(count, args):
+    with pytest.raises(InvalidArgumentError):
+        count(*args)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1", None])
+def test_cube_index_must_be_an_integer(k):
+    lv = build_core(unit_cube(1), depth=1).levels[1]
+    with pytest.raises(InvalidArgumentError):
+        lv.cube(k)
+    assert lv.cube(np.int64(1)) == lv.cube(1)

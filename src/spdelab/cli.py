@@ -777,7 +777,10 @@ def _version() -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         text = _load_config_text(args.config) if args.config else ""
         spec = parse_config(text)

@@ -18,11 +18,11 @@ extended level count obeys
 
 Counts grow fast; builds are guarded by an explicit cube budget,
 checked before anything is built.  A built level is its recursion, not
-its arrays: it holds its scales, its count and its parts, the parent
-levels whose children fill it in row order with the offsets that place
-them.  Counts and `CubeLevel.cube(k)` are read from the parts and write
-no array; a level's flat arrays (one scale per level) are written on
-first read and then kept.  Core level j is the tail of extended level j.
+its arrays: the root level holds the root cube, and every other level
+its scales, its count and its parts, the parent levels whose children
+fill it in row order with the offsets that place them.  Counts and
+`CubeLevel.cube(k)` are read from the parts and write no array.  Core
+level j is the tail of extended level j.
 A cube's row tells a plus child (cut from its parent's upper piece) from
 a minus child (lower piece): the first half of each parent's children
 are plus.
@@ -113,12 +113,11 @@ def _is_index(x) -> bool:
 class CubeLevel:
     """All cubes of one level, sharing a scale.
 
-    A level is made either from flat arrays, l of shape (count,) and w of
-    shape (count, n), as the root is, or from parts: each part holds a
-    parent level and the offsets that place its children, and the parts'
-    children fill the level in row order.  A level made from parts takes
-    its count and `cube(k)` from them; its l and w are written on first
-    read and then kept.
+    The root level holds its one cube, root; every other level holds its
+    parts, each a parent level and the offsets that place its children,
+    and the parts' children fill the level in row order.  Count and
+    `cube(k)` are read from the parts, down to the root, and no array of
+    the level's rows is written.
 
     Order is deterministic: part by part, then parent-major, then plus
     children before minus children, then time slot, then space
@@ -127,37 +126,14 @@ class CubeLevel:
     first half are plus.
     """
 
-    def __init__(self, level: int, s: float, z: float, l=None, w=None, parts=()):
+    def __init__(self, level: int, s: float, z: float, parts=(), root: Cube | None = None):
         self.level, self.s, self.z = level, s, z
-        self.parts = tuple(parts)
-        self._l, self._w = l, w
-        if l is None:
+        self.parts, self.root = tuple(parts), root
+        if root is None:
             self.count = sum(part.count for part in self.parts)
             self.n = len(self.parts[0].space[0])
         else:
-            self.count = int(l.size)
-            self.n = int(w.shape[1])
-
-    @property
-    def l(self) -> np.ndarray:
-        if self._l is None:
-            self._write()
-        return self._l
-
-    @property
-    def w(self) -> np.ndarray:
-        if self._w is None:
-            self._write()
-        return self._w
-
-    def _write(self):
-        l, w = np.empty(self.count), np.empty((self.count, self.n))
-        at = 0
-        for part in self.parts:
-            rows = slice(at, at + part.count)
-            _subdivide(part, l[rows], w[rows])
-            at = rows.stop
-        self._l, self._w = l, w
+            self.count, self.n = 1, root.n
 
     def cube(self, k: int) -> Cube:
         if not _is_index(k):
@@ -168,11 +144,10 @@ class CubeLevel:
         return Cube(l, self.s, self.z, w, level=self.level)
 
     def _row(self, k: int) -> tuple:
-        """(l, w) of row k: read from the arrays once they are written,
-        else the parent row plus the child's offsets, the same additions
-        `_subdivide` makes."""
-        if self._l is not None:
-            return self._l.item(k), tuple(self._w[k].tolist())
+        """(l, w) of row k: the root's own, else the parent row plus the
+        child's offsets."""
+        if self.root is not None:
+            return self.root.l, self.root.w
         for part in self.parts:
             if k < part.count:
                 break
@@ -195,11 +170,6 @@ class _Part:
     count: int
 
 
-def _root_level(root: Cube) -> CubeLevel:
-    return CubeLevel(root.level, root.s, root.z,
-                     l=np.array([root.l]), w=np.array([root.w], dtype=float))
-
-
 def _part(parent: CubeLevel, height: int, s2: float, z2: float) -> _Part:
     """The children of every cube of a level, at scales s2 and z2.
 
@@ -216,15 +186,6 @@ def _part(parent: CubeLevel, height: int, s2: float, z2: float) -> _Part:
     axis = [-z + (2.0 * i + 1.0) * z2 for i in range(ZETA)]
     space = tuple(itertools.product(axis, repeat=parent.n))
     return _Part(parent, time, space, parent.count * len(time) * len(space))
-
-
-def _subdivide(part: _Part, l: np.ndarray, w: np.ndarray):
-    """Write the children of a part into l and w, parent-major."""
-    P, T, Q, n = part.parent.count, len(part.time), len(part.space), len(part.space[0])
-    np.add(part.parent.l[:, None, None], np.array(part.time)[None, :, None],
-           out=l.reshape(P, T, Q))
-    np.add(part.parent.w[:, None, None, :], np.array(part.space)[None, None, :, :],
-           out=w.reshape(P, T, Q, n))
 
 
 @dataclass
@@ -281,7 +242,7 @@ def _build(root: Cube, depth: int, budget: int, extended: bool) -> CubeHierarchy
     above and then the eighth children of the core level above, so its
     tail is core level j.  Each count is summed from the parts, never
     taken from the count formulas, so comparing counts with them stays a
-    check.  No level array is written here.
+    check.
     """
     if depth < 0 or int(depth) != depth:
         raise InvalidArgumentError(f"depth must be a nonnegative integer, got {depth}")
@@ -295,7 +256,7 @@ def _build(root: Cube, depth: int, budget: int, extended: bool) -> CubeHierarchy
         raise ResourceLimitError(
             f"{'extended' if extended else 'core'} hierarchy needs {total} cubes "
             f"at depth {depth}, over budget {budget}")
-    core = _root_level(root)
+    core = CubeLevel(root.level, root.s, root.z, root=root)
     levels = [core]
     for _ in range(depth):
         prev = levels[-1]

@@ -85,8 +85,14 @@ def make_cylinder(t0: float, x0, r: float) -> SpaceTimeRect:
 COVERING_CONSTANT = {1: 4.25 * 4.5, 2: 4.25 * 4.5**2}
 
 
+def _check_theta(theta: float):
+    if not (0.0 < theta < 1.0):
+        raise InvalidArgumentError(f"theta must lie in (0, 1), got {theta}")
+
+
 def covering_bound(theta: float, n: int) -> int:
     """Cylinder budget ceil(L_n (1 - theta)^-(n+2)) for the lattice covering."""
+    _check_theta(theta)
     if n not in COVERING_CONSTANT:
         raise InvalidArgumentError(f"no covering constant for dimension {n}")
     return int(math.ceil(COVERING_CONSTANT[n] * (1.0 - theta) ** -(n + 2)))
@@ -151,8 +157,7 @@ def cover_cylinder(theta: float, R: float, n: int) -> CoverLattice:
     _COVER_BUDGET anchors raises ResourceLimitError before anything is
     allocated.
     """
-    if not (0.0 < theta < 1.0):
-        raise InvalidArgumentError(f"theta must lie in (0, 1), got {theta}")
+    _check_theta(theta)
     if not (R > 0.0 and math.isfinite(R)):
         raise InvalidArgumentError(f"R must be positive and finite, got {R}")
     if n not in (1, 2):

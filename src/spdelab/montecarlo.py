@@ -380,7 +380,7 @@ class PositivityReport:
 def positivity_scan(ens: Ensemble, region: SpaceTimeRect,
                     floor: float = 0.0) -> PositivityReport:
     """Count paths whose region infimum does not stay above the floor."""
-    if floor < 0.0:
+    if not (floor >= 0.0):
         raise InvalidArgumentError(f"floor must be nonnegative, got {floor}")
     vals0 = ens.spec.initial_condition().flat()
     if np.any(vals0 < 0.0) or not np.any(vals0 > 0.0):

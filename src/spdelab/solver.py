@@ -34,13 +34,12 @@ and from n.  A free of t and u and constant in space makes I - dt L_A
 circulant, solved by a real FFT.  In 1d every other A gives a cyclic
 tridiagonal matrix, symmetric and, while every face value of A is
 positive, strictly diagonally dominant with a positive diagonal, so
-positive definite.  It is solved with LAPACK's routines for symmetric
-positive definite tridiagonals, which need no pivoting, plus a
-Sherman-Morrison correction for the corners: A free of t and u is factored
-once per call (dpttrf) and each step costs one dpttrs call; A that reads
-t (one field for all rows) or u (one per row) takes one dptsv call per
-step.  A 1d field with a face value <= 0 or a non-finite entry is not
-solved: its rows come back NaN and fail.  In 2d any A that is not
+positive definite.  It is solved with LAPACK's dptsv for symmetric
+positive definite tridiagonals, which needs no pivoting, plus a
+Sherman-Morrison correction for the corners: one dptsv call per step,
+for one field shared by every row (A free of u) or one field per row
+(A reads u).  A 1d field with a face value <= 0 or a non-finite entry
+is not solved: its rows come back NaN and fail.  In 2d any A that is not
 constant in space is solved by sparse LU: once per call for A free of t
 and u, per field and step otherwise.  The FFT solve carries roundoff of
 order 1e-16 max|u|, so nodes where u is nearly 0 may come out slightly
@@ -352,23 +351,26 @@ class ValidationReport:
     worst_growth_excess: float
 
 
-def validate_model(cm: CoefficientModel, sample_count: int = 256, seed: int = 0,
-                   extent: float = 2.0, t_max: float = 2.0) -> ValidationReport:
+# samples validate_model draws, from a fixed seed
+_VALIDATION_SAMPLES = 256
+_VALIDATION_SEED = 0
+
+
+def validate_model(cm: CoefficientModel, extent: float = 2.0,
+                   t_max: float = 2.0) -> ValidationReport:
     """Spot-check ellipticity and the linear growth bound on random samples.
 
-    Each of the sample_count samples draws its own time, point and state
-    magnitude, and the coefficients are evaluated on all of them in one
-    call.  Raises ModelInvalidError with a witness triple on a violated
+    Each of the _VALIDATION_SAMPLES samples draws its own time, point and
+    state magnitude, and the coefficients are evaluated on all of them in
+    one call.  Raises ModelInvalidError with a witness triple on a violated
     bound, ellipticity first; otherwise returns the worst observed margins.
     """
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise InvalidArgumentError(f"t_max must be finite and >= 0, got {t_max}")
     if not (math.isfinite(extent) and extent > 0.0):
         raise InvalidArgumentError(f"extent must be finite and > 0, got {extent}")
-    if sample_count < 1:
-        raise InvalidArgumentError(f"sample_count must be >= 1, got {sample_count}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    K = sample_count
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_VALIDATION_SEED)))
+    K = _VALIDATION_SAMPLES
     t = rng.uniform(0.0, t_max, size=K)
     xs = tuple(rng.uniform(-extent, extent, size=K) for _ in range(cm.n))
     u = rng.choice([-1.0, 1.0], size=K) * 10.0 ** rng.uniform(-4.0, 1.0, size=K)
@@ -469,18 +471,6 @@ def dptsv(d, e, b, overwrite_b=False):
     return _lapack("dptsv")(d, e, b, overwrite_b=overwrite_b)
 
 
-def dpttrf(d, e):
-    """LAPACK's L D L^T factorization of a symmetric positive definite
-    tridiagonal, as scipy.linalg.lapack.dpttrf."""
-    return _lapack("dpttrf")(d, e)
-
-
-def dpttrs(d, e, b):
-    """LAPACK's solve with a dpttrf factorization, as
-    scipy.linalg.lapack.dpttrs."""
-    return _lapack("dpttrs")(d, e, b)
-
-
 def _implicit_matrix(grid: Grid, a: np.ndarray, dt: float):
     """Sparse I - dt L for a shared (unbatched) coefficient field."""
     from scipy import sparse
@@ -571,30 +561,19 @@ def _definite(parts: tuple) -> np.ndarray:
     return (e[..., :-1].max(axis=-1) < 0.0) & (c < 0.0) & np.isfinite(d.sum(axis=-1))
 
 
-def _sherman_morrison(z: np.ndarray, gamma, c):
-    """The correction for z = T^{-1} w and v = (1, 0, ..., 0, c / gamma)
-    from _cyclic_parts: rows y = T^{-1} rhs, with the leading axes of z or
-    more, become x = y - z (v^T y) / (1 + v^T z), in place."""
-    ratio = c / gamma
-    # z.T[0] is z[..., 0], but a faster numpy scalar for one matrix
-    denom = 1.0 + z.T[0] + ratio * z.T[-1]
-
-    def correct(y):
-        y -= ((y[..., 0] + ratio * y[..., -1]) / denom)[..., None] * z
-        return y
-    return correct
-
-
 def _cyclic_solve(parts: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve (T + w v^T) x = rhs for R matrices from _cyclic_parts, rhs (K, N),
     row k with matrix k mod R: R = 1 for a shared field, R = K for one per row.
 
     One LAPACK dptsv call factors the R matrices as L D L^T, with no
     pivoting, on the diagonal of one symmetric tridiagonal with zero
-    coupling, and solves against the stacked w and K / R rhs rows.  A row's
-    result depends on no other row while every matrix passes `_definite` and
-    every rhs entry is finite.  A matrix that is not positive definite stops
-    the call: NumericError.
+    coupling, and solves against the stacked w and K / R rhs rows.  With
+    z = T^{-1} w and y = T^{-1} rhs, Sherman-Morrison gives
+    x = y - z (v^T y) / (1 + v^T z), for v = (1, 0, ..., 0, c / gamma).
+    A row's result depends on no other row while every matrix passes
+    `_definite` and every rhs entry is finite, and each rhs column is solved
+    on its own, so R = 1 gives the bits of R = K with the field repeated.  A
+    matrix that is not positive definite stops the call: NumericError.
     """
     e, d, gamma, c = parts
     b = np.zeros((1 + rhs.size // d.size,) + d.shape)
@@ -605,23 +584,11 @@ def _cyclic_solve(parts: tuple, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericError(f"tridiagonal solve failed: LAPACK dptsv info = {info}")
     z, y = x.T[0].reshape(d.shape), x.T[1:].reshape(b[1:].shape)
-    return _sherman_morrison(z, gamma, c)(y).reshape(rhs.shape)
-
-
-def _factored_cyclic_solve(parts: tuple):
-    """The solve rhs (B, N) -> (B, N) for one matrix of _cyclic_parts that
-    serves many steps: T is factored once by LAPACK dpttrf and z = T^{-1} w
-    solved once, so a step costs one dpttrs call, with a column per row,
-    and the Sherman-Morrison correction.  Each column is solved on its own,
-    so a row's bits do not depend on the rows beside it, nor on B = 1."""
-    e, d, gamma, c = parts
-    df, ef, info = dpttrf(d, e[:d.size - 1])
-    if info != 0:
-        raise NumericError(f"tridiagonal factorization failed: LAPACK dpttrf info = {info}")
-    w = np.zeros((d.size, 1))
-    w[0], w[-1] = gamma, c
-    correct = _sherman_morrison(dpttrs(df, ef, w)[0][:, 0], gamma, c)
-    return lambda rhs: correct(dpttrs(df, ef, rhs.T)[0].T)
+    ratio = c / gamma
+    # z.T[0] is z[..., 0], but a faster numpy scalar for one matrix
+    denom = 1.0 + z.T[0] + ratio * z.T[-1]
+    y -= ((y[..., 0] + ratio * y[..., -1]) / denom)[..., None] * z
+    return y.reshape(rhs.shape)
 
 
 def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
@@ -629,17 +596,16 @@ def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
 
     a is one coefficient field (S,) shared by every row, or one field per
     row (B, S).  reused: the solver serves every step of the call (A reads
-    neither t nor u), so a factorization pays off; otherwise it serves one
-    step.
+    neither t nor u); otherwise it serves one step.
 
     A reused field that is constant in space is solved by FFT.  In 1d every
     other field is cyclic tridiagonal and, while its faces are positive,
-    symmetric positive definite (_cyclic_parts): a reused field is factored
-    once by dpttrf, and a field for one step, or the fields of all rows, is
-    solved by one dptsv call.  A shared 1d field that is not positive
-    definite, or not finite, gives NaN for every row, which the step loop
-    records as failures.  In 2d sparse LU factors the reused field once,
-    else each field in each step.
+    symmetric positive definite (_cyclic_parts, split once here), and each
+    call of the solve is one dptsv call (_cyclic_solve), whether the field
+    is reused, serves one step, or is one of the fields of all rows.  A
+    shared 1d field that is not positive definite, or not finite, gives NaN
+    for every row, which the step loop records as failures.  In 2d sparse LU
+    factors the reused field once, else each field in each step.
 
     For one field per row, only the rows listed in `rows` whose rhs and
     field are finite (in 1d: whose matrix passes `_definite`) are solved,
@@ -669,8 +635,6 @@ def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
         parts = _cyclic_parts(grid, a, dt)
         if not _definite(parts):
             return lambda rhs: np.full_like(rhs, np.nan)
-        if reused:
-            return _factored_cyclic_solve(parts)
         return lambda rhs: _cyclic_solve(parts, rhs)
     lu = splu(_implicit_matrix(grid, a, dt))
     return lambda rhs: lu.solve(rhs.T).T

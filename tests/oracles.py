@@ -3,9 +3,9 @@
 Each is a direct statement of a definition, kept out of the package
 because no experiment runs it: exact region membership of a point, the
 region infimum of a stored path, the negative-part energy of one
-snapshot, the weighted average of h at a cube's time center, the
-containment of a cube hierarchy in its root, and the cutoff profile at
-arbitrary points.
+snapshot, the weighted average of h at a cube's time center, the rows
+of a cube level as arrays, the containment of a cube hierarchy in its
+root, and the cutoff profile at arbitrary points.
 """
 import numpy as np
 
@@ -48,16 +48,37 @@ def neg_part_energy(snap) -> float:
     return float(snap.grid.cell_volume() * np.sum(neg * neg))
 
 
+def level_rows(lv) -> tuple:
+    """Every row of a cube level as arrays, l (count,) and w (count, n): the
+    root's cube, else each part's children, parent-major, written as the
+    parent rows plus the part's offsets by one numpy addition each."""
+    if lv.root is not None:
+        return np.array([lv.root.l]), np.array([lv.root.w], dtype=float)
+    l, w = np.empty(lv.count), np.empty((lv.count, lv.n))
+    at = 0
+    for part in lv.parts:
+        pl, pw = level_rows(part.parent)
+        shape = (pl.size, len(part.time), len(part.space))
+        rows = slice(at, at + part.count)
+        np.add(pl[:, None, None], np.array(part.time)[None, :, None],
+               out=l[rows].reshape(shape))
+        np.add(pw[:, None, None, :], np.array(part.space)[None, None, :, :],
+               out=w[rows].reshape(shape + (lv.n,)))
+        at = rows.stop
+    return l, w
+
+
 def containment_ok(h, tol: float = 1e-9) -> bool:
     """Exhaustive check that every cube lies inside the root cube."""
     root = h.root
     for lv in h.levels:
-        if float(lv.l.min()) - 4.0 * lv.s < root.time_lo - tol:
+        l, w = level_rows(lv)
+        if float(l.min()) - 4.0 * lv.s < root.time_lo - tol:
             return False
-        if float(lv.l.max()) + 4.0 * lv.s > root.time_hi + tol:
+        if float(l.max()) + 4.0 * lv.s > root.time_hi + tol:
             return False
         for d in range(lv.n):
-            off = np.abs(lv.w[:, d] - root.w[d])
+            off = np.abs(w[:, d] - root.w[d])
             if float(off.max()) + lv.z > root.z + tol:
                 return False
     return True

@@ -319,6 +319,16 @@ def test_config_error_exits_2(tmp_path, capsys):
                    "solve") == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2_before_any_write(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--out", str(out), "--threads", threads, "ensemble")
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_broken_manifest_exits_2(tmp_path, capsys):
     blob = tmp_path / "manifest.json"
     blob.write_text(json.dumps({"version": 1}))

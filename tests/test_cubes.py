@@ -1,10 +1,11 @@
 """Parabolic cube hierarchy: geometry, counts, and containment."""
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from oracles import containment_ok
+from oracles import containment_ok, level_rows
 from spdelab.cubes import (ZETA, Cube, CubeHierarchy, CubeLevel, build_core,
                            build_extended, core_count, count_bound,
                            extended_count, subcubes, unit_cube)
@@ -71,18 +72,21 @@ def test_total_sums_the_levels(n, depth):
 
 
 def test_containment_fails_for_a_cube_outside_the_root():
+    # one offset of the level-1 part is moved, which moves cube 5 (time slot
+    # 0, space combination 5) and every cube that shares that offset
     root = unit_cube(2)
     h = build_core(root, depth=1)
     assert containment_ok(h)
     lv = h.levels[1]
-    early = lv.l.copy()
-    early[5] = root.time_lo + 3.0 * lv.s
-    late = lv.l.copy()
-    late[5] = root.time_hi - 3.0 * lv.s
-    wide = lv.w.copy()
-    wide[5, 1] = root.w[1] + root.z
-    for l, w in ((early, lv.w), (late, lv.w), (lv.l, wide)):
-        moved = CubeLevel(lv.level, lv.s, lv.z, l, w)
+    [part] = lv.parts
+    early, late, wide = list(part.time), list(part.time), list(part.space)
+    early[0] = root.time_lo + 3.0 * lv.s - root.l
+    late[0] = root.time_hi - 3.0 * lv.s - root.l
+    wide[5] = (part.space[5][0], root.z)
+    for displaced in (replace(part, time=tuple(early)), replace(part, time=tuple(late)),
+                      replace(part, space=tuple(wide))):
+        moved = CubeLevel(lv.level, lv.s, lv.z, parts=(displaced,))
+        assert moved.cube(5) != lv.cube(5)
         assert not containment_ok(CubeHierarchy(root, 1, [h.levels[0], moved]))
 
 
@@ -139,11 +143,11 @@ def test_children_tile_parent_eighths():
 def test_level_ordering_deterministic():
     h1 = build_core(unit_cube(1), depth=1)
     h2 = build_core(unit_cube(1), depth=1)
-    assert np.array_equal(h1.levels[1].l, h2.levels[1].l)
-    assert np.array_equal(h1.levels[1].w, h2.levels[1].w)
+    (l, w), (l2, w2) = level_rows(h1.levels[1]), level_rows(h2.levels[1])
+    assert np.array_equal(l, l2) and np.array_equal(w, w2)
     # plus children enumerate before minus children: the first half of the
     # root's children sit above its time center 1, the second half below
-    l, half = h1.levels[1].l, h1.levels[1].count // 2
+    half = h1.levels[1].count // 2
     assert np.all(l[:half] > 1.0) and np.all(l[half:] < 1.0)
 
 
@@ -160,6 +164,25 @@ def test_cube_index_bounds():
         h.levels[1].cube(128)
     with pytest.raises(InvalidArgumentError):
         h.levels[1].cube(-1)
+
+
+@dataclass
+class _Reference:
+    """A reference level: its scales and every row, l (count,) and w (count, n)."""
+
+    level: int
+    s: float
+    z: float
+    l: np.ndarray
+    w: np.ndarray
+
+    @property
+    def count(self):
+        return self.l.size
+
+    @property
+    def n(self):
+        return self.w.shape[1]
 
 
 def _reference_children(parent, target):
@@ -187,23 +210,23 @@ def _reference_children(parent, target):
                             (P, 2, T, Q)).reshape(-1)
     w_out = np.broadcast_to(parent.w[:, None, None, None, :] + space[None, None, None, :, :],
                             (P, 2, T, Q, n)).reshape(-1, n)
-    return CubeLevel(parent.level + 1, s2, z2, l_out, w_out)
+    return _Reference(parent.level + 1, s2, z2, l_out, w_out)
 
 
 def _reference_levels(root, depth, extended):
     """Yield levels 0..depth: core by eighths, extended as quarter
     children of the previous level concatenated with the core level."""
-    core = CubeLevel(root.level, root.s, root.z, np.array([root.l]),
-                     np.array([root.w], dtype=float))
+    core = _Reference(root.level, root.s, root.z, np.array([root.l]),
+                      np.array([root.w], dtype=float))
     prev = core
     yield core
     for _ in range(depth):
         core = _reference_children(core, "eighth")
         if extended:
             kids = _reference_children(prev, "quarter")
-            prev = CubeLevel(core.level, kids.s, kids.z,
-                             np.concatenate([kids.l, core.l]),
-                             np.concatenate([kids.w, core.w]))
+            prev = _Reference(core.level, kids.s, kids.z,
+                              np.concatenate([kids.l, core.l]),
+                              np.concatenate([kids.w, core.w]))
             del kids
         else:
             prev = core
@@ -231,16 +254,16 @@ def test_levels_match_reference_build(build, n, depth):
         got = h.levels[j]
         assert (got.level, got.s, got.z) == (want.level, want.s, want.z)
         assert (got.count, got.n) == (want.count, want.n)
-        # rows from the recursion, before any level array is written
+        # rows one at a time from the recursion
         rows = _checked_rows(want.count, 2 * ZETA ** (n + 2), core_count(n, j), seed=j)
         cubes = [got.cube(k) for k in rows]
         assert all((c.s, c.z, c.level) == (want.s, want.z, want.level) for c in cubes)
         assert np.array([c.l for c in cubes]).tobytes() == want.l[rows].tobytes(), j
         assert np.array([c.w for c in cubes]).tobytes() == want.w[rows].tobytes(), j
-        for name in ("l", "w"):
-            a, b = getattr(got, name), getattr(want, name)
+        # every row, expanded from the level's parts
+        for name, a, b in zip("lw", level_rows(got), (want.l, want.w)):
             assert a.dtype == b.dtype and np.array_equal(a, b), (j, name)
-        h.levels[j] = None      # release each compared level
+        del a, b        # release the expanded rows before the next level
 
 
 def test_counts_and_cube_reads_write_no_level_arrays():

@@ -85,6 +85,13 @@ def test_covering_bound_frozen_values():
         covering_bound(0.75, 3)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_covering_bound_rejects_theta_outside_unit_interval(theta):
+    for n in (1, 2):
+        with pytest.raises(InvalidArgumentError, match=r"theta must lie in \(0, 1\)"):
+            covering_bound(theta, n)
+
+
 def test_cover_trivial_below_half():
     for theta, R, n in ((0.4, 1.0, 1), (0.5, 2.0, 2)):
         cover = cover_cylinder(theta, R, n)

@@ -1,7 +1,8 @@
 """Golden outputs: every subcommand's CSV files against committed references.
 
-Each subcommand runs through `main` with `--plot` on a small config, and
-2D `positivity` runs once more. Every CSV cell is compared with the file
+Each subcommand runs through `main` with `--plot` on a small config, 2D
+`positivity` runs once more, and `ensemble` once more with an A that
+varies only in x. Every CSV cell is compared with the file
 of the same name under tests/golden/<run>/: text cells must be equal,
 number cells equal or within a relative 1e-12. The manifest's `results`
 and `failures` must equal the reference manifest's. A reference changes
@@ -34,9 +35,14 @@ chunk = 8
 
 CONFIG_2D = CONFIG_1D.replace("[grid]\n", "[grid]\nn = 2\n").replace("npts = 32", "npts = 16")
 
+# A that varies only in x: one shared matrix, solved every step
+CONFIG_1D_X = CONFIG_1D.replace("a = random_elliptic\n",
+                                "a = expr\na_expr = 1 + 0.5*sin(x)\n")
+
 # run name -> (subcommand, config text)
 RUNS = {**{name: (name, CONFIG_1D) for name in cli.SUBCOMMANDS},
-        "positivity-2d": ("positivity", CONFIG_2D)}
+        "positivity-2d": ("positivity", CONFIG_2D),
+        "ensemble-1d-x": ("ensemble", CONFIG_1D_X)}
 
 
 def run_all(base: Path) -> dict:

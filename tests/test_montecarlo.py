@@ -292,8 +292,9 @@ def test_positivity_scan(region_spec, region_ensemble):
     # an unreachable floor flips the verdict
     high = positivity_scan(region_ensemble, BOX, floor=float(np.max(report.mins)))
     assert high.n_at_or_below > 0
-    with pytest.raises(InvalidArgumentError):
-        positivity_scan(region_ensemble, BOX, floor=-1.0)
+    for floor in (-1.0, np.nan):
+        with pytest.raises(InvalidArgumentError, match="floor"):
+            positivity_scan(region_ensemble, BOX, floor=floor)
 
 
 def test_positivity_scan_rejects_signed_data(region_ensemble):

@@ -198,7 +198,6 @@ def test_validate_model_accepts_default():
     ({"t_max": -1.0}, "t_max"),
     ({"extent": math.inf}, "extent"), ({"extent": -2.0}, "extent"),
     ({"extent": 0.0}, "extent"), ({"extent": math.nan}, "extent"),
-    ({"sample_count": 0}, "sample_count"),
 ])
 def test_validate_model_rejects_bad_arguments(kwargs, name):
     cm = build_model(ModelParams(), 1)

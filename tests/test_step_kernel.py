@@ -3,8 +3,7 @@
 A free of t and u and constant in space is solved by FFT instead of a
 sparse LU; in 1d, every other A is solved as a cyclic symmetric positive
 definite tridiagonal system by LAPACK with a Sherman-Morrison correction,
-factored once when A varies only in x; noise declared
-through `sigma` is formed from profiles built once per batch instead of a
+one dptsv call per step; noise declared through `sigma` is formed from profiles built once per batch instead of a
 g call per step.  Each shortcut is checked against the general
 computation, the choice of solve is pinned by counting factorizations and
 LAPACK calls, and every path keeps the rule that its result does not
@@ -25,7 +24,7 @@ from spdelab.fields import FieldSnapshot, Grid, region_rows
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.solver import (CoefficientModel, ModelParams, SolverConfig,
                             _circulant_solve, _coef_fields, _cyclic_parts,
-                            _cyclic_solve, _definite, _factored_cyclic_solve,
+                            _cyclic_solve, _definite,
                             _implicit_matrix, build_model,
                             draw_increments, integrate_batch,
                             make_initial_condition, path_seed,
@@ -133,29 +132,21 @@ def test_cyclic_solve_raises_on_lapack_failure():
         _cyclic_solve(parts, np.ones((2, 4)))
 
 
-def test_factored_solve_raises_on_lapack_failure():
-    # the matrix of test_cyclic_solve_raises_on_lapack_failure, factored once
-    parts = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), -1.0, 0.0)
-    with pytest.raises(NumericError, match="dpttrf info = 2"):
-        _factored_cyclic_solve(parts)
-
-
 @pytest.mark.parametrize("npts", [4, 5, 64, 128])
 @pytest.mark.parametrize("iota", [1.0, 0.5, 0.1])
 def test_positive_definite_solves_match_sparse_lu(npts, iota, rng):
-    # against sparse LU of I - dt L_a: one field factored once by dpttrf
-    # and solved twice, and one field per row stacked into one dptsv call
+    # against sparse LU of I - dt L_a: one field that serves every step,
+    # solved twice, and one field per row stacked into one dptsv call
     # (test_cyclic_solve_matches_sparse_lu covers one field for one step)
     grid = Grid.regular(1, npts)
     dt = 2.0 * grid.dx**2
     rhs = rng.normal(size=(5, npts))
     a = rng.uniform(iota, 1.0 / iota, size=npts)
     want = splu(_implicit_matrix(grid, a, dt)).solve(rhs.T).T
-    parts = _cyclic_parts(grid, a, dt)
-    assert _definite(parts)
-    factored = _factored_cyclic_solve(parts)
+    assert _definite(_cyclic_parts(grid, a, dt))
+    shared = solver._implicit_solver(grid, a, dt, reused=True, rows=None)
     for _ in range(2):
-        close(factored(rhs), want)
+        close(shared(rhs), want)
     rows = rng.uniform(iota, 1.0 / iota, size=(5, npts))
     parts = _cyclic_parts(grid, rows, dt)
     assert _definite(parts).all()
@@ -167,15 +158,31 @@ def test_positive_definite_solves_match_sparse_lu(npts, iota, rng):
 @pytest.mark.parametrize("npts", [4, 5, 64])
 @pytest.mark.parametrize("rows", [2, 7])
 def test_factored_solve_batch_equals_rows_alone(npts, rows, rng):
-    # dpttrs solves each column on its own: a batch gives bitwise the rows
-    # it gives one at a time, through LAPACK's single-column path (B = 1)
+    # one field that serves every step: dptsv solves each rhs column on its
+    # own, so a batch gives bitwise the rows it gives one at a time (B = 1)
     grid = Grid.regular(1, npts)
     dt = rng.uniform(0.25, 2.0) * grid.dx**2
-    solve = _factored_cyclic_solve(_cyclic_parts(grid, rng.uniform(0.5, 2.0, npts), dt))
+    solve = solver._implicit_solver(grid, rng.uniform(0.5, 2.0, npts), dt,
+                                    reused=True, rows=None)
     rhs = rng.normal(size=(rows, npts)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
     batch = solve(rhs)
     alone = np.stack([solve(rhs[b:b + 1])[0] for b in range(rows)])
     np.testing.assert_array_equal(batch.view(np.uint64), alone.view(np.uint64))
+
+
+@pytest.mark.parametrize("npts", [4, 5, 64])
+@pytest.mark.parametrize("rows", [2, 7])
+def test_shared_field_solve_equals_per_row_solve(npts, rows, rng):
+    # one field that serves every step gives bitwise the rows of the per-row
+    # stacked solve with that field repeated for each row
+    grid = Grid.regular(1, npts)
+    dt = rng.uniform(0.25, 2.0) * grid.dx**2
+    a = rng.uniform(0.5, 2.0, npts)
+    rhs = rng.normal(size=(rows, npts)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+    shared = solver._implicit_solver(grid, a, dt, reused=True, rows=None)(rhs)
+    per_row = solver._implicit_solver(grid, np.tile(a, (rows, 1)), dt, reused=False,
+                                      rows=np.arange(rows))(rhs)
+    np.testing.assert_array_equal(shared.view(np.uint64), per_row.view(np.uint64))
 
 
 def hand_built(a, deps):
@@ -236,22 +243,21 @@ M_STEPS = 8        # steps of the runs that count factorizations
 B_ROWS = 3
 
 # expected splu calls per integrate_batch call of M_STEPS steps on B_ROWS
-# rows in 2d, and dptsv and dpttrf calls in 1d (1d never calls splu, and
-# 2d never calls LAPACK's tridiagonal routines)
+# rows in 2d, and dptsv calls in 1d (1d never calls splu, and 2d never
+# calls LAPACK's tridiagonal solve)
 FACTORIZATIONS = {
-    "identity": (ModelParams(), (0, 0, 0)),
-    "constant": (ModelParams(a_kind="constant", a_value=0.5, iota=0.5), (0, 0, 0)),
-    "constant-expr": (ModelParams(a_kind="expr", a_expr="0.75", iota=0.5), (0, 0, 0)),
+    "identity": (ModelParams(), (0, 0)),
+    "constant": (ModelParams(a_kind="constant", a_value=0.5, iota=0.5), (0, 0)),
+    "constant-expr": (ModelParams(a_kind="expr", a_expr="0.75", iota=0.5), (0, 0)),
     "x-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5),
-                    (1, 0, 1)),
-    "t-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*t"),
-                    (M_STEPS, M_STEPS, 0)),
+                    (1, M_STEPS)),
+    "t-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*t"), (M_STEPS, M_STEPS)),
     "random_elliptic": (ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
-                        (M_STEPS, M_STEPS, 0)),
+                        (M_STEPS, M_STEPS)),
     "u-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*u"),
-                    (M_STEPS * B_ROWS, M_STEPS, 0)),
+                    (M_STEPS * B_ROWS, M_STEPS)),
 }
-FACTORIZERS = ("splu", "dptsv", "dpttrf")
+FACTORIZERS = ("splu", "dptsv")
 
 
 def count_factorizers(monkeypatch):
@@ -265,7 +271,7 @@ def count_factorizers(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", sorted(FACTORIZATIONS))
 def test_solve_path_is_chosen_by_coefficient(monkeypatch, n, name):
-    params, (splu_2d, dptsv_1d, dpttrf_1d) = FACTORIZATIONS[name]
+    params, (splu_2d, dptsv_1d) = FACTORIZATIONS[name]
     grid = grid_for(n)
     cm = build_model(params, n, grid.extent)
     calls = count_factorizers(monkeypatch)
@@ -273,7 +279,7 @@ def test_solve_path_is_chosen_by_coefficient(monkeypatch, n, name):
     times = times[:M_STEPS + 1]
     integrate_batch(grid, cm, SolverConfig(), u0b, times,
                     dW[:, :M_STEPS], keep_history=True)
-    want = (0, dptsv_1d, dpttrf_1d) if n == 1 else (splu_2d, 0, 0)
+    want = (0, dptsv_1d) if n == 1 else (splu_2d, 0)
     assert tuple(len(calls[name]) for name in FACTORIZERS) == want
 
 
@@ -539,12 +545,12 @@ def test_2d_heat_kernel_second_order_and_mass():
 # ---------------------------------------------------------------------------
 # every solve inverts I - dt L_a
 
-# solve -> (reused, per-row field, (splu, dptsv, dpttrf) calls in 1d, in 2d)
+# solve -> (reused, per-row field, (splu, dptsv) calls in 1d, in 2d)
 SOLVES = {
-    "fft": (True, False, (0, 0, 0), (0, 0, 0)),
-    "shared-lu": (True, False, (0, 0, 1), (1, 0, 0)),
-    "per-step": (False, False, (0, 1, 0), (1, 0, 0)),
-    "per-row": (False, True, (0, 1, 0), (B_ROWS, 0, 0)),
+    "fft": (True, False, (0, 0), (0, 0)),
+    "shared-lu": (True, False, (0, 1), (1, 0)),
+    "per-step": (False, False, (0, 1), (1, 0)),
+    "per-row": (False, True, (0, 1), (B_ROWS, 0)),
 }
 
 

@@ -83,6 +83,11 @@ def _dt(raw: str):
     return None if raw.lower() == "auto" else float(raw)
 
 
+def _scheme(raw: str):
+    if raw != "semi-implicit":
+        raise ValueError(f"the one scheme is semi-implicit, got {raw!r}")
+
+
 def _optional(show):
     """Printer that leaves the key out when the value is None."""
     return lambda v: None if v is None else show(v)
@@ -94,7 +99,7 @@ class _Key(NamedTuple):
     section: str
     key: str
     field: str | None  # "<owner>.<attr>", owner one of grid, model, solver, spec
-    parse: Callable | None  # raw text -> value
+    parse: Callable  # raw text -> value
     show: Callable | None  # value -> text, or None to leave the key out
     default: object = dataclasses.MISSING  # only where the owner has none
 
@@ -122,9 +127,9 @@ _KEYS = (
     _Key("model", "g_expr", "model.g_expr", str, _optional(str)),
     _Key("model", "growth_bound", "model.growth_bound", float, _optional(repr)),
     _Key("solver", "dt", "solver.dt", _dt, lambda v: "auto" if v is None else repr(v)),
-    _Key("solver", "scheme", "solver.scheme", *_STR),
-    # accepted and ignored, so manifests that still carry it replay
-    _Key("solver", "tol", None, None, None),
+    # replay-only keys, never printed: manifests that still carry them replay
+    _Key("solver", "scheme", None, _scheme, None),
+    _Key("solver", "tol", None, str, None),
     _Key("solver", "f0", "spec.ic_kind", *_STR),
     _Key("solver", "amplitude", "spec.ic_amplitude", *_FLOAT),
     _Key("solver", "width", "spec.ic_width", *_FLOAT),
@@ -252,19 +257,21 @@ def parse_config(text: str) -> ExperimentSpec:
     base = {"grid": {}, "model": {}, "solver": {}, "spec": {}}
     given = {owner: [] for owner in base}
     for k in _KEYS:
+        entry = sections.get(k.section, {}).get(k.key)
+        if entry is not None:
+            raw, ln = entry
+            try:
+                value = k.parse(raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad value for [{k.section}] {k.key}: {exc}",
+                                  line=ln) from None
         if k.field is None:
             continue
         owner, attr = k.field.split(".")
         if k.default is not dataclasses.MISSING:
             base[owner][attr] = k.default
-        entry = sections.get(k.section, {}).get(k.key)
         if entry is not None:
-            raw, ln = entry
-            try:
-                given[owner].append((attr, k.parse(raw), ln))
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for [{k.section}] {k.key}: {exc}",
-                                  line=ln) from None
+            given[owner].append((attr, value, ln))
 
     grid = _construct(Grid.regular, base["grid"], given["grid"])
 
@@ -464,10 +471,9 @@ def cmd_solve(spec, out, args):
         g = Grid.regular(1, npts, spec.grid.extent)
         cm = build_model(ModelParams(a_kind="identity", f_kind="zero",
                                      g_kind="zero", m=0), 1, g.extent)
-        cfg = SolverConfig(scheme=spec.solver.scheme)
         x = g.coords_flat()[0]
         u0 = FieldSnapshot(g, 0.0, periodic_heat_kernel(x, t_init, g.extent))
-        path = solve_path(u0, cm, cfg, t_final, seed=0)
+        path = solve_path(u0, cm, SolverConfig(), t_final, seed=0)
         exact = periodic_heat_kernel(x, t_init + float(path.times[-1]), g.extent)
         err = float(math.sqrt(g.dx * np.sum((path.values[-1] - exact) ** 2)))
         rows.append((npts, g.dx, path.dt, err,

@@ -148,14 +148,14 @@ class FieldSnapshot:
 class FieldPath:
     """A field sampled at uniformly spaced times, with its noise record.
 
-    values has shape (M + 1, grid.size) in C-order; noise, when recorded,
-    has shape (M, m) holding the Brownian increments consumed by each step.
-    Code that reads the increments goes through `increments`, which
-    rejects a path without a record.
+    A solved path holds semi-implicit Euler states, the only scheme, so a
+    path names none.  values has shape (M + 1, grid.size) in C-order;
+    noise, when recorded, has shape (M, m) holding the Brownian increments
+    consumed by each step.  Code that reads the increments goes through
+    `increments`, which rejects a path without a record.
     """
 
-    def __init__(self, grid: Grid, times, values, noise=None,
-                 scheme: str = "semi-implicit"):
+    def __init__(self, grid: Grid, times, values, noise=None):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 2:
@@ -177,7 +177,6 @@ class FieldPath:
         self.times = times
         self.values = values
         self.noise = noise
-        self.scheme = scheme
 
     @property
     def steps(self) -> int:

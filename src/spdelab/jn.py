@@ -352,6 +352,6 @@ def stability_spread(k_by_mu: dict) -> float:
     vals = np.array(sorted(k_by_mu.values()))
     if vals.size < 2:
         raise InsufficientDataError("need quantiles at >= 2 mu values")
-    if vals[0] <= 0.0:
-        raise InvalidArgumentError("quantiles must be positive to compare spreads")
+    if not np.all((vals > 0.0) & (vals < math.inf)):
+        raise InvalidArgumentError("quantiles must be positive and finite to compare spreads")
     return float((vals[-1] - vals[0]) / vals[0])

@@ -95,10 +95,10 @@ class ExperimentSpec:
             raise InvalidArgumentError(f"floor must be nonnegative, got {self.floor}")
         if len(self.alphas) == 0 or not all(a > 0.0 for a in self.alphas):
             raise InvalidArgumentError("alphas must be a nonempty 1d array of positive levels")
-        if not (self.mu > 0.0):
-            raise InvalidArgumentError(f"mu must be positive, got {self.mu}")
-        if not (self.nu > 0.0):
-            raise InvalidArgumentError(f"nu must be positive, got {self.nu}")
+        if not (0.0 < self.mu < math.inf):
+            raise InvalidArgumentError(f"mu must be positive and finite, got {self.mu}")
+        if not (0.0 < self.nu < math.inf):
+            raise InvalidArgumentError(f"nu must be positive and finite, got {self.nu}")
         if self.depth < 0 or int(self.depth) != self.depth:
             raise InvalidArgumentError(
                 f"depth must be a nonnegative integer, got {self.depth}")
@@ -238,8 +238,7 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
             fp = None
             if keep_history:
                 fp = FieldPath(grid, times, res.history[b],
-                               noise=dW[b] if dW is not None else None,
-                               scheme=spec.solver.scheme)
+                               noise=dW[b] if dW is not None else None)
             for consume, read in zip(consumers, reads):
                 consume(i, fp if read is None else tuple(c[b] for c in res.captured[read]))
 
@@ -461,21 +460,21 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
 def filter_lemma_check(samples, K: float, N: float, b: float) -> int:
     """Count violations of the inclusion
     {X + Z > b, N Y + Z <= b}  within  {X > K N b / (K N + 1), N Y <= b}
-    over triples satisfying Y >= K Z >= 0.  The inclusion holds exactly,
-    so the expected count is zero; a positive count signals a broken
-    precondition or arithmetic.
+    over finite triples satisfying Y >= K Z >= 0.  The inclusion holds
+    exactly, so the expected count is zero; a positive count signals a
+    broken precondition or arithmetic.
     """
-    if not (K > 0.0 and N > 0.0 and b > 0.0):
-        raise InvalidArgumentError(f"K, N, b must be positive, got {(K, N, b)}")
+    if not all(0.0 < v < math.inf for v in (K, N, b)):
+        raise InvalidArgumentError(f"K, N, b must be positive and finite, got {(K, N, b)}")
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InvalidArgumentError(f"samples must have shape (n, 3), got {arr.shape}")
     X, Y, Z = arr[:, 0], arr[:, 1], arr[:, 2]
-    bad = (Z < 0.0) | (Y < K * Z)
+    bad = ~((np.abs(X) < math.inf) & (Y < math.inf) & (Y >= K * Z) & (Z >= 0.0))
     if np.any(bad):
         idx = np.nonzero(bad)[0]
         raise InvalidArgumentError(
-            f"samples at indices {idx[:5].tolist()} violate Y >= K*Z >= 0")
+            f"samples at indices {idx[:5].tolist()} are not finite with Y >= K*Z >= 0")
     left = (X + Z > b) & (N * Y + Z <= b)
     right = (X > K * N * b / (K * N + 1.0)) & (N * Y <= b)
     return int(np.sum(left & ~right))

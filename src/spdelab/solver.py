@@ -5,7 +5,7 @@ The equation integrated here is
     du = div(A(t, x, u) grad u) dt + f(t, x, u) dt + sum_i g_i(t, x, u) dW^i
 
 on the periodic box [-X, X)^n, with A elliptic (iota <= A <= 1/iota as
-quadratic forms) and |f| + |g|_{l2} <= Lambda |u|.  The default scheme is
+quadratic forms) and |f| + |g|_{l2} <= Lambda |u|.  The one scheme is
 semi-implicit Euler: diffusion implicit with A frozen at the previous
 iterate, drift and noise explicit at the left endpoint,
 
@@ -48,7 +48,7 @@ negative.
 scipy is imported only inside `splu`, `_lapack` and `_implicit_matrix`,
 on first use, and scipy.sparse only by 2d runs.  A run
 whose A is the identity, or free of t and u and constant in space, solves
-by FFT (or steps explicitly) and never loads scipy.
+by FFT and never loads scipy.
 """
 from __future__ import annotations
 
@@ -112,29 +112,26 @@ class CoefficientModel:
             raise InvalidArgumentError(f"spatial dimension must be 1 or 2, got {self.n}")
         if not (0.0 < self.iota <= 1.0):
             raise InvalidArgumentError(f"iota must lie in (0, 1], got {self.iota}")
-        if not (self.growth >= 0.0):
-            raise InvalidArgumentError(f"growth bound must be >= 0, got {self.growth}")
+        if not (0.0 <= self.growth < math.inf):
+            raise InvalidArgumentError(f"growth bound must be >= 0 and finite, got {self.growth}")
         if self.m < 0 or (self.g is None and self.m != 0):
             raise InvalidArgumentError("channel count m inconsistent with g")
 
 
 @dataclass
 class SolverConfig:
-    """Stepping controls: the time step and the scheme.
+    """Stepping controls of the semi-implicit scheme: the time step.
 
-    dt=None selects the parabolic default dx^2/2. scheme is
-    "semi-implicit" (implicit in the diffusion, explicit in drift and
-    noise) or "explicit". A solved path always records its noise.
+    dt=None selects the parabolic default dx^2/2; the implicit diffusion
+    puts no stability restriction on it. A solved path always records its
+    noise.
     """
 
     dt: float | None = None
-    scheme: str = "semi-implicit"
 
     def __post_init__(self):
-        if self.scheme not in ("semi-implicit", "explicit"):
-            raise InvalidArgumentError(f"unknown scheme {self.scheme!r}")
-        if self.dt is not None and not (self.dt > 0.0):
-            raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not (0.0 < self.dt < math.inf):
+            raise InvalidArgumentError(f"dt must be positive and finite, got {self.dt}")
 
     def step_size(self, grid: Grid) -> float:
         return self.dt if self.dt is not None else grid.dx**2 / 2.0
@@ -248,8 +245,8 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
     p = params
     if not (0.0 < p.iota <= 1.0):
         raise InvalidArgumentError(f"iota must lie in (0, 1], got {p.iota}")
-    if not (p.lambda_f >= 0.0 and p.lambda_g >= 0.0):
-        raise InvalidArgumentError("lambda_f and lambda_g must be nonnegative")
+    if not (0.0 <= p.lambda_f < math.inf and 0.0 <= p.lambda_g < math.inf):
+        raise InvalidArgumentError("lambda_f and lambda_g must be nonnegative and finite")
     if p.a_seed < 0:
         raise InvalidArgumentError(f"a_seed must be nonnegative, got {p.a_seed}")
 
@@ -296,9 +293,6 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
     elif p.f_kind == "linear":
         def f_fn(t, xs, u, _l=float(p.lambda_f)):
             return _l * u
-    elif p.f_kind == "linear_sin":
-        def f_fn(t, xs, u, _l=float(p.lambda_f)):
-            return _l * u * np.sin(math.pi * xs[0] / extent)
     elif p.f_kind == "expr":
         if not p.f_expr:
             raise InvalidArgumentError("f_kind 'expr' needs f_expr")
@@ -739,6 +733,9 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     only, before it is set to NaN from its failing step on; the step loop
     raises no overflow or invalid-value warning, so a failure shows in
     failed/fail_step (and an ensemble's manifest), never as a warning.
+    cfg is not read, as the step comes from `times`; it stays the third
+    positional parameter because `bench/layers.py` reads u0b, times and
+    keep_history by position.
     """
     if cm.n != grid.n:
         raise DimensionMismatchError(f"model dimension {cm.n} != grid dimension {grid.n}")
@@ -746,14 +743,6 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     M = times.size - 1
     dt = float(times[1] - times[0])
     xs = grid.coords_flat()
-    implicit = cfg.scheme == "semi-implicit"
-    if not implicit:
-        # explicit diffusion needs the parabolic stability restriction
-        if dt > grid.dx**2 * cm.iota / (2.0 * grid.n) * (1.0 + 1e-9):
-            raise InvalidArgumentError(
-                f"explicit scheme unstable: dt={dt} exceeds dx^2*iota/(2n)="
-                f"{grid.dx**2 * cm.iota / (2.0 * grid.n):.3e}")
-
     K = max(1, min(M, _STEP_BLOCK_BYTES // (8 * B * S)))
     buf = np.empty((K + 1, B, S))
     buf[0] = u0b
@@ -822,15 +811,11 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                 # A that reads neither t nor u is evaluated, and solved for, once
                 if coef is None or cm.a_deps:
                     coef = _coef_fields(cm, grid, xs, t, u if "u" in cm.a_deps else None)
-                    if implicit:
-                        # per row: rows whose results so far (not the data) pass the failure test
-                        rows = None if coef.ndim == 1 else np.flatnonzero(
-                            (j == 0) | np.all(np.abs(u) <= BLOWUP_LIMIT, axis=1))
-                        solve = _implicit_solver(grid, coef, dt, not cm.a_deps, rows)
-                if implicit:
-                    rhs[...] = solve(rhs)
-                else:
-                    rhs += dt * apply_operator(grid, coef, u)
+                    # per row: rows whose results so far (not the data) pass the failure test
+                    rows = None if coef.ndim == 1 else np.flatnonzero(
+                        (j == 0) | np.all(np.abs(u) <= BLOWUP_LIMIT, axis=1))
+                    solve = _implicit_solver(grid, coef, dt, not cm.a_deps, rows)
+                rhs[...] = solve(rhs)
 
             # the block passes unless an entry is past the limit or NaN; then a
             # row fails at its first step with such an entry and reads NaN from
@@ -881,7 +866,7 @@ def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
     if res.failed[0]:
         raise BlowUpError(f"path blew up at step {int(res.fail_step[0])}",
                           step_index=int(res.fail_step[0]))
-    return FieldPath(grid, times, res.history[0], noise=dW, scheme=cfg.scheme)
+    return FieldPath(grid, times, res.history[0], noise=dW)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,15 +996,15 @@ def qv_check(path: FieldPath, cm: CoefficientModel, phi: TestFunction) -> QvRepo
     """Quadratic variation of the pairing <u, phi> along the whole path.
 
     empirical_qv sums squared martingale increments, i.e. pairing
-    increments minus the scheme's exact drift; pairing_qv accumulates
+    increments minus the semi-implicit drift, with L_A applied at the
+    right endpoint of each step as the solve does; pairing_qv accumulates
     sum_i <g_i, phi>^2 dt.  Both read the stored states and g alone, never
     the recorded noise, so a path without a noise record is checked too.
     """
     dt = path.dt
-    after = 1 if path.scheme == "semi-implicit" else 0
 
     def terms(block, gv):
-        diffusion, forcing = _drift_terms(path, cm, phi, block, after)
+        diffusion, forcing = _drift_terms(path, cm, phi, block, 1)
         incr = (phi.pair(path.values[block + 1] - path.values[block])
                 - (dt * diffusion + dt * forcing))
         pairing = np.zeros(block.size)

@@ -33,7 +33,6 @@ a_seed = 9
 
 [solver]
 dt = auto
-scheme = semi-implicit
 f0 = bump
 horizon = 1.0
 
@@ -72,7 +71,6 @@ growth_bound = 0.6
 
 [solver]
 dt = 0.002
-scheme = explicit
 f0 = random_positive
 amplitude = 2.5
 width = 0.75
@@ -141,12 +139,19 @@ def test_every_key_round_trips():
 
 
 def test_tol_from_old_manifests_is_ignored():
+    # older canonical texts carry tol and scheme = semi-implicit, the one
+    # scheme; both replay and neither is printed again
     canon = print_config(parse_config(CUSTOM))
-    old = canon.replace("scheme = semi-implicit\n",
-                        "scheme = semi-implicit\ntol = 1e-10\n")
-    assert "tol = 1e-10" in old and "tol" not in canon
+    old = canon.replace("dt = auto\n", "dt = auto\nscheme = semi-implicit\ntol = 1e-10\n")
+    assert "tol = 1e-10" in old and "tol" not in canon and "scheme" not in canon
     assert parse_config(old) == parse_config(canon)
     assert print_config(parse_config(old)) == canon
+    # any other scheme is refused at its own line, never run as semi-implicit
+    for scheme in ("explicit", "rk4"):
+        bad = old.replace("scheme = semi-implicit", f"scheme = {scheme}")
+        with pytest.raises(ConfigError, match="the one scheme is semi-implicit") as info:
+            parse_config(bad)
+        assert info.value.line == bad.splitlines().index(f"scheme = {scheme}") + 1
 
 
 def test_output_section_is_unknown():
@@ -158,7 +163,15 @@ def test_rejected_value_reported_at_its_own_line():
     cases = [
         ("[solver]\nhorizon = 1.0\n\n[montecarlo]\nchunk = 0\n", 5),
         ("[solver]\nf0 = bump\n[montecarlo]\nfloor = -1\n", 4),
-        ("[solver]\ndt = -1\nscheme = explicit\n", 2),
+        ("[solver]\ndt = -1\nscheme = semi-implicit\n", 2),
+        ("[solver]\ndt = 0.001\nscheme = explicit\n", 3),
+        # inf fails each check that NaN fails
+        ("[solver]\nhorizon = 1.0\ndt = inf\n", 3),
+        ("[model]\nlambda_f = inf\n", 2),
+        ("[model]\nm = 2\nlambda_g = inf\n", 3),
+        ("[model]\nf = expr\nf_expr = 0.01*u*u\ngrowth_bound = inf\n", 4),
+        ("[montecarlo]\nmu = inf\n", 2),
+        ("[montecarlo]\npaths = 4\nnu = inf\n", 3),
         ("[montecarlo]\npaths = 0\n", 2),
         ("[grid]\nn = 2\nnpts = 0\n", 3),
         # the initial condition is built from [solver] keys

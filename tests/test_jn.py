@@ -265,6 +265,9 @@ def test_stability_spread():
         stability_spread({1: 2.0})
     with pytest.raises(InvalidArgumentError):
         stability_spread({1: 0.0, 2: 1.0})
+    for bad in ({1: math.nan, 2: 1.0}, {1: 1.0, 2: math.nan}, {1: 1.0, 2: math.inf}):
+        with pytest.raises(InvalidArgumentError):
+            stability_spread(bad)
 
 
 def test_cube_weights_boundary_guard(grid32):

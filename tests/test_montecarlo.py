@@ -337,6 +337,14 @@ def test_filter_lemma_check_validation():
     neg = np.array([[1.0, 1.0, -0.1]])
     with pytest.raises(InvalidArgumentError):
         filter_lemma_check(neg, K=1.0, N=1.0, b=1.0)
+    # a non-finite entry fails the precondition wherever it sits
+    nonfinite = np.array([[np.nan, 1.0, 0.5], [2.0, np.nan, 0.1], [np.inf, 1.0, 0.0],
+                          [1.0, np.inf, 0.5], [1.0, 2.0, 1.0]])
+    with pytest.raises(InvalidArgumentError, match=r"\[0, 1, 2, 3\]"):
+        filter_lemma_check(nonfinite, K=1.0, N=1.0, b=1.0)
+    for K, N, b in ((np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.nan)):
+        with pytest.raises(InvalidArgumentError):
+            filter_lemma_check(np.zeros((4, 3)), K=K, N=N, b=b)
 
 
 def test_filter_lemma_holds_on_random_samples(rng):

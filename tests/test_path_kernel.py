@@ -26,16 +26,15 @@ from spdelab.solver import (ModelParams, SolverConfig, TestFunction,
 
 EXPR_G = "0.3*u*sin(x)*cos(t)"
 CASES = {
-    "1d-trig": (1, ModelParams(), "semi-implicit"),
-    "1d-trig-explicit": (1, ModelParams(f_kind="linear", lambda_f=0.4), "explicit"),
+    "1d-trig": (1, ModelParams()),
     "1d-expr": (1, ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=3,
                                f_kind="linear", lambda_f=0.4,
-                               g_kind="expr", g_expr=EXPR_G), "semi-implicit"),
+                               g_kind="expr", g_expr=EXPR_G)),
     "2d-trig": (2, ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=5,
-                               f_kind="linear_sin", lambda_f=0.4), "semi-implicit"),
+                               f_kind="expr", f_expr="0.4*u*sin(pi*x/2.0)", lambda_f=0.4)),
     "2d-expr": (2, ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=7,
                                f_kind="expr", f_expr="0.2*u*cos(t)",
-                               g_kind="expr", g_expr=EXPR_G), "semi-implicit"),
+                               g_kind="expr", g_expr=EXPR_G)),
 }
 # (l, s, w) of the root cube of a horizon-1 path, and of a small
 # off-center cube
@@ -50,11 +49,11 @@ def make_cube(n, l, s, w):
 @pytest.fixture(scope="module", params=sorted(CASES))
 def case(request):
     """(model, horizon-1 path with noise) for one coefficient family."""
-    n, params, scheme = CASES[request.param]
+    n, params = CASES[request.param]
     grid = Grid.regular(n, 32 if n == 1 else 16)
     cm = build_model(params, n, grid.extent)
     u0 = make_initial_condition("bump", grid)
-    path = solve_path(u0, cm, SolverConfig(scheme=scheme), 1.0,
+    path = solve_path(u0, cm, SolverConfig(), 1.0,
                       seed=path_seed(2718, n))
     return cm, path
 
@@ -77,13 +76,12 @@ def g_at(cm, path, j):
 def ref_qv(path, cm, phi):
     grid, dt = path.grid, path.dt
     xs = grid.coords_flat()
-    implicit = path.scheme == "semi-implicit"
     empirical = pairing = 0.0
     for j in range(path.steps):
         t = float(path.times[j])
         uj, ujp = path.values[j], path.values[j + 1]
         coef = _coef_fields(cm, grid, xs, t, uj)
-        drift = dt * float(phi.pair(apply_operator(grid, coef, ujp if implicit else uj)))
+        drift = dt * float(phi.pair(apply_operator(grid, coef, ujp)))
         if cm.f is not None:
             drift += dt * float(phi.pair(np.broadcast_to(
                 np.asarray(cm.f(t, xs, uj), dtype=float), (grid.size,))))
@@ -265,7 +263,7 @@ def test_cube_stats_weighs_once_and_calls_g_once_per_half(case, monkeypatch):
 # the noise record
 
 def without_noise(path, noise=None):
-    return FieldPath(path.grid, path.times, path.values, noise=noise, scheme=path.scheme)
+    return FieldPath(path.grid, path.times, path.values, noise=noise)
 
 
 def test_noise_readers_reject_a_path_without_its_record(case):

@@ -308,29 +308,6 @@ def test_heat_benchmark_single_resolution():
     assert err < 5e-4
 
 
-def test_explicit_scheme_converges_to_implicit(grid32):
-    # both schemes are first order in dt with opposite-signed leading
-    # terms, so the gap between them shrinks linearly
-    cm = build_model(ModelParams(g_kind="zero", m=0), 1)
-    u0 = make_initial_condition("bump", grid32)
-    gaps = []
-    for dt in (grid32.dx**2 / 4.0, grid32.dx**2 / 8.0):
-        pe = solve_path(u0, cm, SolverConfig(dt=dt, scheme="explicit"),
-                        0.05, seed=0)
-        pi = solve_path(u0, cm, SolverConfig(dt=dt), 0.05, seed=0)
-        gaps.append(float(np.abs(pe.values[-1] - pi.values[-1]).max()))
-    assert gaps[0] < 0.02
-    assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.4)
-
-
-def test_explicit_scheme_stability_guard(grid32):
-    cm = build_model(ModelParams(g_kind="zero", m=0), 1)
-    u0 = make_initial_condition("bump", grid32)
-    with pytest.raises(InvalidArgumentError):
-        solve_path(u0, cm, SolverConfig(dt=grid32.dx**2, scheme="explicit"),
-                   0.05, seed=0)
-
-
 def test_blowup_isolation_in_batch(grid32):
     # row 0 seeds a supercritical reaction, row 1 stays at zero; the
     # failure must not leak across rows

@@ -82,9 +82,7 @@ from .montecarlo import (
     comparison_experiment,
     filter_lemma_check,
     harnack_curve,
-    harnack_indicators,
     indicator_monotonicity,
-    joint_tail,
     median_sup,
     positivity_scan,
     run_ensemble,

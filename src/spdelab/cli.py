@@ -129,7 +129,7 @@ _KEYS = (
     _Key("solver", "dt", "solver.dt", _dt, lambda v: "auto" if v is None else repr(v)),
     # replay-only keys, never printed: manifests that still carry them replay
     _Key("solver", "scheme", None, _scheme, None),
-    _Key("solver", "tol", None, str, None),
+    _Key("solver", "tol", None, float, None),
     _Key("solver", "f0", "spec.ic_kind", *_STR),
     _Key("solver", "amplitude", "spec.ic_amplitude", *_FLOAT),
     _Key("solver", "width", "spec.ic_width", *_FLOAT),

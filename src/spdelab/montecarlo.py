@@ -10,9 +10,9 @@ step loop (failed paths read NaN).  A per-path consumer may declare the
 rows it reads; it then gets those rows, captured in the step loop, and
 full path histories are kept only when some consumer reads whole paths.
 
-On top of the ensemble sit the experiment drivers: the joint-tail
-estimator with Wilson intervals, the sup/inf inequality curve over a
-grid of ratio thresholds, the positivity scan, the deterministic
+On top of the ensemble sit the experiment drivers: the sup/inf
+inequality curve, a joint-tail estimate with its Wilson interval per
+ratio threshold, the positivity scan, the deterministic
 comparison-constant study, and the elementary event-inclusion check
 used by the tail argument.
 """
@@ -286,18 +286,6 @@ def _tail_estimate(hits: int, trials: int) -> TailEstimate:
     return TailEstimate(hits=hits, trials=trials, p_hat=hits / trials, ci_lo=lo, ci_hi=hi)
 
 
-def joint_tail(ens: Ensemble, e1, e2) -> TailEstimate:
-    """Estimate P(e1 and e2) over the successful paths of an ensemble;
-    e1 and e2 are boolean arrays indexed by path number."""
-    e1, e2 = (np.asarray(e, dtype=bool) for e in (e1, e2))
-    for arr in (e1, e2):
-        if arr.shape != (ens.n_paths,):
-            raise InvalidArgumentError(
-                f"predicate array has shape {arr.shape}, expected ({ens.n_paths},)")
-    ok = ens.ok
-    return _tail_estimate(int(np.sum(e1 & e2 & ok)), int(np.sum(ok)))
-
-
 # ---------------------------------------------------------------------------
 # sup/inf inequality experiment
 
@@ -325,26 +313,21 @@ def median_sup(ens: Ensemble, Q: SpaceTimeRect) -> float:
     return float(np.median(vals))
 
 
-def harnack_indicators(ens: Ensemble, P: SpaceTimeRect, Q: SpaceTimeRect,
-                       a: float, gammas) -> tuple:
-    """Joint event indicators {sup_Q u > a and gamma * inf_P u <= a}.
-
-    Returns (ok_indices, sup_Q values, inf_P values, indicator matrix of
-    shape (n_ok, len(gammas))).
-    """
+def _harnack_indicators(ens: Ensemble, P: SpaceTimeRect, Q: SpaceTimeRect,
+                        a: float, gammas) -> np.ndarray:
+    """Joint event indicators {sup_Q u > a and gamma * inf_P u <= a}, of
+    shape (n_ok, len(gammas)): one row per successful path, in path order."""
     validate_windows(P, Q)
     gammas = np.asarray(gammas, dtype=float)
-    ok = np.nonzero(ens.ok)[0]
-    supq = ens.sup_over(Q)[ok]
-    infp = ens.inf_over(P)[ok]
-    ind = (supq > a)[:, None] & (infp[:, None] * gammas[None, :] <= a)
-    return ok, supq, infp, ind
+    supq = ens.sup_over(Q)[ens.ok]
+    infp = ens.inf_over(P)[ens.ok]
+    return (supq > a)[:, None] & (infp[:, None] * gammas[None, :] <= a)
 
 
 def harnack_curve(ens: Ensemble, P: SpaceTimeRect, Q: SpaceTimeRect,
                   a: float, gammas) -> list:
     """Tail estimate of the joint event per ratio threshold gamma."""
-    _, _, _, ind = harnack_indicators(ens, P, Q, a, gammas)
+    ind = _harnack_indicators(ens, P, Q, a, gammas)
     return [(float(g), _tail_estimate(int(np.sum(ind[:, col])), ind.shape[0]))
             for col, g in enumerate(np.asarray(gammas, dtype=float))]
 
@@ -359,7 +342,7 @@ def indicator_monotonicity(ens: Ensemble, P: SpaceTimeRect, Q: SpaceTimeRect,
     adjacent pairs that violate this; 0 is the expected value.
     """
     gammas = np.sort(np.asarray(gammas, dtype=float))
-    _, _, _, ind = harnack_indicators(ens, P, Q, a, gammas)
+    ind = _harnack_indicators(ens, P, Q, a, gammas)
     return int(np.sum(ind[:, 1:] & ~ind[:, :-1]))
 
 

@@ -338,8 +338,8 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    samples: int
+    """The worst margins validate_model saw over its samples."""
+
     worst_ellip_low: float
     worst_ellip_high: float
     worst_growth_excess: float
@@ -397,8 +397,7 @@ def validate_model(cm: CoefficientModel, extent: float = 2.0,
         raise ModelInvalidError(
             f"growth bound violated at {witness(k)}: |f|+|g| = {float(size[k]):.6g} "
             f"> {cm.growth} * {abs(float(u[k])):.6g}", witness=witness(k))
-    return ValidationReport(ok=True, samples=K,
-                            worst_ellip_low=lo_margin, worst_ellip_high=hi_margin,
+    return ValidationReport(worst_ellip_low=lo_margin, worst_ellip_high=hi_margin,
                             worst_growth_excess=float(np.max(excess)))
 
 
@@ -984,12 +983,6 @@ def weak_residual(path: FieldPath, cm: CoefficientModel, phi: TestFunction,
 class QvReport:
     empirical_qv: float
     pairing_qv: float
-
-    @property
-    def ratio(self) -> float:
-        if self.pairing_qv == 0.0:
-            return math.nan if self.empirical_qv else 1.0
-        return self.empirical_qv / self.pairing_qv
 
 
 def qv_check(path: FieldPath, cm: CoefficientModel, phi: TestFunction) -> QvReport:

@@ -5,7 +5,8 @@ because no experiment runs it: exact region membership of a point, the
 region infimum of a stored path, the negative-part energy of one
 snapshot, the weighted average of h at a cube's time center, the rows
 of a cube level as arrays, the containment of a cube hierarchy in its
-root, and the cutoff profile at arbitrary points.
+root, the cutoff profile at arbitrary points, and the count of a joint
+event over an ensemble's successful paths.
 """
 import numpy as np
 
@@ -97,3 +98,10 @@ def cutoff_value(fam, k: int, x) -> np.ndarray:
         rho = np.max(np.abs(pts), axis=-1)
     inner, outer = fam._radii(k)
     return smoothstep(inner, outer, rho)
+
+
+def joint_tail(ens, e1, e2) -> tuple:
+    """(hits, trials) of the event e1 and e2 over the successful paths of
+    an ensemble; e1 and e2 are boolean arrays indexed by path number."""
+    both = np.asarray(e1, dtype=bool) & np.asarray(e2, dtype=bool) & ens.ok
+    return int(np.sum(both)), ens.n_ok

@@ -154,6 +154,29 @@ def test_tol_from_old_manifests_is_ignored():
         assert info.value.line == bad.splitlines().index(f"scheme = {scheme}") + 1
 
 
+def test_tol_is_a_float_and_a_manifest_with_it_replays(tmp_path):
+    # old manifests wrote tol as a float repr; any other value is refused
+    # at its own line, as a bad scheme is
+    for value in ("banana", "", "1e-8e"):
+        text = f"[grid]\nnpts = 16\n\n[solver]\ntol = {value}\n"
+        with pytest.raises(ConfigError, match=r"line 5: bad value for \[solver\] tol"):
+            parse_config(text)
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("[grid]\nnpts = 16\n\n[montecarlo]\npaths = 4\n")
+    first = tmp_path / "a"
+    assert run_cli("--config", str(cfg), "--out", str(first), "ensemble") == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    canon = manifest["config_text"]
+    manifest["config_text"] = canon.replace("dt = auto\n", "dt = auto\ntol = 1e-08\n")
+    assert "tol = 1e-08" in manifest["config_text"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    replay = tmp_path / "b"
+    assert run_cli("--config", str(old), "--out", str(replay), "ensemble") == 0
+    assert (replay / "paths.csv").read_bytes() == (first / "paths.csv").read_bytes()
+    assert json.loads((replay / "manifest.json").read_text())["config_text"] == canon
+
+
 def test_output_section_is_unknown():
     with pytest.raises(ConfigError, match=r"line 1: unknown section \[output\]"):
         parse_config("[output]\nplot = true\n")

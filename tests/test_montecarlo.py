@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import inf_on
+from oracles import inf_on, joint_tail
 from spdelab import montecarlo
 from spdelab.errors import (EmptyRegionError, GeometryError,
                             InsufficientDataError, InvalidArgumentError,
@@ -12,8 +12,7 @@ from spdelab.fields import FieldPath, FieldSnapshot, Grid, sup_on
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import (Ensemble, ExperimentSpec, comparison_experiment,
                                 filter_lemma_check, harnack_curve,
-                                harnack_indicators, indicator_monotonicity,
-                                joint_tail, median_sup,
+                                indicator_monotonicity, median_sup,
                                 positivity_scan, run_ensemble, validate_windows,
                                 wilson_interval)
 from spdelab.solver import ModelParams
@@ -195,25 +194,6 @@ def test_wilson_interval_coverage(rng):
     assert 0.90 <= covered / 1000 <= 0.99
 
 
-def test_joint_tail_counts_over_ok_paths():
-    failed = [False, False, False, False, False, True]
-    ens = synthetic_ensemble([1.0] * 6, [0.5] * 6, failed=failed)
-    e1 = np.array([1, 1, 0, 0, 1, 1], dtype=bool)
-    e2 = np.arange(6) % 2 == 0
-    est = joint_tail(ens, e1, e2)
-    assert est.trials == 5
-    assert est.hits == 2                 # paths 0 and 4; path 5 failed
-    assert est.p_hat == pytest.approx(0.4)
-    assert est.ci_lo < est.p_hat < est.ci_hi
-    with pytest.raises(InvalidArgumentError):
-        joint_tail(ens, np.ones(3, dtype=bool), e2)
-    with pytest.raises(InvalidArgumentError):
-        joint_tail(ens, e1, np.ones(3, dtype=bool))
-    dead = synthetic_ensemble([1.0], [1.0], failed=[True])
-    with pytest.raises(InsufficientDataError):
-        joint_tail(dead, np.ones(1, dtype=bool), np.ones(1, dtype=bool))
-
-
 def test_validate_windows_names_the_rule():
     with pytest.raises(GeometryError, match="violated rule"):
         validate_windows(P_RECT, SpaceTimeRect(0.0, 0.1, Ball((0.0,), 1.0)))
@@ -223,9 +203,7 @@ def test_validate_windows_names_the_rule():
 
 def test_harnack_indicators_algebra():
     ens = synthetic_ensemble([2.0, 0.5, 3.0, 1.5], [1.0, 0.2, -0.1, 0.6])
-    ok, supq, infp, ind = harnack_indicators(ens, P_RECT, Q_RECT, a=1.0,
-                                             gammas=[1.0, 2.0, 4.0])
-    assert np.array_equal(ok, [0, 1, 2, 3])
+    ind = montecarlo._harnack_indicators(ens, P_RECT, Q_RECT, a=1.0, gammas=[1.0, 2.0, 4.0])
     want = np.array([[True, False, False],
                      [False, False, False],
                      [True, True, True],
@@ -256,7 +234,9 @@ def test_harnack_curve_equals_joint_tail_over_ok_paths():
     supq, infp = ens.sup_over(Q_RECT), ens.inf_over(P_RECT)
     for g, est in curve:
         assert est.trials == ens.n_ok == 4
-        assert est == joint_tail(ens, supq > a, g * infp <= a)
+        assert (est.hits, est.trials) == joint_tail(ens, supq > a, g * infp <= a)
+        assert est.p_hat == est.hits / est.trials
+        assert (est.ci_lo, est.ci_hi) == wilson_interval(est.hits, est.trials)
     dead = synthetic_ensemble([1.0], [1.0], failed=[True])
     with pytest.raises(InsufficientDataError, match="every path failed"):
         harnack_curve(dead, P_RECT, Q_RECT, a, gammas)

@@ -81,7 +81,7 @@ def test_cli_and_config_parsing_never_load_scipy(tmp_path):
             code = exc.code
         from spdelab import cli
         import test_golden
-        for text in ["", *(text for _, text in test_golden.RUNS.values())]:
+        for text in ["", *(run.config for run in test_golden.RUNS.values())]:
             cli.parse_config(text)
         print(json.dumps({{"code": code, "scipy": {SCIPY_LOADED}}}))
     """)

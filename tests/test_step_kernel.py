@@ -357,6 +357,30 @@ def test_refactored_a_batch_equals_rows_bitwise(kind):
         np.testing.assert_array_equal(row.history[0], whole.history[b])
 
 
+# f and g linear in u and A free of u make the scheme linear in u, and
+# doubling is exact in binary floating point, so the path from 2 u0 is twice
+# the path from u0 bit for bit, through the FFT, dptsv and sparse LU solves
+LINEAR = {
+    (1, "identity-linear-f"): ModelParams(f_kind="linear", lambda_f=1.0),
+    (1, "x-only"): ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5),
+    (1, "reads-t"): ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(3*t)", iota=0.5),
+    (2, "x-only"): ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x1)*cos(x2)", iota=0.5),
+    (2, "random_elliptic"): ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
+}
+
+
+@pytest.mark.parametrize("n, kind", sorted(LINEAR))
+def test_doubled_initial_data_doubles_the_path_bitwise(n, kind):
+    grid = grid_for(n)
+    cm = build_model(LINEAR[n, kind], n, grid.extent)
+    u0b, times, dW = batch_inputs(grid, cm, rows=3)
+    cfg = SolverConfig()
+    once = integrate_batch(grid, cm, cfg, u0b, times, dW, keep_history=True)
+    twice = integrate_batch(grid, cm, cfg, 2.0 * u0b, times, dW, keep_history=True)
+    assert cm.m > 0 and not once.failed.any()
+    np.testing.assert_array_equal(twice.history, 2.0 * once.history)
+
+
 @pytest.mark.parametrize("kind", ["random_elliptic", "u-dependent"])
 def test_blowup_isolation_under_refactored_a(kind):
     # the cubic blow-up of test_solver's batch test: row 0 turns NaN, and

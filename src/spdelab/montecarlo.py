@@ -403,8 +403,9 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
     (random_elliptic with iota = 0.5).
 
     All initial data evolve as one batch per grid, with no noise; A reads
-    t, so each step takes one implicit solve for the whole batch (one
-    LAPACK dptsv call in 1d, one sparse LU factorization in 2d).  The
+    t, so each step takes one implicit solve for the whole batch (in 1d
+    one LAPACK dpttrs call, against a factorization made once per block of
+    steps; in 2d one sparse LU factorization per step).  The
     refined pass doubles the resolution with the time step following the
     parabolic default.
     """

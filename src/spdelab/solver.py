@@ -19,7 +19,8 @@ Batches of paths are stepped together and all per-path arithmetic is
 row-local, so results are bit-identical however paths are grouped into
 batches.  `integrate_batch` runs the steps in blocks of K, sized by a
 private byte budget: each step multiplies in its noise factor, adds f and
-g, evaluates A when A reads t or u, and solves; each block forms its
+g, evaluates A when A reads u, and solves; each block evaluates A that
+reads t (not u) at its K step times in one call, forms its
 multiplicative-noise factors in one call, checks for blow-up, copies the
 rows a caller captures, reduces the per-path statistics and copies the
 history when one is kept.  A kept history is bounded by a second private
@@ -34,16 +35,18 @@ and from n.  A free of t and u and constant in space makes I - dt L_A
 circulant, solved by a real FFT.  In 1d every other A gives a cyclic
 tridiagonal matrix, symmetric and, while every face value of A is
 positive, strictly diagonally dominant with a positive diagonal, so
-positive definite.  It is solved with LAPACK's dptsv for symmetric
-positive definite tridiagonals, which needs no pivoting, plus a
-Sherman-Morrison correction for the corners: one dptsv call per step,
-for one field shared by every row (A free of u) or one field per row
-(A reads u).  A 1d field with a face value <= 0 or a non-finite entry
-is not solved: its rows come back NaN and fail.  In 2d any A that is not
-constant in space is solved by sparse LU: once per call for A free of t
-and u, per field and step otherwise.  The FFT solve carries roundoff of
-order 1e-16 max|u|, so nodes where u is nearly 0 may come out slightly
-negative.
+positive definite.  It is factored as L D L^T by LAPACK's dpttrf, which
+needs no pivoting, and solved by its dpttrs plus a Sherman-Morrison
+correction for the corners.  The matrices of one kind are stacked with
+zero coupling and factored in one dpttrf call: once per call for a field
+shared by every row and step (A free of t and u), once per block for the
+K fields of a block (A reads t, not u), once per step for one field per
+row (A reads u); each step then takes one dpttrs call.  A 1d field with a
+face value <= 0 or a non-finite entry is not solved: its rows come back
+NaN and fail.  In 2d any A that is not constant in space is solved by
+sparse LU: once per call for A free of t and u, per field and step
+otherwise.  The FFT solve carries roundoff of order 1e-16 max|u|, so
+nodes where u is nearly 0 may come out slightly negative.
 
 scipy is imported only inside `splu`, `_lapack` and `_implicit_matrix`,
 on first use, and scipy.sparse only by 2d runs.  A run
@@ -89,8 +92,11 @@ class CoefficientModel:
     returns an array of shape (m,) + u.shape.  a is the scalar coefficient
     (A = a I), None for the identity; f or g is None when that term
     vanishes.  a_deps lists which of {"t", "u"} the diffusion coefficient
-    actually reads: the integrator passes u=None when "u" is absent, and
-    evaluates a only once per call when a_deps is empty.
+    actually reads: the integrator passes u=None when "u" is absent,
+    evaluates a only once per call when a_deps is empty, and when it is
+    {"t"} calls a once per block of steps with t the (J, 1) column of the
+    block's step times and u=None, so a must broadcast against a t column
+    and return J fields, shape (J, S) or broadcastable to it.
 
     sigma, when not None, declares multiplicative noise
     g_i(t, x, u) = sigma_i(x) u: it maps xs to an (m, S) array, and the
@@ -338,11 +344,16 @@ def build_model(params: ModelParams, n: int, extent: float = 2.0) -> Coefficient
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """The worst margins validate_model saw over its samples."""
+    """The worst margins validate_model saw over its samples.
+
+    worst_growth_margin is the largest (|f| + |g|) / |u| over the samples
+    with u != 0, less the growth bound: 0 when a sample attains the bound,
+    negative by the bound's slack.
+    """
 
     worst_ellip_low: float
     worst_ellip_high: float
-    worst_growth_excess: float
+    worst_growth_margin: float
 
 
 # samples validate_model draws, from a fixed seed
@@ -397,19 +408,22 @@ def validate_model(cm: CoefficientModel, extent: float = 2.0,
         raise ModelInvalidError(
             f"growth bound violated at {witness(k)}: |f|+|g| = {float(size[k]):.6g} "
             f"> {cm.growth} * {abs(float(u[k])):.6g}", witness=witness(k))
+    nonzero = u != 0.0
+    margin = float(np.max(size[nonzero] / np.abs(u[nonzero]))) - cm.growth
     return ValidationReport(worst_ellip_low=lo_margin, worst_ellip_high=hi_margin,
-                            worst_growth_excess=float(np.max(excess)))
+                            worst_growth_margin=margin)
 
 
 # ---------------------------------------------------------------------------
 # discrete operator
 
-def _coef_fields(cm: CoefficientModel, grid: Grid, xs, t: float, u) -> np.ndarray:
-    """The scalar diffusion coefficient as a flat array, (S,) or u.shape."""
+def _coef_fields(cm: CoefficientModel, grid: Grid, xs, t, u) -> np.ndarray:
+    """The scalar diffusion coefficient as a flat array: (S,), u.shape, or
+    (J, S) for a (J, 1) column t of step times and u None."""
     S = grid.size
     if cm.a is None:
         return np.ones(S)
-    tail = (S,) if u is None or np.ndim(u) <= 1 else (np.shape(u)[0], S)
+    tail = np.shape(t if u is None else u)[:-1] + (S,)
     return np.broadcast_to(np.asarray(cm.a(t, xs, u), dtype=float), tail)
 
 
@@ -458,10 +472,16 @@ def _lapack(name: str):
     return getattr(lapack, name)
 
 
-def dptsv(d, e, b, overwrite_b=False):
-    """LAPACK's symmetric positive definite tridiagonal solve, as
-    scipy.linalg.lapack.dptsv."""
-    return _lapack("dptsv")(d, e, b, overwrite_b=overwrite_b)
+def dpttrf(d, e):
+    """LAPACK's L D L^T factorization of a symmetric positive definite
+    tridiagonal, as scipy.linalg.lapack.dpttrf."""
+    return _lapack("dpttrf")(d, e)
+
+
+def dpttrs(d, e, b):
+    """LAPACK's solve against a dpttrf factorization, as
+    scipy.linalg.lapack.dpttrs."""
+    return _lapack("dpttrs")(d, e, b)
 
 
 def _implicit_matrix(grid: Grid, a: np.ndarray, dt: float):
@@ -554,83 +574,124 @@ def _definite(parts: tuple) -> np.ndarray:
     return (e[..., :-1].max(axis=-1) < 0.0) & (c < 0.0) & np.isfinite(d.sum(axis=-1))
 
 
-def _cyclic_solve(parts: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve (T + w v^T) x = rhs for R matrices from _cyclic_parts, rhs (K, N),
-    row k with matrix k mod R: R = 1 for a shared field, R = K for one per row.
+def _cyclic_factor(parts: tuple) -> tuple:
+    """Factor the R matrices of _cyclic_parts for Sherman-Morrison.
 
-    One LAPACK dptsv call factors the R matrices as L D L^T, with no
+    One LAPACK dpttrf call factors the R matrices T as L D L^T, with no
     pivoting, on the diagonal of one symmetric tridiagonal with zero
-    coupling, and solves against the stacked w and K / R rhs rows.  With
-    z = T^{-1} w and y = T^{-1} rhs, Sherman-Morrison gives
-    x = y - z (v^T y) / (1 + v^T z), for v = (1, 0, ..., 0, c / gamma).
-    A row's result depends on no other row while every matrix passes
-    `_definite` and every rhs entry is finite, and each rhs column is solved
-    on its own, so R = 1 gives the bits of R = K with the field repeated.  A
-    matrix that is not positive definite stops the call: NumericError.
+    coupling: the factors are those of each T alone, as a zero coupling
+    leaves the next pivot as it is.  One dpttrs call against the stacked
+    w gives z = T^{-1} w.  Returns (df, ef, z, ratio, denom): the stacked
+    factorization, and z, ratio = c / gamma and denom = 1 + v^T z with the
+    leading axes of the parts.  A matrix that is not positive definite
+    stops the factorization: NumericError.
     """
     e, d, gamma, c = parts
-    b = np.zeros((1 + rhs.size // d.size,) + d.shape)
-    b[0, ..., 0], b[0, ..., -1] = gamma, c
-    b[1:] = rhs.reshape(b[1:].shape)
-    x, info = dptsv(d.ravel(), e.ravel()[:d.size - 1], b.reshape(len(b), -1).T,
-                    overwrite_b=True)[2:]
+    df, ef, info = dpttrf(d.ravel(), e.ravel()[:d.size - 1])
     if info != 0:
-        raise NumericError(f"tridiagonal solve failed: LAPACK dptsv info = {info}")
-    z, y = x.T[0].reshape(d.shape), x.T[1:].reshape(b[1:].shape)
+        raise NumericError(f"tridiagonal factorization failed: LAPACK dpttrf info = {info}")
+    w = np.zeros(d.shape)
+    w[..., 0], w[..., -1] = gamma, c
+    z = dpttrs(df, ef, w.reshape(-1, 1))[0].reshape(d.shape)
     ratio = c / gamma
-    # z.T[0] is z[..., 0], but a faster numpy scalar for one matrix
-    denom = 1.0 + z.T[0] + ratio * z.T[-1]
+    return df, ef, z, ratio, 1.0 + z[..., 0] + ratio * z[..., -1]
+
+
+def _factor_definite(parts: tuple) -> tuple:
+    """(definite, factor): which matrices of a stack from _cyclic_parts pass
+    `_definite`, and the _cyclic_factor of those alone (None when none does).
+    Left in, a matrix that fails would stop dpttrf before the ones after it."""
+    definite = _definite(parts)
+    if not definite.all():
+        parts = tuple(p[definite] for p in parts)
+    return definite, _cyclic_factor(parts) if definite.any() else None
+
+
+def _cyclic_matrices(factor: tuple) -> list:
+    """Each matrix of a stack from _cyclic_factor, as a factor of its own."""
+    df, ef, z, ratio, denom = factor
+    n = z.shape[-1]
+    return [(df[i * n:(i + 1) * n], ef[i * n:(i + 1) * n - 1], z[i], ratio[i], denom[i])
+            for i in range(len(z))]
+
+
+def _cyclic_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve (T + w v^T) x = rhs for the R matrices of _cyclic_factor, rhs
+    (K, N), row k with matrix k mod R: R = 1 for a shared field, R = K for
+    one per row.
+
+    One LAPACK dpttrs call solves the K / R rhs columns of length R N; with
+    y = T^{-1} rhs, Sherman-Morrison gives x = y - z (v^T y) / (1 + v^T z),
+    for v = (1, 0, ..., 0, c / gamma).  A row's result depends on no other
+    row while every rhs entry is finite, and each rhs column is solved on
+    its own, so R = 1 gives the bits of R = K with the field repeated.
+    """
+    df, ef, z, ratio, denom = factor
+    y = dpttrs(df, ef, rhs.reshape(-1, df.size).T)[0].T.reshape((-1,) + z.shape)
     y -= ((y[..., 0] + ratio * y[..., -1]) / denom)[..., None] * z
     return y.reshape(rhs.shape)
 
 
 def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
-    """The solve rhs (B, S) -> (B, S) of I - dt L_a.
+    """The solve (rhs (B, S), i) -> (B, S) of I - dt L_a for step i.
 
-    a is one coefficient field (S,) shared by every row, or one field per
-    row (B, S).  reused: the solver serves every step of the call (A reads
-    neither t nor u); otherwise it serves one step.
+    a is one of: one field (S,) shared by every row; the shared fields
+    (k, S) of the k steps of a block (rows None), field i for step i; or
+    one field per row (B, S) for one step, of which only the rows listed
+    in `rows` are solved.  reused: the one field serves every step of the
+    call (A reads neither t nor u).  Only the fields of a block are chosen
+    by i; i defaults to 0.
 
     A reused field that is constant in space is solved by FFT.  In 1d every
     other field is cyclic tridiagonal and, while its faces are positive,
-    symmetric positive definite (_cyclic_parts, split once here), and each
-    call of the solve is one dptsv call (_cyclic_solve), whether the field
-    is reused, serves one step, or is one of the fields of all rows.  A
-    shared 1d field that is not positive definite, or not finite, gives NaN
-    for every row, which the step loop records as failures.  In 2d sparse LU
-    factors the reused field once, else each field in each step.
+    symmetric positive definite (_cyclic_parts).  The shared fields are
+    factored here, in one dpttrf call (_cyclic_factor), and each call of the
+    solve is one dpttrs call (_cyclic_solve); the fields of the rows are
+    factored in one dpttrf call per solve.  A shared 1d field that is not
+    positive definite, or not finite, is left out of the factorization and
+    gives NaN for every row at its step, which the step loop records as
+    failures.  In 2d sparse LU factors one shared field here, each field of
+    a block at its step, and each row's field per solve.
 
-    For one field per row, only the rows listed in `rows` whose rhs and
-    field are finite (in 1d: whose matrix passes `_definite`) are solved,
-    and the other rows come back NaN.
+    For one field per row, only the listed rows whose rhs and field are
+    finite (in 1d: whose matrix passes `_definite`) are solved, and the
+    other rows come back NaN.
     """
-    if a.ndim == 2:
-        def solve(rhs):
+    if a.ndim == 2 and rows is not None:
+        def solve(rhs, i=0):
             out = np.full_like(rhs, np.nan)
             live = rows[np.all(np.isfinite(rhs[rows]), axis=1)]
             if grid.n == 2:
                 for b in live[np.all(np.isfinite(a[live]), axis=1)]:
                     out[b] = splu(_implicit_matrix(grid, a[b], dt)).solve(rhs[b])
                 return out
-            # the parts of the listed rows alone; a row whose matrix is not
-            # positive definite is dropped before the stacked call
-            parts = _cyclic_parts(grid, a[live], dt)
-            definite = _definite(parts)
-            if not definite.all():
-                live, parts = live[definite], tuple(p[definite] for p in parts)
+            # the listed rows alone, less those whose matrix is not positive definite
+            definite, factor = _factor_definite(_cyclic_parts(grid, a[live], dt))
+            live = live[definite]
             if live.size:
-                out[live] = _cyclic_solve(parts, rhs[live])
+                out[live] = _cyclic_solve(factor, rhs[live])
             return out
         return solve
     if reused and np.all(a == a[0]):
-        return _circulant_solve(grid, float(a[0]), dt)
-    if grid.n == 1:
-        parts = _cyclic_parts(grid, a, dt)
-        if not _definite(parts):
-            return lambda rhs: np.full_like(rhs, np.nan)
-        return lambda rhs: _cyclic_solve(parts, rhs)
-    lu = splu(_implicit_matrix(grid, a, dt))
-    return lambda rhs: lu.solve(rhs.T).T
+        fft = _circulant_solve(grid, float(a[0]), dt)
+        return lambda rhs, i=0: fft(rhs)
+    fields = a.reshape(-1, grid.size)
+    if grid.n == 2:
+        if a.ndim == 1:
+            lu = splu(_implicit_matrix(grid, a, dt))
+            return lambda rhs, i=0: lu.solve(rhs.T).T
+        return lambda rhs, i=0: splu(_implicit_matrix(grid, fields[i], dt)).solve(rhs.T).T
+    # the factorization holds the definite fields in order
+    definite, factor = _factor_definite(_cyclic_parts(grid, fields, dt))
+    factored = iter(_cyclic_matrices(factor) if factor else ())
+    mats = [next(factored) if ok else None for ok in definite.tolist()]
+
+    def solve(rhs, i=0):
+        mat = mats[i % len(mats)]
+        if mat is None:
+            return np.full_like(rhs, np.nan)
+        return _cyclic_solve(mat, rhs)
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +742,8 @@ class IntegrationResult:
 
 
 # integrate_batch takes as many steps per block as (B, S) snapshots fit in
-# this many bytes
+# this many bytes; the K fields of A that reads t, and their parts and
+# factorization, are a few arrays of K S floats, which the same bound caps
 _STEP_BLOCK_BYTES = 384 << 10
 
 # the full path histories one integrate_batch call may keep; run_ensemble
@@ -724,10 +786,13 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     snapshots; K is the number of (B, S) snapshots that fit in
     _STEP_BLOCK_BYTES, at least 1 and at most M.  Per step: the noise
     factor is multiplied in, f and a g without sigma are added, A is
-    evaluated anew when it reads t or u, and the solve runs.  Per block:
-    the multiplicative-noise factors 1 + sum_i sigma_i dW^i of all K
-    steps, the blow-up check, the captures, the region sup/inf and
-    negative-part energy, and the copy into the history.  A row that fails
+    evaluated anew when it reads u, and the solve runs.  Per block: A that
+    reads t but not u, in one call with t the (K, 1) column of the block's
+    step times and u=None, and its solve for those K fields (in 1d one
+    LAPACK factorization of all K); the multiplicative-noise factors
+    1 + sum_i sigma_i dW^i of all K steps, the blow-up check, the
+    captures, the region sup/inf and negative-part energy, and the copy
+    into the history.  A row that fails
     inside a block steps on to the block's end, overflowing in its own row
     only, before it is set to NaN from its failing step on; the step loop
     raises no overflow or invalid-value warning, so a failure shows in
@@ -785,7 +850,7 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
 
     noisy = cm.m > 0 and dWb is not None
     sig = np.asarray(cm.sigma(xs), dtype=float) if noisy and cm.sigma is not None else None
-    coef = solve = None
+    solve = None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, M, K):
             k = min(K, M - lo)
@@ -793,6 +858,12 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
             if sig is not None:
                 np.einsum("bkm,ms->kbs", dWb[:, lo:lo + k], sig, out=block)
                 block += 1.0
+            # A that reads t (not u) is evaluated, and solved for, once per
+            # block at the block's step times; A that reads neither once
+            if "u" not in cm.a_deps and (solve is None or cm.a_deps):
+                when = times[lo:lo + k, None] if cm.a_deps else float(times[0])
+                solve = _implicit_solver(grid, _coef_fields(cm, grid, xs, when, None), dt,
+                                         not cm.a_deps, None)
             for i in range(k):
                 j = lo + i
                 t = float(times[j])
@@ -807,14 +878,13 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                     gj = np.asarray(cm.g(t, xs, u), dtype=float)
                     rhs += np.einsum("mbs,bm->bs", gj, dWb[:, j, :])
 
-                # A that reads neither t nor u is evaluated, and solved for, once
-                if coef is None or cm.a_deps:
-                    coef = _coef_fields(cm, grid, xs, t, u if "u" in cm.a_deps else None)
-                    # per row: rows whose results so far (not the data) pass the failure test
-                    rows = None if coef.ndim == 1 else np.flatnonzero(
-                        (j == 0) | np.all(np.abs(u) <= BLOWUP_LIMIT, axis=1))
-                    solve = _implicit_solver(grid, coef, dt, not cm.a_deps, rows)
-                rhs[...] = solve(rhs)
+                # A that reads u: one field per row, solved for the rows whose
+                # results so far (not the data) pass the failure test
+                if "u" in cm.a_deps:
+                    rows = np.flatnonzero((j == 0) | np.all(np.abs(u) <= BLOWUP_LIMIT, axis=1))
+                    solve = _implicit_solver(grid, _coef_fields(cm, grid, xs, t, u), dt,
+                                             False, rows)
+                rhs[...] = solve(rhs, i)
 
             # the block passes unless an entry is past the limit or NaN; then a
             # row fails at its first step with such an entry and reads NaN from

@@ -42,11 +42,14 @@ CONFIG_2D = CONFIG_1D.replace("[grid]\n", "[grid]\nn = 2\n").replace("npts = 32"
 CONFIG_1D_X = CONFIG_1D.replace("a = random_elliptic\n",
                                 "a = expr\na_expr = 1 + 0.5*sin(x)\n")
 
-# A that reads u: one matrix per row and step, a 1D dptsv and a 2D splu solve
+# A that reads u: one matrix per row and step, a 1D dpttrf and a 2D splu each step
 CONFIG_1D_U = CONFIG_1D.replace("a = random_elliptic\n",
                                 "a = expr\na_expr = 1 + 0.5*u/(1+abs(u))\n")
 CONFIG_2D_U = (CONFIG_1D_U.replace("[grid]\n", "[grid]\nn = 2\n")
                .replace("npts = 32", "npts = 16").replace("paths = 16", "paths = 8"))
+
+# A that varies only in x in 2D: one sparse LU for the whole batch
+CONFIG_2D_X = CONFIG_2D_U.replace("1 + 0.5*u/(1+abs(u))", "1 + 0.5*sin(x1)*cos(x2)")
 
 # the default model, identity A: the 1D and 2D FFT solves
 CONFIG_DEFAULT = "[grid]\nnpts = 32\n\n[montecarlo]\npaths = 16\nchunk = 8\n"
@@ -137,6 +140,7 @@ RUNS = {**{name: Run(name, CONFIG_1D) for name in cli.SUBCOMMANDS},
         "ensemble-1d-x": Run("ensemble", CONFIG_1D_X),
         "ensemble-1d-u": Run("ensemble", CONFIG_1D_U),
         "ensemble-2d-u": Run("ensemble", CONFIG_2D_U),
+        "ensemble-2d-x": Run("ensemble", CONFIG_2D_X),
         "harnack-default": Run("harnack", CONFIG_DEFAULT),
         "positivity-2d-default": Run("positivity", CONFIG_DEFAULT_2D),
         "ensemble-expr": Run("ensemble", CONFIG_EXPR),

@@ -190,10 +190,18 @@ def test_validate_model_reaches_large_u(bound):
 def test_validate_model_accepts_default():
     cm = build_model(ModelParams(), 1)
     report = validate_model(cm)
-    # identity A sits on both ellipticity bounds at iota = 1, and |g| is
-    # at most lambda_g |u|, with equality at the sample u = 0
+    # identity A sits on both ellipticity bounds at iota = 1, and the bound
+    # on |g| is exact: the m = 4 trig profiles have sum of squares 1 at
+    # every x, so |g| = lambda_g |u| up to roundoff
     assert report.worst_ellip_low == report.worst_ellip_high == 0.0
-    assert report.worst_growth_excess == 0.0
+    assert abs(report.worst_growth_margin) <= 1e-12 * cm.growth
+
+
+def test_validate_model_reports_growth_slack():
+    # |g| = 0.1 |u| under a declared bound of 5: a slack of 4.9, which a
+    # margin taken at the sample u = 0 would read as 0
+    report = validate_model(build_model(ModelParams(lambda_g=0.1, growth_bound=5.0), 1))
+    assert report.worst_growth_margin <= -4.9 + 1e-12
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -209,8 +217,11 @@ def test_validate_model_rejects_bad_arguments(kwargs, name):
 
 
 def test_validate_model_accepts_zero_horizon():
-    report = validate_model(build_model(ModelParams(), 1), t_max=0.0)
-    assert report.worst_ellip_low == 0.0 and report.worst_growth_excess == 0.0
+    cm = build_model(ModelParams(), 1)
+    report = validate_model(cm, t_max=0.0)
+    # the bound on |g| is exact, as in test_validate_model_accepts_default
+    assert report.worst_ellip_low == 0.0
+    assert abs(report.worst_growth_margin) <= 1e-12 * cm.growth
 
 
 # ---------------------------------------------------------------------------

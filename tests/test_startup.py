@@ -27,9 +27,9 @@ SRC = Path(spdelab.__file__).resolve().parents[1]
 
 # scipy branch -> (n, npts, a_expr, scipy module the solve loads)
 COLD_STEPS = {
-    "dptsv-1d-t": (1, 32, "1 + 0.5*sin(3*t)", "scipy.linalg.lapack"),
-    "dptsv-1d-u": (1, 32, "1 + 0.5*u/(1+abs(u))", "scipy.linalg.lapack"),
-    "dptsv-1d-x": (1, 32, "1 + 0.5*sin(x)", "scipy.linalg.lapack"),
+    "lapack-1d-t": (1, 32, "1 + 0.5*sin(3*t)", "scipy.linalg.lapack"),
+    "lapack-1d-u": (1, 32, "1 + 0.5*u/(1+abs(u))", "scipy.linalg.lapack"),
+    "lapack-1d-x": (1, 32, "1 + 0.5*sin(x)", "scipy.linalg.lapack"),
     "splu-2d-t": (2, 8, "1 + 0.5*sin(3*t)", "scipy.sparse.linalg"),
 }
 

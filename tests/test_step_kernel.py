@@ -2,15 +2,19 @@
 
 A free of t and u and constant in space is solved by FFT instead of a
 sparse LU; in 1d, every other A is solved as a cyclic symmetric positive
-definite tridiagonal system by LAPACK with a Sherman-Morrison correction,
-one dptsv call per step; noise declared through `sigma` is formed from profiles built once per batch instead of a
-g call per step.  Each shortcut is checked against the general
-computation, the choice of solve is pinned by counting factorizations and
-LAPACK calls, and every path keeps the rule that its result does not
-depend on which paths share its batch.
+definite tridiagonal system by LAPACK with a Sherman-Morrison correction:
+stacked matrices factored in one dpttrf call (once per call, once per block
+of steps for A that reads t, once per step for A that reads u), then one
+dpttrs call per step; noise declared through `sigma` is formed from
+profiles built once per batch instead of a g call per step.  Each shortcut
+is checked against the general computation, the choice of solve is pinned
+by counting evaluations of A, factorizations and solves, and every path
+keeps the rule that its result does not depend on which paths share its
+batch.
 """
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -23,8 +27,8 @@ from spdelab.errors import NumericError
 from spdelab.fields import FieldSnapshot, Grid, region_rows
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.solver import (CoefficientModel, ModelParams, SolverConfig,
-                            _circulant_solve, _coef_fields, _cyclic_parts,
-                            _cyclic_solve, _definite,
+                            _circulant_solve, _coef_fields, _cyclic_factor,
+                            _cyclic_parts, _cyclic_solve, _definite,
                             _implicit_matrix, build_model,
                             draw_increments, integrate_batch,
                             make_initial_condition, path_seed,
@@ -99,44 +103,46 @@ def test_cyclic_solve_matches_sparse_lu(npts, iota, rng):
     # one field shared by every row
     a = rng.uniform(iota, 1.0 / iota, size=npts)
     want = splu(_implicit_matrix(grid, a, dt)).solve(rhs.T).T
-    close(_cyclic_solve(_cyclic_parts(grid, a, dt), rhs), want)
+    close(_cyclic_solve(_cyclic_factor(_cyclic_parts(grid, a, dt)), rhs), want)
     # one field per row, split in one call and solved row by row
     rows = rng.uniform(iota, 1.0 / iota, size=(5, npts))
     e, d, gamma, c = _cyclic_parts(grid, rows, dt)
     for b in range(5):
         want = splu(_implicit_matrix(grid, rows[b], dt)).solve(rhs[b])
-        close(_cyclic_solve((e[b], d[b], gamma[b], c[b]), rhs[b:b + 1])[0], want)
+        factor = _cyclic_factor((e[b], d[b], gamma[b], c[b]))
+        close(_cyclic_solve(factor, rhs[b:b + 1])[0], want)
 
 
 @pytest.mark.parametrize("npts", [4, 5, 64, 128])
 @pytest.mark.parametrize("iota", [1.0, 0.5, 0.1])
 @pytest.mark.parametrize("rows", [1, 2, 7])
 def test_stacked_cyclic_solve_equals_rows_alone(npts, iota, rows, rng):
-    # one field per row, stacked into one dptsv call, against each row's
-    # matrix solved in a call of its own: the same bits, rhs scales apart
+    # one field per row, stacked into one dpttrf and one dpttrs call,
+    # against each row's matrix factored and solved in calls of its own: the
+    # same bits, rhs scales apart
     grid = Grid.regular(1, npts)
     dt = rng.uniform(0.25, 2.0) * grid.dx**2
     a = rng.uniform(iota, 1.0 / iota, size=(rows, npts))
     rhs = rng.normal(size=(rows, npts)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
     parts = _cyclic_parts(grid, a, dt)
-    stacked = _cyclic_solve(parts, rhs)
-    alone = np.stack([_cyclic_solve(tuple(p[b] for p in parts), rhs[b:b + 1])[0]
-                      for b in range(rows)])
+    stacked = _cyclic_solve(_cyclic_factor(parts), rhs)
+    alone = np.stack([_cyclic_solve(_cyclic_factor(tuple(p[b] for p in parts)),
+                                    rhs[b:b + 1])[0] for b in range(rows)])
     np.testing.assert_array_equal(stacked.view(np.uint64), alone.view(np.uint64))
 
 
 def test_cyclic_solve_raises_on_lapack_failure():
-    # T has an exactly zero pivot at its second node: dptsv reports info = 2
-    parts = (np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), -1.0, 0.0)
-    with pytest.raises(NumericError, match="info = 2"):
-        _cyclic_solve(parts, np.ones((2, 4)))
+    # T has an exactly zero pivot at its second node: dpttrf reports info = 2
+    parts = (np.zeros(4), np.array([1.0, 0.0, 1.0, 1.0]), -1.0, 0.0)
+    with pytest.raises(NumericError, match="dpttrf info = 2"):
+        _cyclic_factor(parts)
 
 
 @pytest.mark.parametrize("npts", [4, 5, 64, 128])
 @pytest.mark.parametrize("iota", [1.0, 0.5, 0.1])
 def test_positive_definite_solves_match_sparse_lu(npts, iota, rng):
     # against sparse LU of I - dt L_a: one field that serves every step,
-    # solved twice, and one field per row stacked into one dptsv call
+    # solved twice, and one field per row stacked into one dpttrf call
     # (test_cyclic_solve_matches_sparse_lu covers one field for one step)
     grid = Grid.regular(1, npts)
     dt = 2.0 * grid.dx**2
@@ -150,7 +156,7 @@ def test_positive_definite_solves_match_sparse_lu(npts, iota, rng):
     rows = rng.uniform(iota, 1.0 / iota, size=(5, npts))
     parts = _cyclic_parts(grid, rows, dt)
     assert _definite(parts).all()
-    got = _cyclic_solve(parts, rhs)
+    got = _cyclic_solve(_cyclic_factor(parts), rhs)
     for b in range(5):
         close(got[b], splu(_implicit_matrix(grid, rows[b], dt)).solve(rhs[b]))
 
@@ -158,7 +164,7 @@ def test_positive_definite_solves_match_sparse_lu(npts, iota, rng):
 @pytest.mark.parametrize("npts", [4, 5, 64])
 @pytest.mark.parametrize("rows", [2, 7])
 def test_factored_solve_batch_equals_rows_alone(npts, rows, rng):
-    # one field that serves every step: dptsv solves each rhs column on its
+    # one field that serves every step: dpttrs solves each rhs column on its
     # own, so a batch gives bitwise the rows it gives one at a time (B = 1)
     grid = Grid.regular(1, npts)
     dt = rng.uniform(0.25, 2.0) * grid.dx**2
@@ -225,7 +231,7 @@ def test_shared_a_not_positive_definite_fails_every_row(deps):
     bad = 3 if deps else 0
 
     def a(t, xs, u):
-        return (-1.0 if t >= times[bad] else 1.0) * (1.0 + 0.5 * np.sin(xs[0]))
+        return np.where(t >= times[bad], -1.0, 1.0) * (1.0 + 0.5 * np.sin(xs[0]))
 
     grid = grid_for(1)
     cm = hand_built(a, deps)
@@ -240,47 +246,68 @@ def test_shared_a_not_positive_definite_fails_every_row(deps):
 
 
 M_STEPS = 8        # steps of the runs that count factorizations
+K_STEPS = 3        # in blocks of this many steps: 3, 3 and 2
 B_ROWS = 3
 
-# expected splu calls per integrate_batch call of M_STEPS steps on B_ROWS
-# rows in 2d, and dptsv calls in 1d (1d never calls splu, and 2d never
-# calls LAPACK's tridiagonal solve)
+# model -> (params, (dpttrf, dpttrs) calls in 1d, (splu, LU solve) calls in
+# 2d) per integrate_batch call of M_STEPS steps on B_ROWS rows; 1d never
+# calls splu, and 2d never calls LAPACK's tridiagonal routines.  A 1d
+# factorization takes one dpttrs call for its Sherman-Morrison vectors, and
+# each step one for its rows
 FACTORIZATIONS = {
-    "identity": (ModelParams(), (0, 0)),
-    "constant": (ModelParams(a_kind="constant", a_value=0.5, iota=0.5), (0, 0)),
-    "constant-expr": (ModelParams(a_kind="expr", a_expr="0.75", iota=0.5), (0, 0)),
+    "identity": (ModelParams(), (0, 0), (0, 0)),
+    "constant": (ModelParams(a_kind="constant", a_value=0.5, iota=0.5), (0, 0), (0, 0)),
+    "constant-expr": (ModelParams(a_kind="expr", a_expr="0.75", iota=0.5), (0, 0), (0, 0)),
+    # one field for the call
     "x-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5),
-                    (1, M_STEPS)),
-    "t-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*t"), (M_STEPS, M_STEPS)),
+                    (1, 1 + M_STEPS), (1, M_STEPS)),
+    # one stack of fields per block in 1d, one LU per step in 2d
+    "t-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*t"),
+                    (3, 3 + M_STEPS), (M_STEPS, M_STEPS)),
     "random_elliptic": (ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
-                        (M_STEPS, M_STEPS)),
+                        (3, 3 + M_STEPS), (M_STEPS, M_STEPS)),
+    # one stack of rows per step in 1d, one LU per row and step in 2d
     "u-dependent": (ModelParams(a_kind="expr", a_expr="1 + 0*u"),
-                    (M_STEPS * B_ROWS, M_STEPS)),
+                    (M_STEPS, 2 * M_STEPS), (M_STEPS * B_ROWS, M_STEPS * B_ROWS)),
 }
-FACTORIZERS = ("splu", "dptsv")
+FACTORIZERS = ("splu", "dpttrf")
 
 
-def count_factorizers(monkeypatch):
-    """Count the calls of each of FACTORIZERS, by name."""
-    calls = {name: [] for name in FACTORIZERS}
-    for name, got in calls.items():
-        monkeypatch.setattr(solver, name, counting(getattr(solver, name), got))
+def count_solves(monkeypatch):
+    """Count the calls of splu, of the solve of each factor it returns
+    ("lu.solve"), and of dpttrf and dpttrs, by name."""
+    calls = {name: [] for name in ("splu", "lu.solve", "dpttrf", "dpttrs")}
+    for name in ("dpttrf", "dpttrs"):
+        monkeypatch.setattr(solver, name, counting(getattr(solver, name), calls[name]))
+    factorize = solver.splu
+
+    def splu(matrix):
+        calls["splu"].append(1)
+        return types.SimpleNamespace(solve=counting(factorize(matrix).solve,
+                                                    calls["lu.solve"]))
+    monkeypatch.setattr(solver, "splu", splu)
     return calls
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", sorted(FACTORIZATIONS))
 def test_solve_path_is_chosen_by_coefficient(monkeypatch, n, name):
-    params, (splu_2d, dptsv_1d) = FACTORIZATIONS[name]
+    params, want_1d, want_2d = FACTORIZATIONS[name]
     grid = grid_for(n)
     cm = build_model(params, n, grid.extent)
-    calls = count_factorizers(monkeypatch)
+    calls = count_solves(monkeypatch)
     u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS)
+    monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", K_STEPS * 8 * u0b.size)
     times = times[:M_STEPS + 1]
     integrate_batch(grid, cm, SolverConfig(), u0b, times,
                     dW[:, :M_STEPS], keep_history=True)
-    want = (0, dptsv_1d) if n == 1 else (splu_2d, 0)
-    assert tuple(len(calls[name]) for name in FACTORIZERS) == want
+    got = {name: len(c) for name, c in calls.items()}
+    if n == 1:
+        assert (got["splu"], got["lu.solve"]) == (0, 0)
+        assert (got["dpttrf"], got["dpttrs"]) == want_1d
+    else:
+        assert (got["dpttrf"], got["dpttrs"]) == (0, 0)
+        assert (got["splu"], got["lu.solve"]) == want_2d
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +386,7 @@ def test_refactored_a_batch_equals_rows_bitwise(kind):
 
 # f and g linear in u and A free of u make the scheme linear in u, and
 # doubling is exact in binary floating point, so the path from 2 u0 is twice
-# the path from u0 bit for bit, through the FFT, dptsv and sparse LU solves
+# the path from u0 bit for bit, through the FFT, dpttrs and sparse LU solves
 LINEAR = {
     (1, "identity-linear-f"): ModelParams(f_kind="linear", lambda_f=1.0),
     (1, "x-only"): ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5),
@@ -408,7 +435,7 @@ def test_blowup_isolation_under_refactored_a(kind):
                                      (1, "u-dependent"), (2, "random_elliptic"),
                                      (2, "x-dependent"), (2, "u-dependent")])
 def test_blowup_inside_a_block(monkeypatch, n, kind):
-    # the 1d FFT, the 1d cyclic dptsv solve of A that reads t or u, and
+    # the 1d FFT, the 1d cyclic dpttrs solve of A that reads t or u, and
     # sparse LU in 2d, refactored every step, per row or once: row 0 passes
     # the blow-up limit two steps before the end of its block and keeps
     # stepping, overflowing, until the block ends (A that reads u is not
@@ -511,7 +538,7 @@ def test_state_dependent_a_step_matches_dense_solve(monkeypatch, n, npts):
                                  iota=0.5, g_kind="zero"), n, grid.extent)
     u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS)
     assert dW is None
-    calls, name = [], "dptsv" if n == 1 else "splu"
+    calls, name = [], "dpttrf" if n == 1 else "splu"
     monkeypatch.setattr(solver, name, counting(getattr(solver, name), calls))
     got = integrate_batch(grid, cm, SolverConfig(), u0b, times[:2], None,
                           keep_history=True).history[:, -1]
@@ -522,6 +549,108 @@ def test_state_dependent_a_step_matches_dense_solve(monkeypatch, n, npts):
         a = np.asarray(cm.a(float(times[0]), xs, u0b[b]), dtype=float)
         L = np.stack([solver.apply_operator(grid, a, e) for e in np.eye(grid.size)], axis=1)
         close(got[b], np.linalg.solve(np.eye(grid.size) - dt * L, u0b[b]))
+
+
+# ---------------------------------------------------------------------------
+# A that reads t, evaluated and factored per block of steps
+
+# the coefficient models by which of t and u A reads
+A_READS = {
+    "t": ModelParams(a_kind="random_elliptic", iota=0.5, a_seed=2),
+    "u": ModelParams(a_kind="expr", a_expr="1 + 0.5*u/(1+abs(u))", iota=0.5),
+    "neither": ModelParams(a_kind="expr", a_expr="1 + 0.5*sin(x)", iota=0.5),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("reads", sorted(A_READS))
+def test_a_is_evaluated_once_per_block(monkeypatch, n, reads):
+    # M_STEPS steps in blocks of K_STEPS: A that reads t alone is called once
+    # per block, with the block's step times as a column and u=None; A that
+    # reads u once per step, with the rows' states; A that reads neither once
+    grid = grid_for(n)
+    cm = build_model(A_READS[reads], n, grid.extent)
+    assert cm.a_deps == (frozenset() if reads == "neither" else frozenset(reads))
+    seen = []
+
+    def a(t, xs, u, _a=cm.a):
+        seen.append((np.shape(t), None if u is None else u.shape))
+        return _a(t, xs, u)
+
+    u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS)
+    monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", K_STEPS * 8 * u0b.size)
+    integrate_batch(grid, dataclasses.replace(cm, a=a), SolverConfig(), u0b,
+                    times[:M_STEPS + 1], dW[:, :M_STEPS])
+    want = {"t": [((k, 1), None) for k in (3, 3, 2)],
+            "u": [((), u0b.shape)] * M_STEPS,
+            "neither": [((), None)]}[reads]
+    assert len(want) == {"t": math.ceil(M_STEPS / K_STEPS), "u": M_STEPS, "neither": 1}[reads]
+    assert seen == want
+
+
+@pytest.mark.parametrize("n, npts", [(1, 32), (2, 8)])
+def test_block_of_t_dependent_fields_matches_dense_solve(monkeypatch, n, npts):
+    # every step of blocks of K_STEPS steps of A that reads t, against
+    # I - dt L_a written out densely from apply_operator with a evaluated at
+    # that step's time alone: an oracle that shares neither the stacked
+    # factorization nor the sparse matrix builder
+    grid = Grid.regular(n, npts)
+    cm = build_model(dataclasses.replace(A_READS["t"], g_kind="zero"), n, grid.extent)
+    u0b, times, dW = batch_inputs(grid, cm, rows=B_ROWS, horizon=2.0)
+    assert dW is None
+    times = times[:M_STEPS + 1]
+    monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", K_STEPS * 8 * u0b.size)
+    history = integrate_batch(grid, cm, SolverConfig(), u0b, times, None,
+                              keep_history=True).history
+    dt = float(times[1] - times[0])
+    xs = grid.coords_flat()
+    for j in range(M_STEPS):
+        a = np.asarray(cm.a(float(times[j]), xs, None), dtype=float)
+        L = np.stack([solver.apply_operator(grid, a, e) for e in np.eye(grid.size)], axis=1)
+        want = np.linalg.solve(np.eye(grid.size) - dt * L, history[:, j].T).T
+        close(history[:, j + 1], want, rel=1e-13)
+
+
+def test_indefinite_field_inside_a_block(monkeypatch):
+    # A that reads t has negative faces at step `bad` alone, in the middle of
+    # a block of every step: the steps before it keep the bits of blocks of
+    # one step, every row fails at that step, and nothing is raised
+    bad = 4
+
+    def a(t, xs, u):
+        return np.where(t == times[bad], -1.0, 1.0) * (1.0 + 0.5 * np.sin(xs[0] + t))
+
+    grid = grid_for(1)
+    cm = hand_built(a, "t")
+    u0b, times, _ = batch_inputs(grid, cm, rows=B_ROWS)
+    times = times[:M_STEPS + 1]
+
+    def run(steps):
+        monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", steps * 8 * u0b.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return integrate_batch(grid, cm, SolverConfig(), u0b, times, None,
+                                   keep_history=True)
+
+    ref, got = run(1), run(M_STEPS)
+    for res in (ref, got):
+        assert res.failed.all()
+        assert list(res.fail_step) == [bad] * B_ROWS
+        assert np.all(np.isnan(res.history[:, bad + 1:]))
+    np.testing.assert_array_equal(got.history[:, :bad + 1].view(np.uint64),
+                                  ref.history[:, :bad + 1].view(np.uint64))
+    # the block's factorization leaves the bad field out, so the fields after
+    # it are solved with the bits of each field factored alone
+    dt = float(times[1] - times[0])
+    fields = _coef_fields(cm, grid, grid.coords_flat(), times[:-1, None], None)
+    block = solver._implicit_solver(grid, fields, dt, reused=False, rows=None)
+    for i, field in enumerate(fields):
+        got = block(u0b, i)
+        if i == bad:
+            assert np.all(np.isnan(got))
+            continue
+        alone = solver._implicit_solver(grid, field, dt, reused=False, rows=None)(u0b)
+        np.testing.assert_array_equal(got.view(np.uint64), alone.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +698,14 @@ def test_2d_heat_kernel_second_order_and_mass():
 # ---------------------------------------------------------------------------
 # every solve inverts I - dt L_a
 
-# solve -> (reused, per-row field, (splu, dptsv) calls in 1d, in 2d)
+# solve -> (reused, fields, (splu, dpttrf) calls in 1d, in 2d); the fields
+# are one field, one per row, or the two fields of a block of two steps
 SOLVES = {
-    "fft": (True, False, (0, 0), (0, 0)),
-    "shared-lu": (True, False, (0, 1), (1, 0)),
-    "per-step": (False, False, (0, 1), (1, 0)),
-    "per-row": (False, True, (0, 1), (B_ROWS, 0)),
+    "fft": (True, "one", (0, 0), (0, 0)),
+    "shared-lu": (True, "one", (0, 1), (1, 0)),
+    "per-step": (False, "one", (0, 1), (1, 0)),
+    "per-row": (False, "rows", (0, 1), (B_ROWS, 0)),
+    "per-block": (False, "block", (0, 1), (2, 0)),
 }
 
 
@@ -584,21 +715,25 @@ SOLVES = {
 def test_every_solve_inverts_the_operator(monkeypatch, n, npts, dt_per_dx2, name, rng):
     # the solve and apply_operator must agree on L_a, which the QV and
     # weak-residual diagnostics assume
-    reused, per_row, calls_1d, calls_2d = SOLVES[name]
+    reused, fields, calls_1d, calls_2d = SOLVES[name]
     grid = Grid.regular(n, npts)
     dt = dt_per_dx2 * grid.dx**2
     if name == "fft":
         a = np.full(grid.size, 0.75)
     else:
-        a = rng.uniform(0.5, 2.0, size=(B_ROWS, grid.size) if per_row else grid.size)
+        shape = {"one": grid.size, "rows": (B_ROWS, grid.size), "block": (2, grid.size)}
+        a = rng.uniform(0.5, 2.0, size=shape[fields])
     rhs = rng.normal(size=(B_ROWS, grid.size))
-    calls = count_factorizers(monkeypatch)
-    x = solver._implicit_solver(grid, a, dt, reused=reused,
-                                rows=np.arange(B_ROWS))(rhs)
+    calls = count_solves(monkeypatch)
+    solve = solver._implicit_solver(grid, a, dt, reused=reused,
+                                    rows=None if fields == "block" else np.arange(B_ROWS))
+    # step i of a block solves with field i; the other solves serve one step
+    for i, field in enumerate(a if fields == "block" else [a]):
+        x = solve(rhs, i)
+        residual = x - dt * solver.apply_operator(grid, field, x) - rhs
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
     assert tuple(len(calls[name]) for name in FACTORIZERS) == (
         calls_1d if n == 1 else calls_2d)
-    residual = x - dt * solver.apply_operator(grid, a, x) - rhs
-    assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize("n", [1, 2])

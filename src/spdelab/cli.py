@@ -766,10 +766,10 @@ def _load_config_text(path: str) -> str:
     with open(path) as fh:
         raw = fh.read()
     if raw.lstrip().startswith("{"):
-        blob = json.loads(raw)
-        if "config_text" not in blob:
-            raise ConfigError(f"{path} looks like a manifest but has no config_text")
-        return blob["config_text"]
+        text = json.loads(raw).get("config_text")
+        if not isinstance(text, str):
+            raise ConfigError(f"{path} looks like a manifest but has no config_text string")
+        return text
     return raw
 
 

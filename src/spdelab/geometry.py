@@ -34,6 +34,8 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise InvalidArgumentError(f"ball radius must be positive, got {self.radius}")
+        if not all(map(math.isfinite, self.center)):
+            raise InvalidArgumentError(f"ball center must be finite, got {self.center}")
 
     @property
     def dim(self) -> int:

@@ -89,12 +89,12 @@ class ExperimentSpec:
             raise InvalidArgumentError(f"ic_seed must be nonnegative, got {self.ic_seed}")
         # each check is written so that NaN fails it; the jn and cubes
         # settings are checked here too, so a bad one costs no simulation
-        if not all(g >= 0.0 for g in self.gammas):
-            raise InvalidArgumentError("ratio thresholds must be nonnegative")
-        if not (self.floor >= 0.0):
-            raise InvalidArgumentError(f"floor must be nonnegative, got {self.floor}")
-        if len(self.alphas) == 0 or not all(a > 0.0 for a in self.alphas):
-            raise InvalidArgumentError("alphas must be a nonempty 1d array of positive levels")
+        if not all(0.0 <= g < math.inf for g in self.gammas):
+            raise InvalidArgumentError("ratio thresholds must be nonnegative and finite")
+        if not (0.0 <= self.floor < math.inf):
+            raise InvalidArgumentError(f"floor must be nonnegative and finite, got {self.floor}")
+        if len(self.alphas) == 0 or not all(0.0 < a < math.inf for a in self.alphas):
+            raise InvalidArgumentError("alphas must be a nonempty list of positive, finite levels")
         if not (0.0 < self.mu < math.inf):
             raise InvalidArgumentError(f"mu must be positive and finite, got {self.mu}")
         if not (0.0 < self.nu < math.inf):
@@ -107,6 +107,9 @@ class ExperimentSpec:
                 raise InvalidArgumentError(
                     f"region {name!r} spans ({rect.t_lo}, {rect.t_hi}], outside "
                     f"the simulated interval (0, {self.horizon}]")
+            if rect.ball.dim != self.grid.n:
+                raise InvalidArgumentError(
+                    f"region {name!r} ball has dimension {rect.ball.dim}, the grid {self.grid.n}")
             for d in range(rect.ball.dim):
                 if abs(rect.ball.center[d]) + rect.ball.radius > self.grid.extent + 1e-12:
                     raise InvalidArgumentError(
@@ -362,8 +365,8 @@ class PositivityReport:
 def positivity_scan(ens: Ensemble, region: SpaceTimeRect,
                     floor: float = 0.0) -> PositivityReport:
     """Count paths whose region infimum does not stay above the floor."""
-    if not (floor >= 0.0):
-        raise InvalidArgumentError(f"floor must be nonnegative, got {floor}")
+    if not (0.0 <= floor < math.inf):
+        raise InvalidArgumentError(f"floor must be nonnegative and finite, got {floor}")
     vals0 = ens.spec.initial_condition().flat()
     if np.any(vals0 < 0.0) or not np.any(vals0 > 0.0):
         raise ModelInvalidError(
@@ -403,10 +406,9 @@ def comparison_experiment(grid: Grid, P: SpaceTimeRect, Q: SpaceTimeRect,
     (random_elliptic with iota = 0.5).
 
     All initial data evolve as one batch per grid, with no noise; A reads
-    t, so each step takes one implicit solve for the whole batch (in 1d
-    one LAPACK dpttrs call, against a factorization made once per block of
-    steps; in 2d one sparse LU factorization per step).  The
-    refined pass doubles the resolution with the time step following the
+    t, so each step takes one implicit solve for the whole batch, the one
+    `solver._implicit_solver` picks for a block of fields.  The refined
+    pass doubles the resolution with the time step following the
     parabolic default.
     """
     validate_windows(P, Q)

@@ -30,22 +30,17 @@ bit-identical for every K as well.  A row that fails inside a block steps
 on to the block's end, with numpy's overflow and invalid-value warnings
 off; a failure shows in the result's failed/fail_step, never as a warning.
 
-`_implicit_solver` picks the implicit solve from what A reads
-and from n.  A free of t and u and constant in space makes I - dt L_A
-circulant, solved by a real FFT.  In 1d every other A gives a cyclic
-tridiagonal matrix, symmetric and, while every face value of A is
-positive, strictly diagonally dominant with a positive diagonal, so
-positive definite.  It is factored as L D L^T by LAPACK's dpttrf, which
-needs no pivoting, and solved by its dpttrs plus a Sherman-Morrison
-correction for the corners.  The matrices of one kind are stacked with
-zero coupling and factored in one dpttrf call: once per call for a field
-shared by every row and step (A free of t and u), once per block for the
-K fields of a block (A reads t, not u), once per step for one field per
-row (A reads u); each step then takes one dpttrs call.  A 1d field with a
-face value <= 0 or a non-finite entry is not solved: its rows come back
-NaN and fail.  In 2d any A that is not constant in space is solved by
-sparse LU: once per call for A free of t and u, per field and step
-otherwise.  The FFT solve carries roundoff of order 1e-16 max|u|, so
+`_implicit_solver` picks the implicit solve from the shape of A's fields
+and from n, and says when each factorization is made.  A free of t and u
+and constant in space makes I - dt L_A circulant, solved by a real FFT.
+In 1d every other A gives a cyclic tridiagonal matrix, symmetric and,
+while every face value of A is positive, strictly diagonally dominant
+with a positive diagonal, so positive definite.  It is factored as
+L D L^T by LAPACK's dpttrf, which needs no pivoting, and solved by its
+dpttrs plus a Sherman-Morrison correction for the corners.  A 1d field
+with a face value <= 0 or a non-finite entry is not solved: its rows come
+back NaN and fail.  In 2d any A that is not constant in space is solved
+by sparse LU.  The FFT solve carries roundoff of order 1e-16 max|u|, so
 nodes where u is nearly 0 may come out slightly negative.
 
 scipy is imported only inside `splu`, `_lapack` and `_implicit_matrix`,
@@ -96,7 +91,8 @@ class CoefficientModel:
     evaluates a only once per call when a_deps is empty, and when it is
     {"t"} calls a once per block of steps with t the (J, 1) column of the
     block's step times and u=None, so a must broadcast against a t column
-    and return J fields, shape (J, S) or broadcastable to it.
+    and return J fields, shape (J, S) or broadcastable to it.  The shape
+    of those fields picks the solve (`_implicit_solver`).
 
     sigma, when not None, declares multiplicative noise
     g_i(t, x, u) = sigma_i(x) u: it maps xs to an (m, S) array, and the
@@ -632,17 +628,16 @@ def _cyclic_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     return y.reshape(rhs.shape)
 
 
-def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
+def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, rows=None):
     """The solve (rhs (B, S), i) -> (B, S) of I - dt L_a for step i.
 
-    a is one of: one field (S,) shared by every row; the shared fields
-    (k, S) of the k steps of a block (rows None), field i for step i; or
-    one field per row (B, S) for one step, of which only the rows listed
-    in `rows` are solved.  reused: the one field serves every step of the
-    call (A reads neither t nor u).  Only the fields of a block are chosen
-    by i; i defaults to 0.
+    a is one of: one field (S,) shared by every row and step (A reads
+    neither t nor u); the shared fields (k, S) of the k steps of a block
+    (rows None), field i for step i; or one field per row (B, S) for one
+    step, of which only the rows listed in `rows` are solved.  Only the
+    fields of a block are chosen by i; i defaults to 0.
 
-    A reused field that is constant in space is solved by FFT.  In 1d every
+    One field (S,) that is constant in space is solved by FFT.  In 1d every
     other field is cyclic tridiagonal and, while its faces are positive,
     symmetric positive definite (_cyclic_parts).  The shared fields are
     factored here, in one dpttrf call (_cyclic_factor), and each call of the
@@ -672,7 +667,7 @@ def _implicit_solver(grid: Grid, a: np.ndarray, dt: float, reused: bool, rows):
                 out[live] = _cyclic_solve(factor, rhs[live])
             return out
         return solve
-    if reused and np.all(a == a[0]):
+    if a.ndim == 1 and np.all(a == a[0]):
         fft = _circulant_solve(grid, float(a[0]), dt)
         return lambda rhs, i=0: fft(rhs)
     fields = a.reshape(-1, grid.size)
@@ -788,8 +783,8 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     factor is multiplied in, f and a g without sigma are added, A is
     evaluated anew when it reads u, and the solve runs.  Per block: A that
     reads t but not u, in one call with t the (K, 1) column of the block's
-    step times and u=None, and its solve for those K fields (in 1d one
-    LAPACK factorization of all K); the multiplicative-noise factors
+    step times and u=None, and its solve for those K fields (each kind of
+    A is solved as `_implicit_solver` says); the multiplicative-noise factors
     1 + sum_i sigma_i dW^i of all K steps, the blow-up check, the
     captures, the region sup/inf and negative-part energy, and the copy
     into the history.  A row that fails
@@ -862,8 +857,7 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
             # block at the block's step times; A that reads neither once
             if "u" not in cm.a_deps and (solve is None or cm.a_deps):
                 when = times[lo:lo + k, None] if cm.a_deps else float(times[0])
-                solve = _implicit_solver(grid, _coef_fields(cm, grid, xs, when, None), dt,
-                                         not cm.a_deps, None)
+                solve = _implicit_solver(grid, _coef_fields(cm, grid, xs, when, None), dt)
             for i in range(k):
                 j = lo + i
                 t = float(times[j])
@@ -882,8 +876,7 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                 # results so far (not the data) pass the failure test
                 if "u" in cm.a_deps:
                     rows = np.flatnonzero((j == 0) | np.all(np.abs(u) <= BLOWUP_LIMIT, axis=1))
-                    solve = _implicit_solver(grid, _coef_fields(cm, grid, xs, t, u), dt,
-                                             False, rows)
+                    solve = _implicit_solver(grid, _coef_fields(cm, grid, xs, t, u), dt, rows)
                 rhs[...] = solve(rhs, i)
 
             # the block passes unless an entry is past the limit or NaN; then a
@@ -1100,8 +1093,8 @@ def make_initial_condition(kind: str, grid: Grid, amplitude: float = 1.0,
     """Named nonnegative initial data sampled on the grid at t = 0."""
     if not (amplitude > 0.0):
         raise InvalidArgumentError(f"amplitude must be positive, got {amplitude}")
-    if not (width > 0.0):
-        raise InvalidArgumentError(f"width must be positive, got {width}")
+    if not (0.0 < width < math.inf):
+        raise InvalidArgumentError(f"width must be positive and finite, got {width}")
     xs = grid.coords_flat()
     rho = grid.max_dist()
     if kind == "bump":

@@ -45,7 +45,7 @@ def default_model(grid64):
 
 @pytest.fixture(scope="session")
 def stoch_path(grid64, default_model):
-    """One solved noisy path on [0, 0.5], reused by read-only tests."""
+    """One solved noisy path on [0, 0.5], shared by read-only tests."""
     u0 = make_initial_condition("bump", grid64)
     return solve_path(u0, default_model, SolverConfig(), 0.5,
                       seed=path_seed(314, 0))

@@ -195,6 +195,10 @@ def test_rejected_value_reported_at_its_own_line():
         ("[model]\nf = expr\nf_expr = 0.01*u*u\ngrowth_bound = inf\n", 4),
         ("[montecarlo]\nmu = inf\n", 2),
         ("[montecarlo]\npaths = 4\nnu = inf\n", 3),
+        ("[montecarlo]\nseed = 3\nfloor = inf\n", 3),
+        ("[montecarlo]\ngammas = 1, inf\n", 2),
+        ("[montecarlo]\nalphas = inf\n", 2),
+        ("[solver]\nf0 = bump\nwidth = inf\n", 3),
         ("[montecarlo]\npaths = 0\n", 2),
         ("[grid]\nn = 2\nnpts = 0\n", 3),
         # the initial condition is built from [solver] keys
@@ -318,6 +322,16 @@ def test_bad_values_carry_line_numbers():
         parse_config('[regions]\nQ = {"lo": 1}\n')
     with pytest.raises(ConfigError, match="bad region"):
         parse_config("[regions]\nQ = [1, 2]\n")
+    # a ball of the wrong dimension or with a NaN center fails at its line
+    box = '{"t_lo": 0.0, "t_hi": 0.5, "center": %s, "radius": 0.5}'
+    for text, match, line in [
+            ('[regions]\nQ = {"t0": 0.5, "x0": [0, 0], "r": 0.5}\n', "dimension 2", 2),
+            (f"[grid]\nn = 2\nnpts = 8\n[regions]\nR = {box % '[0.0]'}\n", "dimension 1", 5),
+            ('[regions]\nQ = {"t0": 0.5, "x0": [NaN], "r": 0.5}\n', "finite", 2),
+            (f"[regions]\nR = {box % '[NaN]'}\n", "finite", 2)]:
+        with pytest.raises(ConfigError, match=match) as info:
+            parse_config(text)
+        assert info.value.line == line, text
 
 
 def test_window_order_is_checked():
@@ -366,11 +380,14 @@ def test_threads_below_one_exits_2_before_any_write(tmp_path, capsys, threads):
 
 
 def test_broken_manifest_exits_2(tmp_path, capsys):
-    blob = tmp_path / "manifest.json"
-    blob.write_text(json.dumps({"version": 1}))
-    assert run_cli("--config", str(blob), "--out", str(tmp_path / "o"),
-                   "solve") == 2
-    assert "config_text" in capsys.readouterr().err
+    path = tmp_path / "manifest.json"
+    for blob in ({"version": 1}, {"config_text": 5}, {"config_text": None},
+                 {"config_text": ["a"]}):
+        path.write_text(json.dumps(blob))
+        assert run_cli("--config", str(path), "--out", str(tmp_path / "o"),
+                       "solve") == 2, blob
+        assert "config_text" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_diverging_ensemble_exits_3(tmp_path, capsys):

@@ -272,7 +272,7 @@ def test_positivity_scan(region_spec, region_ensemble):
     # an unreachable floor flips the verdict
     high = positivity_scan(region_ensemble, BOX, floor=float(np.max(report.mins)))
     assert high.n_at_or_below > 0
-    for floor in (-1.0, np.nan):
+    for floor in (-1.0, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError, match="floor"):
             positivity_scan(region_ensemble, BOX, floor=floor)
 

@@ -191,8 +191,8 @@ def test_region_rows_equal_brute_force_membership(setup):
 @st.composite
 def implicit_systems(draw):
     """A coefficient field in [iota, 1/iota], shared by every row or one per
-    row, or one value everywhere (the FFT solve when reused), with the
-    right-hand sides of B rows."""
+    row, or one value everywhere (the FFT solve), with the right-hand sides
+    of B rows and the rows to solve, given for one field per row only."""
     n = draw(st.sampled_from([1, 2]))
     grid = Grid.regular(n, draw(st.sampled_from([4, 5, 8, 16, 33] if n == 1 else [4, 5, 8, 16])))
     iota = draw(st.floats(0.1, 1.0))
@@ -204,16 +204,15 @@ def implicit_systems(draw):
     if field == "constant":
         a = np.full(grid.size, a[0])
     rhs = rng.normal(size=(rows, grid.size)) * 10.0 ** draw(st.floats(-3.0, 3.0))
-    # the per-row solve serves one step; the others are picked by `reused`
-    reused = field != "per row" and draw(st.booleans())
-    return grid, a, draw(st.floats(0.25, 2.0)) * grid.dx**2, reused, rhs
+    listed = np.arange(rows) if field == "per row" else None
+    return grid, a, draw(st.floats(0.25, 2.0)) * grid.dx**2, listed, rhs
 
 
 @settings(max_examples=200)
 @given(system=implicit_systems())
 def test_implicit_solver_inverts_the_operator(system):
-    grid, a, dt, reused, rhs = system
-    x = solver._implicit_solver(grid, a, dt, reused=reused, rows=np.arange(len(rhs)))(rhs)
+    grid, a, dt, listed, rhs = system
+    x = solver._implicit_solver(grid, a, dt, listed)(rhs)
     residual = x - dt * solver.apply_operator(grid, a, x) - rhs
     assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
 
@@ -359,15 +358,15 @@ BAD_VALUES = {
     ("solver", "scheme"): ["explicit", "rk4"],
     ("solver", "f0"): ["nope"],
     ("solver", "amplitude"): ["-1", "0", "nan"],
-    ("solver", "width"): ["-0.5", "0"],
+    ("solver", "width"): ["-0.5", "0", "inf"],
     ("solver", "ic_seed"): ["-1"],
     ("solver", "horizon"): ["-1", "0", "nan", "inf"],
     ("montecarlo", "paths"): ["0", "-3"],
     ("montecarlo", "seed"): ["-1"],
     ("montecarlo", "chunk"): ["0"],
-    ("montecarlo", "gammas"): [",", "1, nan", "-1"],
-    ("montecarlo", "floor"): ["-1", "nan"],
-    ("montecarlo", "alphas"): ["-1, 0.5", "0"],
+    ("montecarlo", "gammas"): [",", "1, nan", "-1", "1, inf"],
+    ("montecarlo", "floor"): ["-1", "nan", "inf"],
+    ("montecarlo", "alphas"): ["-1, 0.5", "0", "inf"],
     ("montecarlo", "mu"): ["-1", "0", "inf"],
     ("montecarlo", "nu"): ["0", "nan", "inf"],
     ("montecarlo", "depth"): ["-1", "1.5"],

@@ -2,8 +2,8 @@
 
 A name defined at the top level of `src/spdelab/<module>.py` without a
 leading underscore must be read by one of: another module of the package
-(the re-exports of `__init__.py` do not count), its own module outside
-its own definition, a script under `bench/`, the acceptance suite
+(`__init__.py` imports nothing, and `test_imports.py` keeps it so), its
+own module outside its own definition, a script under `bench/`, the acceptance suite
 `tests/test_acceptance.py`, or a mention in `README.md`.  A name that only
 unit tests read tests itself: it is deleted, or, when it is an oracle,
 it lives in `tests/oracles.py`.  Reads are found with the standard
@@ -17,7 +17,7 @@ import spdelab
 
 PACKAGE = pathlib.Path(spdelab.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def read_names(tree: ast.AST) -> set:

@@ -150,7 +150,7 @@ def test_positive_definite_solves_match_sparse_lu(npts, iota, rng):
     a = rng.uniform(iota, 1.0 / iota, size=npts)
     want = splu(_implicit_matrix(grid, a, dt)).solve(rhs.T).T
     assert _definite(_cyclic_parts(grid, a, dt))
-    shared = solver._implicit_solver(grid, a, dt, reused=True, rows=None)
+    shared = solver._implicit_solver(grid, a, dt)
     for _ in range(2):
         close(shared(rhs), want)
     rows = rng.uniform(iota, 1.0 / iota, size=(5, npts))
@@ -168,8 +168,7 @@ def test_factored_solve_batch_equals_rows_alone(npts, rows, rng):
     # own, so a batch gives bitwise the rows it gives one at a time (B = 1)
     grid = Grid.regular(1, npts)
     dt = rng.uniform(0.25, 2.0) * grid.dx**2
-    solve = solver._implicit_solver(grid, rng.uniform(0.5, 2.0, npts), dt,
-                                    reused=True, rows=None)
+    solve = solver._implicit_solver(grid, rng.uniform(0.5, 2.0, npts), dt)
     rhs = rng.normal(size=(rows, npts)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
     batch = solve(rhs)
     alone = np.stack([solve(rhs[b:b + 1])[0] for b in range(rows)])
@@ -185,9 +184,8 @@ def test_shared_field_solve_equals_per_row_solve(npts, rows, rng):
     dt = rng.uniform(0.25, 2.0) * grid.dx**2
     a = rng.uniform(0.5, 2.0, npts)
     rhs = rng.normal(size=(rows, npts)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
-    shared = solver._implicit_solver(grid, a, dt, reused=True, rows=None)(rhs)
-    per_row = solver._implicit_solver(grid, np.tile(a, (rows, 1)), dt, reused=False,
-                                      rows=np.arange(rows))(rhs)
+    shared = solver._implicit_solver(grid, a, dt)(rhs)
+    per_row = solver._implicit_solver(grid, np.tile(a, (rows, 1)), dt, np.arange(rows))(rhs)
     np.testing.assert_array_equal(shared.view(np.uint64), per_row.view(np.uint64))
 
 
@@ -484,9 +482,9 @@ def test_failed_row_is_not_solved_again(monkeypatch):
     u0b[2] = make_initial_condition("bump", grid, amplitude=0.1).flat()
     listed, build = [], solver._implicit_solver
 
-    def spy(grid, a, dt, reused, rows):
+    def spy(grid, a, dt, rows):
         listed.append(rows.tolist())
-        return build(grid, a, dt, reused, rows)
+        return build(grid, a, dt, rows)
 
     monkeypatch.setattr(solver, "_implicit_solver", spy)
     monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", (times.size - 1) * 8 * u0b.size)
@@ -643,13 +641,13 @@ def test_indefinite_field_inside_a_block(monkeypatch):
     # it are solved with the bits of each field factored alone
     dt = float(times[1] - times[0])
     fields = _coef_fields(cm, grid, grid.coords_flat(), times[:-1, None], None)
-    block = solver._implicit_solver(grid, fields, dt, reused=False, rows=None)
+    block = solver._implicit_solver(grid, fields, dt)
     for i, field in enumerate(fields):
         got = block(u0b, i)
         if i == bad:
             assert np.all(np.isnan(got))
             continue
-        alone = solver._implicit_solver(grid, field, dt, reused=False, rows=None)(u0b)
+        alone = solver._implicit_solver(grid, field[None], dt)(u0b)
         np.testing.assert_array_equal(got.view(np.uint64), alone.view(np.uint64))
 
 
@@ -698,14 +696,17 @@ def test_2d_heat_kernel_second_order_and_mass():
 # ---------------------------------------------------------------------------
 # every solve inverts I - dt L_a
 
-# solve -> (reused, fields, (splu, dpttrf) calls in 1d, in 2d); the fields
-# are one field, one per row, or the two fields of a block of two steps
+# solve -> (fields, (splu, dpttrf) calls in 1d, in 2d); the fields are one
+# field (S,), one per row, the two fields of a block of two steps, or the
+# one field of a block of one step.  "fft" and "per-step" take one value
+# everywhere: the shape of a picks the FFT, so a block of one step that A
+# reading t gives is factored all the same
 SOLVES = {
-    "fft": (True, "one", (0, 0), (0, 0)),
-    "shared-lu": (True, "one", (0, 1), (1, 0)),
-    "per-step": (False, "one", (0, 1), (1, 0)),
-    "per-row": (False, "rows", (0, 1), (B_ROWS, 0)),
-    "per-block": (False, "block", (0, 1), (2, 0)),
+    "fft": ("one", (0, 0), (0, 0)),
+    "shared-lu": ("one", (0, 1), (1, 0)),
+    "per-step": ("step", (0, 1), (1, 0)),
+    "per-row": ("rows", (0, 1), (B_ROWS, 0)),
+    "per-block": ("block", (0, 1), (2, 0)),
 }
 
 
@@ -715,20 +716,20 @@ SOLVES = {
 def test_every_solve_inverts_the_operator(monkeypatch, n, npts, dt_per_dx2, name, rng):
     # the solve and apply_operator must agree on L_a, which the QV and
     # weak-residual diagnostics assume
-    reused, fields, calls_1d, calls_2d = SOLVES[name]
+    fields, calls_1d, calls_2d = SOLVES[name]
     grid = Grid.regular(n, npts)
     dt = dt_per_dx2 * grid.dx**2
-    if name == "fft":
-        a = np.full(grid.size, 0.75)
+    shape = {"one": grid.size, "step": (1, grid.size), "rows": (B_ROWS, grid.size),
+             "block": (2, grid.size)}[fields]
+    if name in ("fft", "per-step"):
+        a = np.full(shape, 0.75)
     else:
-        shape = {"one": grid.size, "rows": (B_ROWS, grid.size), "block": (2, grid.size)}
-        a = rng.uniform(0.5, 2.0, size=shape[fields])
+        a = rng.uniform(0.5, 2.0, size=shape)
     rhs = rng.normal(size=(B_ROWS, grid.size))
     calls = count_solves(monkeypatch)
-    solve = solver._implicit_solver(grid, a, dt, reused=reused,
-                                    rows=None if fields == "block" else np.arange(B_ROWS))
+    solve = solver._implicit_solver(grid, a, dt, np.arange(B_ROWS) if fields == "rows" else None)
     # step i of a block solves with field i; the other solves serve one step
-    for i, field in enumerate(a if fields == "block" else [a]):
+    for i, field in enumerate(a if fields in ("step", "block") else [a]):
         x = solve(rhs, i)
         residual = x - dt * solver.apply_operator(grid, field, x) - rhs
         assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(rhs))
@@ -744,14 +745,14 @@ def test_per_row_solve_skips_unlisted_rows(n, rng):
     dt = grid.dx**2
     a = rng.uniform(0.5, 2.0, size=(B_ROWS, grid.size))
     rhs = rng.normal(size=(B_ROWS, grid.size))
-    every = solver._implicit_solver(grid, a, dt, reused=False, rows=np.arange(B_ROWS))(rhs)
+    every = solver._implicit_solver(grid, a, dt, np.arange(B_ROWS))(rhs)
     for row1 in ("unlisted", "inf rhs", "nan rhs", "inf field", "nan field"):
         rows = np.array([0, 2]) if row1 == "unlisted" else np.arange(B_ROWS)
         bad_a, bad_rhs = a.copy(), rhs.copy()
         if row1 != "unlisted":
             value, where = row1.split()
             (bad_rhs if where == "rhs" else bad_a)[1, grid.size // 2] = float(value)
-        some = solver._implicit_solver(grid, bad_a, dt, reused=False, rows=rows)(bad_rhs)
+        some = solver._implicit_solver(grid, bad_a, dt, rows)(bad_rhs)
         assert np.all(np.isnan(some[1])), row1
         np.testing.assert_array_equal(some[[0, 2]].view(np.uint64),
                                       every[[0, 2]].view(np.uint64), err_msg=row1)

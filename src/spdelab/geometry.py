@@ -7,6 +7,7 @@ of radius r anchored at (t0, x0) is the rect (t0 - r^2, t0] x B_r(x0).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,40 +107,37 @@ def _axis_centers(count: int, half_width: float) -> np.ndarray:
     return -half_width + w * (np.arange(count) + 0.5)
 
 
-# Most anchors cover_cylinder builds: at n = 2 this many rows of times and
-# coords hold 480 MB.  theta = 0.95 (n = 2) and theta = 0.99 (n = 1) fit.
+# Most anchors cover_cylinder accepts.  The lattice itself stays
+# O(k_t + k_x^n), so this bounds the anchors a consumer iterates: at this
+# count a list of them as Python pairs holds over a gigabyte.  theta = 0.95
+# (n = 2) and theta = 0.99 (n = 1) fit.
 _COVER_BUDGET = 20_000_000
-
-# Rows converted to Python values at a time when a lattice is iterated, so
-# iteration never holds the whole lattice as Python objects.
-_ITER_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CoverLattice:
-    """Read-only anchor lattice of a cylinder cover.
+    """Read-only anchor lattice of a cylinder cover: time levels x one cell.
 
-    Anchor k is (times[k], coords[k]): times has shape (K,), coords (K, n).
-    len() is K; iteration yields (float, tuple) pairs in row order.
+    levels has shape (k_t,) and cell (C, n), C = k_x^n; anchor k is
+    (levels[k // C], cell[k % C]).  len() is k_t * C; iteration yields
+    (float, tuple) pairs in that order, every anchor of one level sharing
+    one float and every anchor at one point of the cell sharing one tuple.
     """
 
-    times: np.ndarray
-    coords: np.ndarray
+    levels: np.ndarray
+    cell: np.ndarray
 
     def __post_init__(self):
-        self.times.flags.writeable = False
-        self.coords.flags.writeable = False
+        self.levels.flags.writeable = False
+        self.cell.flags.writeable = False
 
     def __len__(self) -> int:
-        return self.times.shape[0]
+        return self.levels.size * self.cell.shape[0]
 
     def __iter__(self):
-        # zip over the n coordinate columns builds each point tuple
-        # directly, with no per-row list to allocate and then copy
-        for lo in range(0, len(self), _ITER_BLOCK):
-            hi = lo + _ITER_BLOCK
-            yield from zip(self.times[lo:hi].tolist(),
-                           zip(*self.coords[lo:hi].T.tolist()))
+        points = list(zip(*self.cell.T.tolist()))
+        for t in self.levels.tolist():
+            yield from zip(itertools.repeat(t, len(points)), points)
 
 
 def cover_cylinder(theta: float, R: float, n: int) -> CoverLattice:
@@ -154,8 +152,8 @@ def cover_cylinder(theta: float, R: float, n: int) -> CoverLattice:
     through the spatial lattice in C order.
 
     For theta <= 1/2 the single cylinder Q_{R/2}(1, 0) already contains
-    Q_{theta R}, so no anchors are needed and the lattice is empty: times
-    has shape (0,) and coords (0, n).  A lattice of more than
+    Q_{theta R}, so no anchors are needed and the lattice is empty: levels
+    has shape (0,) and cell (0, n).  A lattice of more than
     _COVER_BUDGET anchors raises ResourceLimitError before anything is
     allocated.
     """
@@ -187,7 +185,6 @@ def cover_cylinder(theta: float, R: float, n: int) -> CoverLattice:
             f"over budget {_COVER_BUDGET}")
 
     t_step = depth / k_t
-    times = np.repeat(1.0 - t_step * np.arange(k_t), k_x**n)
     ax = _axis_centers(k_x, theta * R)
     cell = np.stack(np.meshgrid(*[ax] * n, indexing="ij"), -1).reshape(-1, n)
-    return CoverLattice(times, np.tile(cell, (k_t, 1)))
+    return CoverLattice(1.0 - t_step * np.arange(k_t), cell)

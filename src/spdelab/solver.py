@@ -74,6 +74,12 @@ BLOWUP_LIMIT = 1e100
 # ---------------------------------------------------------------------------
 # coefficient models
 
+def _check_iota(iota: float):
+    # 1/iota bounds A from above, so it must be finite too
+    if not (0.0 < iota <= 1.0 and 1.0 / iota < math.inf):
+        raise InvalidArgumentError(f"iota must lie in (0, 1] with 1/iota finite, got {iota}")
+
+
 @dataclass
 class CoefficientModel:
     """Callable coefficients (A, f, g) plus their declared bounds.
@@ -112,8 +118,7 @@ class CoefficientModel:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise InvalidArgumentError(f"spatial dimension must be 1 or 2, got {self.n}")
-        if not (0.0 < self.iota <= 1.0):
-            raise InvalidArgumentError(f"iota must lie in (0, 1], got {self.iota}")
+        _check_iota(self.iota)
         if not (0.0 <= self.growth < math.inf):
             raise InvalidArgumentError(f"growth bound must be >= 0 and finite, got {self.growth}")
         if self.m < 0 or (self.g is None and self.m != 0):
@@ -245,8 +250,7 @@ def _trig_profiles(m: int, n: int, extent: float, xs) -> np.ndarray:
 def build_model(params: ModelParams, n: int, extent: float = 2.0) -> CoefficientModel:
     """Instantiate the coefficient callables described by params."""
     p = params
-    if not (0.0 < p.iota <= 1.0):
-        raise InvalidArgumentError(f"iota must lie in (0, 1], got {p.iota}")
+    _check_iota(p.iota)
     if not (0.0 <= p.lambda_f < math.inf and 0.0 <= p.lambda_g < math.inf):
         raise InvalidArgumentError("lambda_f and lambda_g must be nonnegative and finite")
     if p.a_seed < 0:
@@ -395,10 +399,14 @@ def validate_model(cm: CoefficientModel, extent: float = 2.0,
     if cm.f is not None:
         size = size + np.abs(np.broadcast_to(np.asarray(cm.f(t, xs, u), float), (K,)))
     if cm.g is not None:
+        # hypot, not the root of a sum of squares, which overflows first
         gv = np.asarray(cm.g(t, xs, u), dtype=float)
-        size = size + np.sqrt(np.sum(gv * gv, axis=0))
-    excess = size - cm.growth * np.abs(u)
-    scaled = excess - 1e-12 * np.maximum(1.0, cm.growth * np.abs(u))
+        size = size + np.hypot.reduce(gv, axis=0, initial=0.0)
+    # a bound whose product with |u| overflows holds at that sample
+    with np.errstate(over="ignore"):
+        bound = cm.growth * np.abs(u)
+    excess = size - bound
+    scaled = excess - 1e-12 * np.maximum(1.0, bound)
     if np.any(scaled > 0.0):
         k = int(np.argmax(scaled))
         raise ModelInvalidError(
@@ -1088,24 +1096,56 @@ def periodic_heat_kernel(x, t: float, extent: float = 2.0, images: int = 8) -> n
     return out
 
 
+def _gaussian_column(x: np.ndarray, width: float, extent: float) -> tuple:
+    """periodic_heat_kernel(x, width**2, extent) and its peak, for every
+    positive finite width.
+
+    Where that kernel over- or underflows (width**2 out of range, or a
+    width far below the distance from 0 to the nearest node), each node's
+    image sum is taken relative to the smallest exponent instead, which
+    has the same shape and peak 1: in the limits it is the indicator of
+    the nodes nearest 0, and the constant 1.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            col = periodic_heat_kernel(x, width**2, extent=extent)
+        peak = col.max()
+        if peak > 0.0:
+            return col, peak
+    except (OverflowError, FloatingPointError, InvalidArgumentError):
+        pass
+    # the images periodic_heat_kernel sums by default
+    y2 = np.stack([(x - 2.0 * extent * k) ** 2 for k in range(-8, 9)])
+    excess = y2 - y2.min()
+    with np.errstate(over="ignore"):
+        rate = (0.5 / np.float64(width)) ** 2  # 1 / (4 width^2)
+        e = np.multiply(excess, rate, out=np.zeros_like(excess), where=excess > 0.0)
+    col = np.exp(-e).sum(axis=0)
+    return col, col.max()
+
+
 def make_initial_condition(kind: str, grid: Grid, amplitude: float = 1.0,
                            width: float = 1.0, seed: int = 0) -> FieldSnapshot:
     """Named nonnegative initial data sampled on the grid at t = 0."""
-    if not (amplitude > 0.0):
-        raise InvalidArgumentError(f"amplitude must be positive, got {amplitude}")
+    if not (0.0 < amplitude < math.inf):
+        raise InvalidArgumentError(f"amplitude must be positive and finite, got {amplitude}")
     if not (0.0 < width < math.inf):
         raise InvalidArgumentError(f"width must be positive and finite, got {width}")
     xs = grid.coords_flat()
     rho = grid.max_dist()
     if kind == "bump":
-        vals = amplitude * np.clip(1.0 - (rho / width) ** 2, 0.0, None) ** 2
+        # zero from rho = width on; rho / width is formed only inside, where
+        # it cannot overflow however small the width
+        vals = np.zeros(grid.size)
+        inside = rho < width
+        vals[inside] = amplitude * (1.0 - (rho[inside] / width) ** 2) ** 2
     elif kind == "constant":
         vals = np.full(grid.size, amplitude)
     elif kind == "gaussian":
         vals = np.ones(grid.size) * amplitude
         for d in range(grid.n):
-            col = periodic_heat_kernel(xs[d], width**2, extent=grid.extent)
-            vals = vals * col / col.max()
+            col, peak = _gaussian_column(xs[d], width, grid.extent)
+            vals = vals * col / peak
     elif kind == "random_positive":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         logv = np.zeros(grid.size)

@@ -232,6 +232,43 @@ def test_rejected_value_reported_at_its_own_line():
         assert info.value.line == line, (text, str(info.value))
 
 
+# extreme values of the initial-condition and model keys: each is rejected
+# at its own line or accepted, never a numpy warning or a raw exception
+EXTREME_VALUES = [
+    ("[solver]\namplitude = inf\n", 2),
+    ("[solver]\nwidth = 1e-320\n", None),
+    ("[solver]\nf0 = gaussian\nwidth = 1e-200\n", None),
+    ("[solver]\nf0 = gaussian\nwidth = 1e200\n", None),
+    ("[model]\nlambda_g = 1e300\n", None),
+    ("[model]\ngrowth_bound = 1e308\n", None),
+    ("[model]\na = random_elliptic\niota = 1e-320\n", 3),
+]
+
+
+@pytest.mark.parametrize("text, line", EXTREME_VALUES)
+def test_extreme_values_rejected_at_their_line_or_accepted(text, line):
+    if line is not None:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.line == line, str(info.value)
+        return
+    u0 = parse_config(text).initial_condition().values
+    # every initial condition here peaks at the amplitude, 1, at the node
+    # at 0; a width far above the node spacing leaves it constant
+    assert np.all(np.isfinite(u0)) and u0.max() == 1.0
+    assert u0.min() == (1.0 if "1e200" in text else 0.0)
+
+
+@pytest.mark.parametrize("text", [t for t, line in EXTREME_VALUES if line is not None])
+def test_extreme_value_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfg), "--out", str(out), "solve") == 2
+    assert "error: line" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rejected_model_reported_at_its_key_line():
     # the single-key rule: a bad expression is only read once its kind
     # key selects it, so that key's line is reported

@@ -1,6 +1,7 @@
 """Geometry primitives: balls, rects, parabolic cylinders, coverings."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,7 +97,8 @@ def test_cover_trivial_below_half():
     for theta, R, n in ((0.4, 1.0, 1), (0.5, 2.0, 2)):
         cover = cover_cylinder(theta, R, n)
         assert len(cover) == 0
-        assert cover.times.shape == (0,) and cover.coords.shape == (0, n)
+        assert cover.levels.shape == (0,) and cover.cell.shape == (0, n)
+        assert list(cover) == []
 
 
 def test_cover_anchors_inside_target():
@@ -184,14 +186,16 @@ def reference_cover(theta, R, n):
 def test_cover_matches_reference_loop(theta, n, R):
     ref = reference_cover(theta, R, n)
     cover = cover_cylinder(theta, R, n)
-    assert np.array_equal(cover.times, np.array([a[0] for a in ref]))
-    assert np.array_equal(cover.coords, np.array([a[1] for a in ref]))
+    C = len(cover.cell)
+    assert np.array_equal(cover.levels, np.array([a[0] for a in ref[::C]]))
+    assert np.array_equal(cover.cell, np.array([a[1] for a in ref[:C]]))
+    assert len(cover) == len(ref)
     listed = list(cover)
     assert listed == ref
     assert all(type(t) is float and type(x) is tuple
                and all(type(c) is float for c in x) for t, x in listed)
-    assert not cover.times.flags.writeable
-    assert not cover.coords.flags.writeable
+    assert not cover.levels.flags.writeable
+    assert not cover.cell.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -202,8 +206,30 @@ def test_cover_within_bound_and_target_over_theta_grid(n):
         for R in (1.0, 0.3):
             cover = cover_cylinder(theta, R, n)
             counts.add(len(cover))
-            ts, xs = cover.times, cover.coords
+            ts, xs = cover.levels, cover.cell
             assert len(cover) <= covering_bound(theta, n), theta
             assert np.all(np.abs(xs) < theta * R), (theta, R)
             assert np.all(ts <= 1.0) and np.all(ts > 1.0 - (theta * R) ** 2), (theta, R)
         assert len(counts) == 1, (theta, counts)
+
+
+def test_cover_lattice_holds_levels_and_one_cell():
+    # 325 levels x 1,369 points: the 444,925 anchors are never materialised
+    tracemalloc.start()
+    try:
+        cover_cylinder(0.9, 1.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("theta, n, k_t, cell", [(0.75, 1, 37, 13), (0.9, 2, 325, 37**2)])
+def test_cover_iteration_shares_floats_and_tuples(theta, n, k_t, cell):
+    # one float per time level and one tuple per point of the spatial cell
+    cover = cover_cylinder(theta, 1.0, n)
+    assert cover.levels.shape == (k_t,) and cover.cell.shape == (cell, n)
+    listed = list(cover)
+    assert len(listed) == len(cover) == k_t * cell
+    assert len({id(t) for t, _ in listed}) == k_t
+    assert len({id(x) for _, x in listed}) == cell

@@ -357,7 +357,7 @@ BAD_VALUES = {
     ("solver", "dt"): ["-1", "0", "fast", "inf"],
     ("solver", "scheme"): ["explicit", "rk4"],
     ("solver", "f0"): ["nope"],
-    ("solver", "amplitude"): ["-1", "0", "nan"],
+    ("solver", "amplitude"): ["-1", "0", "nan", "inf"],
     ("solver", "width"): ["-0.5", "0", "inf"],
     ("solver", "ic_seed"): ["-1"],
     ("solver", "horizon"): ["-1", "0", "nan", "inf"],

@@ -444,6 +444,22 @@ def test_initial_conditions(grid32):
             make_initial_condition("bump", grid32, width=width)
 
 
+@pytest.mark.parametrize("npts, width, peak_nodes", [
+    (7, 1e-3, [3, 4]),     # the kernel underflows at every node: 0 / 0
+    (8, 1e-200, [4]),      # width**2 underflows to 0
+    (8, 1e-320, [4]),
+    (8, 1e200, list(range(8))),  # width**2 overflows
+])
+def test_gaussian_of_extreme_width_is_its_limit(npts, width, peak_nodes):
+    # a width far below the spacing leaves the nodes nearest 0, one far
+    # above it the constant, each at the amplitude (to rounding: the two
+    # nodes at +-2/7 differ in their last bit)
+    u0 = make_initial_condition("gaussian", Grid.regular(1, npts), amplitude=3.0, width=width)
+    want = np.zeros(npts)
+    want[peak_nodes] = 3.0
+    assert np.allclose(u0.values, want, rtol=1e-9, atol=0.0)
+
+
 def test_gaussian_2d_is_outer_product_of_1d_kernels():
     grid = Grid.regular(2, 16)
     u0 = make_initial_condition("gaussian", grid, amplitude=3.0, width=0.5)

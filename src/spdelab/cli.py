@@ -250,8 +250,8 @@ def parse_config(text: str) -> ExperimentSpec:
     Unknown keys, malformed values, and geometry violations raise
     ConfigError carrying the offending line number when one exists.
     The coefficient model is built and spot-checked over the horizon, and
-    the initial condition built, eagerly so a bad model fails here, not
-    mid-run.
+    ExperimentSpec builds the initial condition, eagerly so a bad model or
+    field fails here, not mid-run.
     """
     sections = _tokenize(text)
     base = {"grid": {}, "model": {}, "solver": {}, "spec": {}}
@@ -302,14 +302,17 @@ def parse_config(text: str) -> ExperimentSpec:
         name: SpaceTimeRect(r.t_lo, r.t_hi, Ball((0.0,) * grid.n, r.ball.radius))
         for name, r in DEFAULT_REGIONS.items()}
 
-    def experiment(**fields):
-        spec = ExperimentSpec(**fields)
-        spec.initial_condition()  # built from [solver] keys
-        return spec
-
-    spec = _construct(experiment, {**base["spec"], "grid": grid, "model": model,
-                                   "solver": solver, "regions": defaults},
-                      given["spec"])
+    # the kind of initial condition is judged first and the other keys on
+    # top of it, as the kind decides what amplitude overflows; the solver
+    # joins the spec's keys at the line of its one key, dt
+    spec_base = {**base["spec"], "grid": grid, "model": model,
+                 "solver": SolverConfig(), "regions": defaults}
+    kind = [entry for entry in given["spec"] if entry[0] == "ic_kind"]
+    if kind:
+        spec_base["ic_kind"] = _construct(ExperimentSpec, spec_base, kind).ic_kind
+    spec = _construct(ExperimentSpec, spec_base,
+                      [entry for entry in given["spec"] if entry[0] != "ic_kind"]
+                      + [("solver", solver, ln) for _, _, ln in given["solver"]])
     if named:
         spec = _construct(lambda **regions: dataclasses.replace(spec, regions=regions),
                           {}, named)

@@ -16,8 +16,8 @@ extended level count obeys
 
     x_j = 2 zeta^(n+2) x_{j-1} + (2 zeta^(n+2))^j,  x_0 = 1.
 
-Counts grow fast; builds are guarded by an explicit cube budget,
-checked before anything is built.  A built level is its recursion, not
+Counts grow fast; a build stops at the first level whose running total
+passes an explicit cube budget.  A built level is its recursion, not
 its arrays: the root level holds the root cube, and every other level
 its scales, its count and its parts, the parent levels whose children
 fill it in row order with the offsets that place them.  Counts and
@@ -242,29 +242,28 @@ def _build(root: Cube, depth: int, budget: int, extended: bool) -> CubeHierarchy
     above and then the eighth children of the core level above, so its
     tail is core level j.  Each count is summed from the parts, never
     taken from the count formulas, so comparing counts with them stays a
-    check.
+    check.  The budget is checked on the running total of those counts
+    (core and extended together) as each level is made.
     """
     if depth < 0 or int(depth) != depth:
         raise InvalidArgumentError(f"depth must be a nonnegative integer, got {depth}")
     if budget < 1:
         raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
-    depth, n = int(depth), root.n
-    total = sum(core_count(n, j) for j in range(depth + 1))
-    if extended:
-        total += sum(extended_count(n, j) for j in range(depth + 1))
-    if total > budget:
-        raise ResourceLimitError(
-            f"{'extended' if extended else 'core'} hierarchy needs {total} cubes "
-            f"at depth {depth}, over budget {budget}")
-    core = CubeLevel(root.level, root.s, root.z, root=root)
-    levels = [core]
-    for _ in range(depth):
-        prev = levels[-1]
-        j, s2, z2 = prev.level + 1, prev.s / ZETA**2, prev.z / ZETA
-        eighths = _part(core, 1, s2, z2)
-        core = CubeLevel(j, s2, z2, parts=(eighths,))
-        levels.append(CubeLevel(j, s2, z2, parts=(_part(prev, 2, s2, z2), eighths))
-                      if extended else core)
+    depth, levels, total = int(depth), [], 0
+    core = level = CubeLevel(root.level, root.s, root.z, root=root)
+    for j in range(depth + 1):
+        if j:
+            prev, s2, z2 = level, level.s / ZETA**2, level.z / ZETA
+            eighths = _part(core, 1, s2, z2)
+            core = CubeLevel(prev.level + 1, s2, z2, parts=(eighths,))
+            level = (CubeLevel(prev.level + 1, s2, z2, parts=(_part(prev, 2, s2, z2), eighths))
+                     if extended else core)
+        total += core.count + level.count if extended else core.count
+        if total > budget:
+            raise ResourceLimitError(
+                f"{'extended' if extended else 'core'} hierarchy needs {total} cubes "
+                f"by level {j} of depth {depth}, over budget {budget}")
+        levels.append(level)
     return CubeHierarchy(root, depth, levels)
 
 

@@ -41,6 +41,9 @@ class Grid:
             raise InvalidArgumentError(f"spatial dimension must be 1 or 2, got {self.n}")
         if not (0.0 < self.dx < math.inf and 0.0 < self.extent < math.inf):
             raise InvalidArgumentError("dx and extent must be positive and finite")
+        # the parabolic default step is dx^2 / 2
+        if not (0.0 < self.dx * self.dx < math.inf):
+            raise InvalidArgumentError(f"dx^2 must be positive and finite, got dx = {self.dx}")
         ratio = 2.0 * self.extent / self.dx
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 4:
             raise InvalidArgumentError(

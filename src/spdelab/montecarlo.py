@@ -29,7 +29,6 @@ from .errors import (
     GeometryError,
     InsufficientDataError,
     InvalidArgumentError,
-    ModelInvalidError,
 )
 from .fields import FieldPath, FieldSnapshot, Grid, region_rows
 from .geometry import SpaceTimeRect
@@ -115,6 +114,10 @@ class ExperimentSpec:
                     raise InvalidArgumentError(
                         f"region {name!r} ball exits the box [-{self.grid.extent}, "
                         f"{self.grid.extent})")
+        dt = self.solver.step_size(self.grid)
+        if not self.horizon / dt < math.inf:
+            raise InvalidArgumentError(f"horizon / dt overflows: horizon {self.horizon}, dt {dt}")
+        self.initial_condition()  # refuses a non-finite or vanishing field
 
     def initial_condition(self) -> FieldSnapshot:
         return make_initial_condition(self.ic_kind, self.grid, self.ic_amplitude,
@@ -368,10 +371,6 @@ def positivity_scan(ens: Ensemble, region: SpaceTimeRect,
     if not (0.0 <= floor < math.inf):
         raise InvalidArgumentError(f"floor must be nonnegative and finite, got {floor}")
     vals0 = ens.spec.initial_condition().flat()
-    if np.any(vals0 < 0.0) or not np.any(vals0 > 0.0):
-        raise ModelInvalidError(
-            "positivity scan needs a nonnegative, not identically zero initial condition",
-            witness=(float(vals0.min()), float(vals0.max())))
     mins = ens.inf_over(region)[ens.ok]
     if mins.size == 0:
         raise InsufficientDataError("every path failed; no minima to scan")

@@ -368,7 +368,8 @@ def validate_model(cm: CoefficientModel, extent: float = 2.0,
     Each of the _VALIDATION_SAMPLES samples draws its own time, point and
     state magnitude, and the coefficients are evaluated on all of them in
     one call.  Raises ModelInvalidError with a witness triple on a violated
-    bound, ellipticity first; otherwise returns the worst observed margins.
+    bound, ellipticity first, or where |f| + |g| is not finite; otherwise
+    returns the worst observed margins.
     """
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise InvalidArgumentError(f"t_max must be finite and >= 0, got {t_max}")
@@ -396,12 +397,17 @@ def validate_model(cm: CoefficientModel, extent: float = 2.0,
             f"outside [{cm.iota}, {1.0 / cm.iota}]", witness=witness(k))
 
     size = np.zeros(K)
-    if cm.f is not None:
-        size = size + np.abs(np.broadcast_to(np.asarray(cm.f(t, xs, u), float), (K,)))
-    if cm.g is not None:
-        # hypot, not the root of a sum of squares, which overflows first
-        gv = np.asarray(cm.g(t, xs, u), dtype=float)
-        size = size + np.hypot.reduce(gv, axis=0, initial=0.0)
+    # an f or g that overflows at a sample is refused below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cm.f is not None:
+            size = size + np.abs(np.broadcast_to(np.asarray(cm.f(t, xs, u), float), (K,)))
+        if cm.g is not None:
+            # hypot, not the root of a sum of squares, which overflows first
+            gv = np.asarray(cm.g(t, xs, u), dtype=float)
+            size = size + np.hypot.reduce(gv, axis=0, initial=0.0)
+    if not np.all(np.isfinite(size)):
+        k = int(np.argmin(np.isfinite(size)))
+        raise ModelInvalidError(f"|f|+|g| is not finite at {witness(k)}", witness=witness(k))
     # a bound whose product with |u| overflows holds at that sample
     with np.errstate(over="ignore"):
         bound = cm.growth * np.abs(u)
@@ -1096,37 +1102,11 @@ def periodic_heat_kernel(x, t: float, extent: float = 2.0, images: int = 8) -> n
     return out
 
 
-def _gaussian_column(x: np.ndarray, width: float, extent: float) -> tuple:
-    """periodic_heat_kernel(x, width**2, extent) and its peak, for every
-    positive finite width.
-
-    Where that kernel over- or underflows (width**2 out of range, or a
-    width far below the distance from 0 to the nearest node), each node's
-    image sum is taken relative to the smallest exponent instead, which
-    has the same shape and peak 1: in the limits it is the indicator of
-    the nodes nearest 0, and the constant 1.
-    """
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            col = periodic_heat_kernel(x, width**2, extent=extent)
-        peak = col.max()
-        if peak > 0.0:
-            return col, peak
-    except (OverflowError, FloatingPointError, InvalidArgumentError):
-        pass
-    # the images periodic_heat_kernel sums by default
-    y2 = np.stack([(x - 2.0 * extent * k) ** 2 for k in range(-8, 9)])
-    excess = y2 - y2.min()
-    with np.errstate(over="ignore"):
-        rate = (0.5 / np.float64(width)) ** 2  # 1 / (4 width^2)
-        e = np.multiply(excess, rate, out=np.zeros_like(excess), where=excess > 0.0)
-    col = np.exp(-e).sum(axis=0)
-    return col, col.max()
-
-
 def make_initial_condition(kind: str, grid: Grid, amplitude: float = 1.0,
                            width: float = 1.0, seed: int = 0) -> FieldSnapshot:
-    """Named nonnegative initial data sampled on the grid at t = 0."""
+    """Named nonnegative initial data sampled on the grid at t = 0; a field
+    that is not finite, or that vanishes at every node (data the paper's
+    positivity result excludes), is refused here, where it is built."""
     if not (0.0 < amplitude < math.inf):
         raise InvalidArgumentError(f"amplitude must be positive and finite, got {amplitude}")
     if not (0.0 < width < math.inf):
@@ -1142,10 +1122,18 @@ def make_initial_condition(kind: str, grid: Grid, amplitude: float = 1.0,
     elif kind == "constant":
         vals = np.full(grid.size, amplitude)
     elif kind == "gaussian":
+        # per axis, periodic_heat_kernel at time width**2, each node's image
+        # sum taken relative to the smallest exponent: peak 1 for every width
+        # (1 / (4 width^2) is inf for the narrowest), so no factor exceeds 1
+        rate = (0.5 / width) * (0.5 / width)
         vals = np.ones(grid.size) * amplitude
         for d in range(grid.n):
-            col, peak = _gaussian_column(xs[d], width, grid.extent)
-            vals = vals * col / peak
+            y2 = np.stack([(xs[d] - 2.0 * grid.extent * k) ** 2 for k in range(-8, 9)])
+            excess = y2 - y2.min()
+            with np.errstate(over="ignore"):
+                e = np.multiply(excess, rate, out=np.zeros_like(excess), where=excess > 0.0)
+            col = np.exp(-e).sum(axis=0)
+            vals = vals * (col / col.max())
     elif kind == "random_positive":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         logv = np.zeros(grid.size)
@@ -1154,7 +1142,13 @@ def make_initial_condition(kind: str, grid: Grid, amplitude: float = 1.0,
                 c = rng.normal(0.0, 0.5 / k)
                 ph = rng.uniform(0.0, 2.0 * math.pi)
                 logv += c * np.cos(k * math.pi * xs[d] / grid.extent + ph)
-        vals = amplitude * np.exp(logv)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            vals = amplitude * np.exp(logv)
     else:
         raise InvalidArgumentError(f"unknown initial condition kind {kind!r}")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidArgumentError(f"initial condition {kind!r} overflows: amplitude {amplitude}")
+    if not np.any(vals > 0.0):
+        raise InvalidArgumentError(f"initial condition {kind!r} vanishes at every node "
+                                   f"(amplitude {amplitude}, width {width})")
     return FieldSnapshot(grid, 0.0, vals.reshape(grid.shape))

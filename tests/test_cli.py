@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,15 @@ EXTREME_VALUES = [
     ("[model]\nlambda_g = 1e300\n", None),
     ("[model]\ngrowth_bound = 1e308\n", None),
     ("[model]\na = random_elliptic\niota = 1e-320\n", 3),
+    # the nodes nearest 0 sit at +-2/7: a field that vanishes at every node
+    ("[grid]\nnpts = 7\n\n[solver]\nwidth = 0.001\n", 5),
+    ("[solver]\nf0 = gaussian\namplitude = 1e306\nwidth = 1e-5\n", None),
+    ("[solver]\nf0 = random_positive\namplitude = 1.7e308\n", 3),
+    # dx^2, horizon / dt and |f| + |g| overflow
+    ("[grid]\nextent = 1e300\n", 2),
+    ("[solver]\ndt = 5e-324\n", 2),
+    ("[solver]\nhorizon = 1.7e308\n", 2),
+    ("[model]\nlambda_g = 1.7e308\n", 2),
 ]
 
 
@@ -252,10 +262,11 @@ def test_extreme_values_rejected_at_their_line_or_accepted(text, line):
             parse_config(text)
         assert info.value.line == line, str(info.value)
         return
-    u0 = parse_config(text).initial_condition().values
-    # every initial condition here peaks at the amplitude, 1, at the node
-    # at 0; a width far above the node spacing leaves it constant
-    assert np.all(np.isfinite(u0)) and u0.max() == 1.0
+    spec = parse_config(text)
+    u0 = spec.initial_condition().values
+    # every initial condition here peaks at its amplitude at the node at
+    # 0; a width far above the node spacing leaves it constant
+    assert np.all(np.isfinite(u0)) and u0.max() == spec.ic_amplitude
     assert u0.min() == (1.0 if "1e200" in text else 0.0)
 
 
@@ -520,18 +531,25 @@ def test_cube_depth_is_set_by_the_config_and_replays(tmp_path):
     assert len(read_csv(first / "cube_counts.csv")) == 1 + 3
 
 
+@pytest.mark.parametrize("depth", [6, 100000, 10**20])
 @pytest.mark.parametrize("command", ["cubes", "jn"])
 def test_depth_over_the_cube_budget_exits_2_before_any_work(tmp_path, capsys,
-                                                            monkeypatch, command):
+                                                            monkeypatch, command, depth):
     # nothing ran, so this is no numeric failure; jn builds its hierarchy
-    # before it solves path 0
+    # before it solves path 0.  The build stops at the first level past
+    # the budget, so the depth costs no time and no count of its size
+    # reaches the message
     calls = []
     monkeypatch.setattr(cli, "solve_path", lambda *a, **k: calls.append(a))
     cfg = tmp_path / "deep.cfg"
-    cfg.write_text("[grid]\nnpts = 32\n\n[montecarlo]\ndepth = 6\n")
+    cfg.write_text(f"[grid]\nnpts = 32\n\n[montecarlo]\ndepth = {depth}\n")
     out = tmp_path / "o"
+    start = time.perf_counter()
     assert run_cli("--config", str(cfg), "--out", str(out), command) == 2
-    assert "core hierarchy needs" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "core hierarchy needs" in err
+    assert max(len(run) for run in re.findall(r"\d+", err)) <= 30
     assert list(out.iterdir()) == []
     assert calls == []
 

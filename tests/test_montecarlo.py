@@ -6,9 +6,8 @@ import pytest
 from oracles import inf_on, joint_tail
 from spdelab import montecarlo
 from spdelab.errors import (EmptyRegionError, GeometryError,
-                            InsufficientDataError, InvalidArgumentError,
-                            ModelInvalidError)
-from spdelab.fields import FieldPath, FieldSnapshot, Grid, sup_on
+                            InsufficientDataError, InvalidArgumentError)
+from spdelab.fields import FieldPath, Grid, sup_on
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import (Ensemble, ExperimentSpec, comparison_experiment,
                                 filter_lemma_check, harnack_curve,
@@ -275,21 +274,6 @@ def test_positivity_scan(region_spec, region_ensemble):
     for floor in (-1.0, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError, match="floor"):
             positivity_scan(region_ensemble, BOX, floor=floor)
-
-
-def test_positivity_scan_rejects_signed_data(region_ensemble):
-    grid = region_ensemble.spec.grid
-    vals = np.linspace(-1.0, 1.0, grid.size).reshape(grid.shape)
-    spec = ExperimentSpec(grid=grid, horizon=0.25, n_paths=12)
-    spec.initial_condition = lambda: FieldSnapshot(grid, 0.0, vals)
-    ens = Ensemble(spec=spec, sup=region_ensemble.sup, inf=region_ensemble.inf,
-                   neg_energy=region_ensemble.neg_energy,
-                   neg_min=region_ensemble.neg_min,
-                   failed=region_ensemble.failed,
-                   fail_steps=region_ensemble.fail_steps)
-    with pytest.raises(ModelInvalidError) as err:
-        positivity_scan(ens, BOX)
-    assert err.value.witness[0] == pytest.approx(-1.0)
 
 
 def test_comparison_experiment_small():

@@ -442,10 +442,16 @@ def test_initial_conditions(grid32):
     for width in (0.0, -1.0):
         with pytest.raises(InvalidArgumentError, match="width must be positive"):
             make_initial_condition("bump", grid32, width=width)
+    # the paper's excluded data: a bump between the nodes at +-2/7 vanishes
+    # at every node, and an amplitude whose product overflows
+    with pytest.raises(InvalidArgumentError, match="'bump' vanishes at every node"):
+        make_initial_condition("bump", Grid.regular(1, 7), width=1e-3)
+    with pytest.raises(InvalidArgumentError, match="'random_positive' overflows"):
+        make_initial_condition("random_positive", grid32, amplitude=1.7e308)
 
 
 @pytest.mark.parametrize("npts, width, peak_nodes", [
-    (7, 1e-3, [3, 4]),     # the kernel underflows at every node: 0 / 0
+    (7, 1e-3, [3, 4]),     # the kernel itself underflows at every node
     (8, 1e-200, [4]),      # width**2 underflows to 0
     (8, 1e-320, [4]),
     (8, 1e200, list(range(8))),  # width**2 overflows

@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .cubes import (
     Cube,
     build_core,
@@ -776,15 +777,6 @@ def _load_config_text(path: str) -> str:
     return raw
 
 
-def _version() -> str:
-    """The installed package version, looked up only when a manifest is written."""
-    from importlib import metadata
-    try:
-        return metadata.version("spdelab")
-    except metadata.PackageNotFoundError:  # running from a source tree
-        return "0.1.0"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -801,7 +793,7 @@ def main(argv=None) -> int:
         files = RunFiles(outdir, args.plot)
         failures = _failure_roster(SUBCOMMANDS[args.command].run(spec, files, args))
         manifest = {
-            "version": _version(),
+            "version": __version__,
             "subcommand": args.command,
             "master_seed": spec.master_seed,
             "config_text": print_config(spec),

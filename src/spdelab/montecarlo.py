@@ -34,9 +34,9 @@ from .fields import FieldPath, FieldSnapshot, Grid, region_rows
 from .geometry import SpaceTimeRect
 from .solver import (
     ModelParams,
+    NoiseStream,
     SolverConfig,
     build_model,
-    draw_increments,
     history_capacity,
     integrate_batch,
     make_initial_condition,
@@ -192,6 +192,11 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
     nothing; their chunks are then shrunk to fit solver._HISTORY_BYTES
     (results do not depend on the chunk), and a single path over that
     budget raises ResourceLimitError before any path runs.
+
+    Each chunk's noise comes from a `solver.NoiseStream` over its paths'
+    seeds, drawn one segment of steps at a time.  Only a run that keeps
+    histories also keeps each path's whole (M, m) increments, as
+    FieldPath.noise; any other run never holds a chunk's whole noise.
     """
     grid = spec.grid
     cm, u0 = spec.build()
@@ -223,13 +228,14 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
 
     def run_chunk(lo: int, hi: int):
         B = hi - lo
-        dW = None
+        noise = record = None
         if cm.m > 0:
-            dW = np.empty((B, M, cm.m))
-            for b, i in enumerate(range(lo, hi)):
-                dW[b] = draw_increments(path_seed(spec.master_seed, i), M, cm.m, dt)
+            # a path's noise is kept whole only alongside its history
+            record = np.empty((B, M, cm.m)) if keep_history else None
+            noise = NoiseStream([path_seed(spec.master_seed, i) for i in range(lo, hi)],
+                                cm.m, dt, record)
         res = integrate_batch(grid, cm, spec.solver, np.tile(u0_flat, (B, 1)),
-                              times, dW, keep_history=keep_history,
+                              times, noise, keep_history=keep_history,
                               regions=list(rows.values()), captures=captures)
         for r, name in enumerate(rows):
             sup[name][lo:hi] = res.sup[r]
@@ -244,7 +250,7 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
             fp = None
             if keep_history:
                 fp = FieldPath(grid, times, res.history[b],
-                               noise=dW[b] if dW is not None else None)
+                               noise=record[b] if record is not None else None)
             for consume, read in zip(consumers, reads):
                 consume(i, fp if read is None else tuple(c[b] for c in res.captured[read]))
 

@@ -529,6 +529,8 @@ def _circulant_solve(grid: Grid, c: float, dt: float):
     symbol = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(N) / N)
     half = symbol[:N // 2 + 1]
     inv = 1.0 / (1.0 + dt / grid.dx**2 * c * (symbol[:, None] + half if grid.n == 2 else half))
+    # each factor twice, for the real and imaginary part of its wavenumber
+    inv = np.repeat(inv, 2, axis=-1)
     shape, lead = grid.shape, range(-grid.n, -1)
 
     def solve(rhs):
@@ -536,9 +538,10 @@ def _circulant_solve(grid: Grid, c: float, dt: float):
         for axis in lead:
             spec = np.fft.fft(spec, axis=axis)
         # numpy divides by a real c as by c + 0i, which multiplies both parts
-        # by 1/c; doing that in place skips the complex division
-        spec.real *= inv
-        spec.imag *= inv
+        # by 1/c; doing that in place, on the interleaved parts, skips the
+        # complex division
+        parts = spec.view(np.float64)
+        parts *= inv
         for axis in lead:
             spec = np.fft.ifft(spec, axis=axis)
         return np.fft.irfft(spec, n=N).reshape(rhs.shape)
@@ -711,17 +714,75 @@ def path_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
 
 
-def draw_increments(seed, steps: int, m: int, dt: float) -> np.ndarray:
-    """Brownian increments, shape (steps, m), N(0, dt) entries."""
+def _path_rng(seed) -> np.random.Generator:
+    """The Philox generator of a seed: an integer, a SeedSequence or already
+    a Generator, which is returned as it is."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
-    rng = np.random.Generator(np.random.Philox(seed))
-    return rng.normal(0.0, math.sqrt(dt), size=(steps, m))
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def draw_increments(seed, steps: int, m: int, dt: float) -> np.ndarray:
+    """Brownian increments, shape (steps, m), N(0, dt) entries.
+
+    seed is an integer, a SeedSequence or a Generator.  A Generator hands
+    out the next steps x m normals of its stream and keeps its place, so a
+    path's stream drawn in segments gives the same numbers, bit for bit,
+    as drawn at once (Philox is counter-based).
+    """
+    return _path_rng(seed).normal(0.0, math.sqrt(dt), size=(steps, m))
+
+
+class NoiseStream:
+    """The Brownian increments of B paths, handed out step-major.
+
+    rows is either the (B, M, m) increments themselves or B seeds, one
+    per path.  A seeded row draws its own stream through draw_increments,
+    one segment at a time, so the stream never holds more than one
+    segment: R steps of (B, m) increments, R being as many whole blocks as
+    fit in _STEP_BLOCK_BYTES, and at least one.  record, when given, is a
+    (B, M, m) array that every drawn segment is copied into, for a caller
+    that keeps each path's noise.  Seeded rows are read once: their
+    generators move on as they draw.
+    """
+
+    def __init__(self, rows, m: int, dt: float, record=None):
+        if isinstance(rows, np.ndarray):
+            self.rows = rows
+        else:
+            self.rows = [_path_rng(seed) for seed in rows]
+        self.m, self.dt, self.record = m, dt, record
+
+    def blocks(self, steps: int, K: int):
+        """Yield the increments of steps 0..K-1, K..2K-1, ... up to `steps`,
+        each block a contiguous (k, B, m) array valid until the next one."""
+        B = len(self.rows)
+        R = min(steps, max(1, _STEP_BLOCK_BYTES // (8 * B * self.m * K)) * K)
+        seg = np.empty((R, B, self.m))
+        for lo in range(0, steps, R):
+            part = seg[:min(R, steps - lo)]
+            if isinstance(self.rows, np.ndarray):
+                part[...] = self.rows[:, lo:lo + len(part)].swapaxes(0, 1)
+            else:
+                for b, rng in enumerate(self.rows):
+                    part[:, b] = draw_increments(rng, len(part), self.m, self.dt)
+                if self.record is not None:
+                    self.record[:, lo:lo + len(part)] = part.swapaxes(0, 1)
+            for i in range(0, len(part), K):
+                yield part[i:i + K]
 
 
 def time_axis(t0: float, horizon: float, dt: float) -> np.ndarray:
-    """Step boundaries from t0 to the first boundary at or beyond t0 + horizon."""
-    ratio = horizon / dt
+    """Step boundaries from t0 to the first boundary at or beyond t0 + horizon.
+
+    Raises InvalidArgumentError when horizon / dt is not a finite number of
+    steps."""
+    ratio = float(horizon) / float(dt)
+    if not math.isfinite(ratio):
+        raise InvalidArgumentError(
+            f"horizon {horizon!r} over the step {dt!r} is not a finite number of steps")
     steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(math.ceil(ratio))
     return t0 + dt * np.arange(max(steps, 1) + 1)
 
@@ -778,9 +839,13 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                     captures: Sequence = ()) -> IntegrationResult:
     """Advance a batch of paths through all steps of `times`.
 
-    u0b has shape (B, S); dWb has shape (B, M, m) or is None when m = 0.
-    A path that turns non-finite (or exceeds the blow-up limit) is frozen
-    at NaN and reported in failed/fail_step; other rows are unaffected.
+    u0b has shape (B, S).  dWb is the noise: a NoiseStream, the (B, M, m)
+    increments themselves (read through a NoiseStream), or None when m = 0.
+    Each block of K steps reads its increments as one contiguous (K, B, m)
+    block, so the loop holds no more of the noise than the stream's
+    current segment.  A path that turns non-finite (or exceeds the blow-up
+    limit) is frozen at NaN and reported in failed/fail_step; other rows
+    are unaffected.
 
     regions are `(steps, nodes)` rows from `fields.region_rows`: step j
     of a region reads snapshot j, the left endpoint of that step.  The
@@ -807,8 +872,8 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     raises no overflow or invalid-value warning, so a failure shows in
     failed/fail_step (and an ensemble's manifest), never as a warning.
     cfg is not read, as the step comes from `times`; it stays the third
-    positional parameter because `bench/layers.py` reads u0b, times and
-    keep_history by position.
+    positional parameter, and dWb the sixth, because `bench/layers.py`
+    reads u0b, times and keep_history by position.
     """
     if cm.n != grid.n:
         raise DimensionMismatchError(f"model dimension {cm.n} != grid dimension {grid.n}")
@@ -859,13 +924,18 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
 
     noisy = cm.m > 0 and dWb is not None
     sig = np.asarray(cm.sigma(xs), dtype=float) if noisy and cm.sigma is not None else None
+    if noisy:
+        stream = dWb if isinstance(dWb, NoiseStream) else NoiseStream(dWb, cm.m, dt)
+        noise = stream.blocks(M, K)
     solve = None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, M, K):
             k = min(K, M - lo)
             block = buf[1:k + 1]
+            if noisy:
+                dw = next(noise)
             if sig is not None:
-                np.einsum("bkm,ms->kbs", dWb[:, lo:lo + k], sig, out=block)
+                np.einsum("kbm,ms->kbs", dw, sig, out=block)
                 block += 1.0
             # A that reads t (not u) is evaluated, and solved for, once per
             # block at the block's step times; A that reads neither once
@@ -884,7 +954,7 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                     rhs += dt * np.broadcast_to(np.asarray(cm.f(t, xs, u), dtype=float), (B, S))
                 if noisy and sig is None:
                     gj = np.asarray(cm.g(t, xs, u), dtype=float)
-                    rhs += np.einsum("mbs,bm->bs", gj, dWb[:, j, :])
+                    rhs += np.einsum("mbs,bm->bs", gj, dw[i])
 
                 # A that reads u: one field per row, solved for the rows whose
                 # results so far (not the data) pass the failure test

@@ -5,11 +5,14 @@ import math
 import os
 import re
 import time
+import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdelab
 from spdelab import cli, montecarlo
 from spdelab.cli import (DEFAULT_REGIONS, main, parse_config, print_config,
                          svg_line_chart)
@@ -800,6 +803,30 @@ def test_bad_horizon_reported_at_its_line(value):
     text = f"[model]\na = random_elliptic\niota = 0.5\n\n[solver]\nhorizon = {value}\n"
     with pytest.raises(ConfigError, match="line 6: horizon must be positive and finite"):
         parse_config(text)
+
+
+def test_moser_refuses_a_horizon_of_infinitely_many_steps(tmp_path, capsys):
+    # dt = 1 passes the config's horizon / dt check, but moser steps both its
+    # grids at dx^2 / 2, and 1e307 over that step is no finite step count
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[grid]\nnpts = 32\n\n[solver]\ndt = 1.0\nhorizon = 1e307\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "moser") == 2
+    err = capsys.readouterr().err
+    assert "error: horizon 1e+307 over the step 0.0078125 is not a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_manifest_version_is_the_package_version(tmp_path):
+    pyproject = Path(spdelab.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == spdelab.__version__
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[grid]\nnpts = 16\n")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "cubes") == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["version"] == spdelab.__version__
 
 
 REGION_R = '{"t_lo": 0.5, "t_hi": 1.0, "center": [0.25], "radius": 0.5}'

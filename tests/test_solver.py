@@ -251,6 +251,10 @@ def test_time_axis():
     assert t.size == 5 and t[-1] >= 1.0
     t = time_axis(0.5, 0.5, 0.25)
     assert t[0] == 0.5 and t[-1] == pytest.approx(1.0)
+    # a horizon of no finite number of steps is refused, naming both
+    for horizon, dt in ((1e307, 1e-3), (math.inf, 0.25), (math.nan, 0.25)):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"horizon {horizon!r} over the step")):
+            time_axis(0.0, horizon, dt)
 
 
 # ---------------------------------------------------------------------------

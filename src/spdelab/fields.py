@@ -13,6 +13,7 @@ no step is rejected there.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,9 +73,17 @@ class Grid:
         return -self.extent + self.dx * np.arange(self.npts)
 
     def coords_flat(self) -> tuple:
-        """Per-dimension coordinate arrays of flattened (C-order) nodes."""
-        return tuple(g.ravel() for g in np.meshgrid(*(self.coords1d(),) * self.n,
-                                                    indexing="ij"))
+        """Per-dimension coordinate arrays of flattened (C-order) nodes,
+        built once per grid and read-only, so every caller shares them."""
+        return self._coords_flat
+
+    @functools.cached_property
+    def _coords_flat(self) -> tuple:
+        xs = tuple(g.ravel() for g in np.meshgrid(*(self.coords1d(),) * self.n,
+                                                  indexing="ij"))
+        for x in xs:
+            x.flags.writeable = False
+        return xs
 
     def max_dist(self, center=0.0) -> np.ndarray:
         """max_d |x_d - center_d| over the flattened nodes."""

@@ -43,8 +43,9 @@ back NaN and fail.  In 2d any A that is not constant in space is solved
 by sparse LU.  The FFT solve carries roundoff of order 1e-16 max|u|, so
 nodes where u is nearly 0 may come out slightly negative.
 
-scipy is imported only inside `splu`, `_lapack` and `_implicit_matrix`,
-on first use, and scipy.sparse only by 2d runs.  A run
+scipy is imported only inside `splu`, `_flapack` and `_implicit_matrix`,
+on first use, and scipy.sparse only by 2d runs.  A 1d LAPACK run loads
+scipy's LAPACK extension alone, not the scipy.linalg package.  A run
 whose A is the identity, or free of t and u and constant in space, solves
 by FFT and never loads scipy.
 """
@@ -52,7 +53,11 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -474,12 +479,41 @@ def splu(matrix):
     return factorize(matrix)
 
 
+_LAPACK_LOCK = threading.Lock()
+
+
 @functools.cache
 def _lapack(name: str):
-    """scipy's wrapper of the LAPACK routine `name`, imported on first use;
-    the cache spares each per-step call an import statement."""
-    from scipy.linalg import lapack
-    return getattr(lapack, name)
+    """scipy's wrapper of the LAPACK routine `name`, loaded on first use;
+    the cache spares each per-step call the lookup.  The lock makes the
+    first load run once when several ensemble threads reach it together."""
+    with _LAPACK_LOCK:
+        return getattr(_flapack(), name)
+
+
+@functools.cache
+def _flapack():
+    """scipy's LAPACK extension module, scipy.linalg._flapack, loaded from
+    the package's directory without running scipy/linalg/__init__.py, which
+    imports some 300 modules and takes some 16 MB more than the extension.
+    It is registered in sys.modules under its own name, so a later import
+    of scipy.linalg uses the same module.  When scipy.linalg is loaded
+    already its extension is used; when the package's directory holds no
+    such extension, the routines come from scipy.linalg.lapack."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    # find_spec of the package imports only top-level scipy; find_spec of
+    # the extension itself would run the package
+    locations = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, locations)
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def dpttrf(d, e):
@@ -778,13 +812,20 @@ def time_axis(t0: float, horizon: float, dt: float) -> np.ndarray:
     """Step boundaries from t0 to the first boundary at or beyond t0 + horizon.
 
     Raises InvalidArgumentError when horizon / dt is not a finite number of
-    steps."""
+    steps, and ResourceLimitError, before anything is allocated, when the
+    axis would take more than _TIME_AXIS_BYTES."""
     ratio = float(horizon) / float(dt)
     if not math.isfinite(ratio):
         raise InvalidArgumentError(
             f"horizon {horizon!r} over the step {dt!r} is not a finite number of steps")
     steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(math.ceil(ratio))
-    return t0 + dt * np.arange(max(steps, 1) + 1)
+    steps = max(steps, 1)
+    if 8 * (steps + 1) > _TIME_AXIS_BYTES:
+        raise ResourceLimitError(
+            f"horizon {horizon!r} over the step {dt!r} is {steps:.4g} steps, whose time "
+            f"axis takes {8 * (steps + 1):.4g} bytes, over the time axis budget of "
+            f"{_TIME_AXIS_BYTES}")
+    return t0 + dt * np.arange(steps + 1)
 
 
 @dataclass
@@ -819,6 +860,10 @@ _STEP_BLOCK_BYTES = 384 << 10
 # the full path histories one integrate_batch call may keep; run_ensemble
 # shrinks its chunks to fit, and solve_path refuses a path that does not
 _HISTORY_BYTES = 512 << 20
+
+# the step boundaries of one run: time_axis refuses a horizon of more steps
+# than fit here, 8 Mi, where a 1d npts 256 run over horizon 1 takes 8 Ki
+_TIME_AXIS_BYTES = 64 << 20
 
 
 def history_capacity(steps: int, size: int) -> int:

@@ -818,6 +818,21 @@ def test_moser_refuses_a_horizon_of_infinitely_many_steps(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, horizon, steps", [("moser", "1e12", "1.28e+14"),
+                                                     ("ensemble", "1e20", "1e+20")])
+def test_a_huge_finite_step_count_is_refused(tmp_path, capsys, command, horizon, steps):
+    # moser steps at dx^2 / 2 = 0.0078125 whatever [solver] dt says, ensemble at dt
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"[grid]\nnpts = 32\n\n[solver]\ndt = 1.0\nhorizon = {horizon}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 2
+    err = capsys.readouterr().err
+    assert f"is {steps} steps, whose time axis takes" in err
+    assert "over the time axis budget of 67108864" in err
+    assert "Traceback" not in err
+
+
 def test_manifest_version_is_the_package_version(tmp_path):
     pyproject = Path(spdelab.__file__).resolve().parents[2] / "pyproject.toml"
     with open(pyproject, "rb") as fh:

@@ -57,6 +57,20 @@ def test_max_dist_matches_coordinate_loop(n, center):
     assert np.array_equal(g.max_dist(center), want)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_coords_flat_is_built_once_and_read_only(n):
+    g = Grid.regular(n, 8)
+    xs = g.coords_flat()
+    assert g.coords_flat() is xs
+    mesh = np.meshgrid(*(g.coords1d(),) * n, indexing="ij")
+    for x, want in zip(xs, mesh):
+        assert np.array_equal(x, want.ravel())
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+    # the kept arrays are no field: grids of equal fields stay equal
+    assert g == Grid.regular(n, 8) and hash(g) == hash(Grid.regular(n, 8))
+
+
 def test_path_shape_validation(grid32):
     times = np.linspace(0.0, 1.0, 5)
     with pytest.raises(InvalidArgumentError):

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from spdelab import solver
 from spdelab.errors import (BlowUpError, DimensionMismatchError,
-                            InvalidArgumentError, ModelInvalidError)
+                            InvalidArgumentError, ModelInvalidError,
+                            ResourceLimitError)
 from spdelab.fields import FieldSnapshot, Grid
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.solver import (CoefficientModel, ModelParams, SolverConfig,
@@ -255,6 +257,14 @@ def test_time_axis():
     for horizon, dt in ((1e307, 1e-3), (math.inf, 0.25), (math.nan, 0.25)):
         with pytest.raises(InvalidArgumentError, match=re.escape(f"horizon {horizon!r} over the step")):
             time_axis(0.0, horizon, dt)
+
+
+def test_time_axis_refuses_an_axis_over_its_budget(monkeypatch):
+    # a budget of 11 floats holds the 11 boundaries of 10 steps, not 12
+    monkeypatch.setattr(solver, "_TIME_AXIS_BYTES", 8 * 11)
+    assert time_axis(0.0, 10.0, 1.0).size == 11
+    with pytest.raises(ResourceLimitError, match="is 11 steps, whose time axis takes 96 bytes"):
+        time_axis(0.0, 11.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 The FFT solve of an identity or constant A needs nothing from scipy, so
 parsing configs and running a subcommand that never solves with LAPACK
-or `splu` must not import it, and a 1d run, which solves with LAPACK
-alone, must not import scipy.sparse.  Each case runs in a fresh
-interpreter, because the test process itself has loaded scipy long
-before.  The cold runs of the scipy solves must give bitwise the step
+or `splu` must not import it.  A 1d run, which solves with LAPACK alone,
+loads scipy's LAPACK extension, scipy.linalg._flapack, and neither the
+scipy.linalg package nor scipy.sparse; a later import of scipy.linalg
+shares that extension.  Each case runs in a fresh interpreter, because
+the test process itself has loaded scipy long before.  The cold runs of
+the scipy solves, by the direct load, by its fallback through
+scipy.linalg.lapack, and on two threads, must give bitwise the results
 computed here.
 """
 import json
@@ -27,9 +30,9 @@ SRC = Path(spdelab.__file__).resolve().parents[1]
 
 # scipy branch -> (n, npts, a_expr, scipy module the solve loads)
 COLD_STEPS = {
-    "lapack-1d-t": (1, 32, "1 + 0.5*sin(3*t)", "scipy.linalg.lapack"),
-    "lapack-1d-u": (1, 32, "1 + 0.5*u/(1+abs(u))", "scipy.linalg.lapack"),
-    "lapack-1d-x": (1, 32, "1 + 0.5*sin(x)", "scipy.linalg.lapack"),
+    "lapack-1d-t": (1, 32, "1 + 0.5*sin(3*t)", "scipy.linalg._flapack"),
+    "lapack-1d-u": (1, 32, "1 + 0.5*u/(1+abs(u))", "scipy.linalg._flapack"),
+    "lapack-1d-x": (1, 32, "1 + 0.5*sin(x)", "scipy.linalg._flapack"),
     "splu-2d-t": (2, 8, "1 + 0.5*sin(3*t)", "scipy.sparse.linalg"),
 }
 
@@ -105,4 +108,109 @@ def test_scipy_solves_load_it_on_first_use():
         assert COLD_STEPS[case][3] in got["after"], case
         sparse = [m for m in got["after"] if m.startswith("scipy.sparse")]
         assert bool(sparse) == (COLD_STEPS[case][0] == 2), (case, sparse)
+        if COLD_STEPS[case][0] == 1:
+            assert "scipy.linalg" not in got["after"], case
         assert bytes.fromhex(got["final"]) == one_step(case).tobytes(), case
+
+
+def test_scipy_linalg_imported_after_a_1d_solve_shares_its_routines():
+    [got] = run_fresh(f"""
+        import json, sys
+        from spdelab import solver
+        from test_startup import one_step
+        one_step("lapack-1d-u")
+        before = {SCIPY_LOADED}
+        import scipy.linalg, scipy.sparse.linalg
+        print(json.dumps({{
+            "package_before": "scipy.linalg" in before,
+            "same": [getattr(scipy.linalg.lapack, name) is solver._lapack(name)
+                     for name in ("dpttrf", "dpttrs")],
+            "splu": scipy.sparse.linalg.splu is not None}}))
+    """)
+    assert got == {"package_before": False, "same": [True, True], "splu": True}
+
+
+def test_lapack_falls_back_to_scipy_linalg_when_no_extension_is_found():
+    # the direct lookup finds nothing; the import system, asked next for
+    # the same name by scipy.linalg.lapack, is answered as usual
+    [got] = run_fresh(f"""
+        import json, sys
+        from importlib.machinery import PathFinder
+        from test_startup import one_step
+        find_spec = PathFinder.find_spec
+        missed = []
+
+        def first_miss(name, path=None, target=None):
+            if name == "scipy.linalg._flapack" and not missed:
+                missed.append(name)
+                return None
+            return find_spec(name, path, target)
+
+        PathFinder.find_spec = staticmethod(first_miss)
+        final = one_step("lapack-1d-u")
+        PathFinder.find_spec = find_spec
+        from spdelab import solver
+        import scipy.linalg
+        print(json.dumps({{"missed": missed, "after": {SCIPY_LOADED},
+                           "fallback": solver._flapack() is scipy.linalg.lapack,
+                           "final": final.tobytes().hex()}}))
+    """)
+    assert got["missed"] == ["scipy.linalg._flapack"]
+    assert got["fallback"] and "scipy.linalg.lapack" in got["after"]
+    assert bytes.fromhex(got["final"]) == one_step("lapack-1d-u").tobytes()
+
+
+def test_two_threads_load_lapack_once_and_write_the_same_tables(tmp_path):
+    # 16 paths in chunks of 8: both threads start a chunk, and reach their
+    # first dpttrf, together
+    import test_golden
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(test_golden.CONFIG_1D_U)
+    runs = run_fresh(*(f"""
+        import json, runpy, sys
+        sys.argv = ["spdelab", "--config", {str(cfg)!r}, "--out",
+                    {str(tmp_path / threads)!r}, "--threads", {threads!r}, "ensemble"]
+        try:
+            runpy.run_module("spdelab.cli", run_name="__main__")
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+        from spdelab import solver
+        print(json.dumps({{"code": code, "loads": solver._flapack.cache_info().misses,
+                           "package": "scipy.linalg" in sys.modules}}))
+    """ for threads in ("1", "2")))
+    assert runs == [{"code": 0, "loads": 1, "package": False}] * 2
+    tables = [sorted((tmp_path / threads).glob("*.csv")) for threads in ("1", "2")]
+    assert [p.name for p in tables[0]] == [p.name for p in tables[1]] != []
+    for one, two in zip(*tables):
+        assert one.read_bytes() == two.read_bytes(), one.name
+
+
+def test_eight_threads_racing_to_first_use_load_lapack_once():
+    # more threads than cores, released together, switching every microsecond
+    [got] = run_fresh("""
+        import json, sys, threading
+        from spdelab import solver
+        start = threading.Barrier(8)
+        found = []
+
+        def first_use():
+            start.wait(timeout=30)
+            found.append([solver._lapack(name) for name in ("dpttrf", "dpttrs")])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        print(json.dumps({"alive": sum(thread.is_alive() for thread in threads),
+                          "loads": solver._flapack.cache_info().misses,
+                          "distinct": len({tuple(map(id, f)) for f in found}),
+                          "found": len(found)}))
+    """)
+    assert got == {"alive": 0, "loads": 1, "distinct": 1, "found": 8}

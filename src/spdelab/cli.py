@@ -46,6 +46,7 @@ from .geometry import Ball, SpaceTimeRect, make_cylinder
 from .jn import eighth_reads, fit_decay, hierarchy_stats, log_field, tail_quantiles
 from .montecarlo import (
     ExperimentSpec,
+    check_model,
     comparison_experiment,
     harnack_curve,
     indicator_monotonicity,
@@ -61,7 +62,6 @@ from .solver import (
     path_seed,
     periodic_heat_kernel,
     solve_path,
-    validate_model,
 )
 
 DEFAULT_REGIONS = {
@@ -224,25 +224,30 @@ def _construct(make, base: dict, given: list):
 
     A rejection is reported at the line of the first given key whose value
     alone, on top of base, is rejected with the same message: that value is
-    wrong whatever the other keys say.  Failing that, at the line of the
-    only given key without which the others are accepted: a kind key whose
-    expression is bad, as an expression is read only once its kind key
-    selects it.  Otherwise several keys are at fault together (or base
-    is), and no line is reported.
+    wrong whatever the other keys say.  Failing that, at the lines of the
+    given keys without any one of which the others are accepted: a kind
+    key whose expression is bad, as an expression is read only once its
+    kind key selects it, or several keys at fault together, such as a
+    constant A and the iota it breaks.  The message names every such line
+    and the error carries the first.  Otherwise base is at fault, and no
+    line is reported.
     """
     try:
         return make(**{**base, **{attr: value for attr, value, _ in given}})
     except InvalidArgumentError as exc:
-        line = None
+        message, line = str(exc), None
         if _rejection(lambda: make(**base)) is None:
             line = next((ln for attr, value, ln in given
-                         if _rejection(lambda: make(**{**base, attr: value})) == str(exc)),
+                         if _rejection(lambda: make(**{**base, attr: value})) == message),
                         None)
             if line is None:
-                culprits = [ln for attr, _, ln in given if _rejection(lambda: make(
-                    **{**base, **{a: v for a, v, _ in given if a != attr}})) is None]
-                line = culprits[0] if len(culprits) == 1 else None
-        raise ConfigError(str(exc), line=line) from None
+                culprits = sorted(ln for attr, _, ln in given if _rejection(lambda: make(
+                    **{**base, **{a: v for a, v, _ in given if a != attr}})) is None)
+                if len(culprits) > 1:
+                    message += (" (the keys at lines " + ", ".join(map(str, culprits[:-1]))
+                                + f" and {culprits[-1]} are at fault together)")
+                line = culprits[0] if culprits else None
+        raise ConfigError(message, line=line) from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -284,13 +289,12 @@ def parse_config(text: str) -> ExperimentSpec:
     def model_params(**params):
         p = ModelParams(**params)
         try:
-            validate_model(build_model(p, grid.n, grid.extent),
-                           extent=grid.extent, t_max=horizon)
+            return p, check_model(p, grid, horizon)
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"model rejected: {exc}") from None
-        return p
 
-    model = _construct(model_params, base["model"], given["model"])
+    # the spec takes the checked model along, so a run checks it only here
+    model, checked = _construct(model_params, base["model"], given["model"])
     solver = _construct(SolverConfig, base["solver"], given["solver"])
 
     named = []
@@ -306,14 +310,21 @@ def parse_config(text: str) -> ExperimentSpec:
     # the kind of initial condition is judged first and the other keys on
     # top of it, as the kind decides what amplitude overflows; the solver
     # joins the spec's keys at the line of its one key, dt
-    spec_base = {**base["spec"], "grid": grid, "model": model,
+    spec_base = {**base["spec"], "grid": grid, "model": model, "checked_model": checked,
                  "solver": SolverConfig(), "regions": defaults}
     kind = [entry for entry in given["spec"] if entry[0] == "ic_kind"]
     if kind:
         spec_base["ic_kind"] = _construct(ExperimentSpec, spec_base, kind).ic_kind
+    # a box too small for the default regions is the extent's fault: with
+    # no [regions], the grid joins at the extent line, on the default box
+    rest = [entry for entry in given["spec"] if entry[0] != "ic_kind"]
+    extent = [ln for attr, _, ln in given["grid"] if attr == "extent"]
+    if extent and not named:
+        rest.append(("grid", grid, extent[0]))
+        spec_base["grid"] = Grid.regular(**{**base["grid"], **{
+            attr: value for attr, value, _ in given["grid"] if attr != "extent"}})
     spec = _construct(ExperimentSpec, spec_base,
-                      [entry for entry in given["spec"] if entry[0] != "ic_kind"]
-                      + [("solver", solver, ln) for _, _, ln in given["solver"]])
+                      rest + [("solver", solver, ln) for _, _, ln in given["solver"]])
     if named:
         spec = _construct(lambda **regions: dataclasses.replace(spec, regions=regions),
                           {}, named)

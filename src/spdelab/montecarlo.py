@@ -18,6 +18,7 @@ used by the tail argument.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +49,21 @@ from .solver import (
 FAILURE_RATE_LIMIT = 0.01
 
 
+def _model_inputs(params: ModelParams, grid: Grid, horizon: float) -> tuple:
+    """What the spot check of a model reads: its parameters, the grid's
+    dimension and box, and the horizon."""
+    return dataclasses.astuple(params), grid.n, grid.extent, horizon
+
+
+def check_model(params: ModelParams, grid: Grid, horizon: float) -> tuple:
+    """The coefficient model of params on grid, spot-checked over the
+    horizon by validate_model, as the pair (inputs, model) that
+    ExperimentSpec.checked_model holds."""
+    cm = build_model(params, grid.n, grid.extent)
+    validate_model(cm, extent=grid.extent, t_max=horizon)
+    return _model_inputs(params, grid, horizon), cm
+
+
 @dataclass
 class ExperimentSpec:
     """Full description of one reproducible ensemble run."""
@@ -72,6 +88,9 @@ class ExperimentSpec:
     mu: float = 1e-4
     nu: float = 1.0
     depth: int = 1
+    # the pair of check_model, kept by build() or handed over by parse_config
+    # and copied by dataclasses.replace; reused while the inputs match
+    checked_model: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -124,10 +143,14 @@ class ExperimentSpec:
                                       self.ic_width, self.ic_seed)
 
     def build(self):
-        """The spot-checked coefficient model and the initial condition."""
-        cm = build_model(self.model, self.grid.n, self.grid.extent)
-        validate_model(cm, extent=self.grid.extent, t_max=self.horizon)
-        return cm, self.initial_condition()
+        """The spot-checked coefficient model and the initial condition.
+
+        The model is checked once: a spec whose checked_model was made for
+        its own model, grid and horizon reuses that model."""
+        if (self.checked_model is None or self.checked_model[0]
+                != _model_inputs(self.model, self.grid, self.horizon)):
+            self.checked_model = check_model(self.model, self.grid, self.horizon)
+        return self.checked_model[1], self.initial_condition()
 
 
 @dataclass

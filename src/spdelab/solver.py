@@ -43,11 +43,11 @@ back NaN and fail.  In 2d any A that is not constant in space is solved
 by sparse LU.  The FFT solve carries roundoff of order 1e-16 max|u|, so
 nodes where u is nearly 0 may come out slightly negative.
 
-scipy is imported only inside `splu`, `_flapack` and `_implicit_matrix`,
-on first use, and scipy.sparse only by 2d runs.  A 1d LAPACK run loads
-scipy's LAPACK extension alone, not the scipy.linalg package.  A run
-whose A is the identity, or free of t and u and constant in space, solves
-by FFT and never loads scipy.
+scipy is imported only inside `splu`, `_scipy_extension` and
+`_implicit_matrix`, on first use, and scipy.sparse only by 2d runs.  The
+FFT and 1d LAPACK solves load one scipy extension each, alone:
+scipy.fft._pocketfft.pypocketfft and scipy.linalg._flapack, not the
+scipy.fft and scipy.linalg packages.  numpy.fft is never imported.
 """
 from __future__ import annotations
 
@@ -479,37 +479,41 @@ def splu(matrix):
     return factorize(matrix)
 
 
-_LAPACK_LOCK = threading.Lock()
+_SCIPY_LOCK = threading.Lock()
 
 
 @functools.cache
-def _lapack(name: str):
-    """scipy's wrapper of the LAPACK routine `name`, loaded on first use;
-    the cache spares each per-step call the lookup.  The lock makes the
-    first load run once when several ensemble threads reach it together."""
-    with _LAPACK_LOCK:
-        return getattr(_flapack(), name)
+def _scipy_routine(module: str, name: str):
+    """The routine `name` of scipy's extension module `module`, loaded on
+    first use; the cache spares each per-step call the lookup.  The lock
+    makes the first load run once when several ensemble threads reach it
+    together."""
+    with _SCIPY_LOCK:
+        return getattr(_scipy_extension(module), name)
 
 
 @functools.cache
-def _flapack():
-    """scipy's LAPACK extension module, scipy.linalg._flapack, loaded from
-    the package's directory without running scipy/linalg/__init__.py, which
-    imports some 300 modules and takes some 16 MB more than the extension.
-    It is registered in sys.modules under its own name, so a later import
-    of scipy.linalg uses the same module.  When scipy.linalg is loaded
-    already its extension is used; when the package's directory holds no
-    such extension, the routines come from scipy.linalg.lapack."""
-    name = "scipy.linalg._flapack"
+def _scipy_extension(name: str):
+    """scipy's extension module `name`, such as scipy.linalg._flapack,
+    loaded from its package's directory without running the __init__.py
+    of any package but top-level scipy: scipy/linalg/__init__.py and
+    scipy/fft/__init__.py each import some 300 modules and take some 16 to
+    27 MB more than their extension.  It is registered in sys.modules
+    under its own name, so a later import of its package uses the same
+    module.  A module loaded already is reused; when the package's
+    directory holds no such extension, it is imported by its name."""
     if name in sys.modules:
         return sys.modules[name]
-    # find_spec of the package imports only top-level scipy; find_spec of
-    # the extension itself would run the package
-    locations = importlib.util.find_spec("scipy.linalg").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec(name, locations)
-    if spec is None:
-        from scipy.linalg import lapack
-        return lapack
+    # PathFinder looks each package up in its parent's directory without
+    # importing it; importlib.util.find_spec of a dotted name would run
+    # every package above it
+    parts = name.split(".")
+    locations = importlib.import_module(parts[0]).__path__
+    for depth in range(2, len(parts) + 1):
+        spec = importlib.machinery.PathFinder.find_spec(".".join(parts[:depth]), locations)
+        if spec is None:
+            return importlib.import_module(name)
+        locations = spec.submodule_search_locations
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
@@ -519,13 +523,13 @@ def _flapack():
 def dpttrf(d, e):
     """LAPACK's L D L^T factorization of a symmetric positive definite
     tridiagonal, as scipy.linalg.lapack.dpttrf."""
-    return _lapack("dpttrf")(d, e)
+    return _scipy_routine("scipy.linalg._flapack", "dpttrf")(d, e)
 
 
 def dpttrs(d, e, b):
     """LAPACK's solve against a dpttrf factorization, as
     scipy.linalg.lapack.dpttrs."""
-    return _lapack("dpttrs")(d, e, b)
+    return _scipy_routine("scipy.linalg._flapack", "dpttrs")(d, e, b)
 
 
 def _implicit_matrix(grid: Grid, a: np.ndarray, dt: float):
@@ -552,12 +556,17 @@ def _circulant_solve(grid: Grid, c: float, dt: float):
 
     The matrix is circulant (block-circulant in 2d); its eigenvalue at
     wavenumber k is 1 + lam c (2 - 2 cos(2 pi k / N)), summed over the
-    axes, with lam = dt / dx^2.  Each row is transformed on its own, over
-    the grid axes: a real transform of the last, which halves it, and a
-    complex one of the axis before it in 2d.  That is what numpy's
-    rfftn/irfftn do, with the same bits, but their argument handling
-    adds about 5 us a call: some 10% of a 64-row 1d solve on 64 nodes
-    (numpy 2.4 on a 2-core x86 VM).
+    axes, with lam = dt / dx^2.  Each row is transformed on its own by
+    scipy's pocketfft extension: one real transform over the grid axes,
+    which halves the last; the inverse of the axis before it in 2d, scaled
+    by 1/N; and the real inverse of the last, scaled by 1/N.  numpy's
+    rfft/fft/ifft/irfft make these very transforms, with the same bits.
+    One real inverse over both axes, scaled once by 1/N^2, would round
+    otherwise where N is not a power of 2.  Each transform is one call
+    that releases the GIL while it runs, where numpy's wrappers spend some
+    7 us of Python a call pair under it: two threads each looping over
+    (64, 128) solves overlapped with the extension and not with numpy
+    (numpy 2.4, scipy 1.17, a 2-core x86 VM).
     """
     N = grid.npts
     symbol = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(N) / N)
@@ -565,20 +574,22 @@ def _circulant_solve(grid: Grid, c: float, dt: float):
     inv = 1.0 / (1.0 + dt / grid.dx**2 * c * (symbol[:, None] + half if grid.n == 2 else half))
     # each factor twice, for the real and imaginary part of its wavenumber
     inv = np.repeat(inv, 2, axis=-1)
-    shape, lead = grid.shape, range(-grid.n, -1)
+    shape, axes = grid.shape, tuple(range(-grid.n, 0))
+    r2c, c2c, c2r = (_scipy_routine("scipy.fft._pocketfft.pypocketfft", name)
+                     for name in ("r2c", "c2c", "c2r"))
 
     def solve(rhs):
-        spec = np.fft.rfft(rhs.reshape(rhs.shape[:-1] + shape))
-        for axis in lead:
-            spec = np.fft.fft(spec, axis=axis)
+        # the arguments after the axes: forward, inorm (2 divides by the
+        # transformed length), out, and the thread count
+        spec = r2c(rhs.reshape(rhs.shape[:-1] + shape), axes, True, 0, None, 1)
         # numpy divides by a real c as by c + 0i, which multiplies both parts
         # by 1/c; doing that in place, on the interleaved parts, skips the
         # complex division
         parts = spec.view(np.float64)
         parts *= inv
-        for axis in lead:
-            spec = np.fft.ifft(spec, axis=axis)
-        return np.fft.irfft(spec, n=N).reshape(rhs.shape)
+        if grid.n == 2:
+            c2c(spec, (-2,), False, 2, spec, 1)
+        return c2r(spec, (-1,), N, False, 2, None, 1).reshape(rhs.shape)
     return solve
 
 

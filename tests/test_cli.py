@@ -227,8 +227,12 @@ def test_rejected_value_reported_at_its_own_line():
         ("[model]\ng = expr\n", 2),
         ("[solver]\nscheme = rk4\n", 2),
         ("[montecarlo]\ngammas = ,\n", 2),
-        # a constant A outside [iota, 1/iota] is the pair's fault, not one key's
-        ("[model]\na = constant\niota = 0.5\na_value = 5\n", None),
+        # a constant A outside [iota, 1/iota] is the pair's fault, not one
+        # key's: the first of the two lines is reported
+        ("[model]\na = constant\niota = 0.5\na_value = 5\n", 2),
+        ("[model]\na = constant\na_value = 0\n", 2),
+        # a box too small for the default regions, at the extent line
+        ("[grid]\nnpts = 16\nextent = 1e-30\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(ConfigError) as info:
@@ -293,6 +297,29 @@ def test_rejected_model_reported_at_its_key_line():
     for text, line, message in cases:
         with pytest.raises(ConfigError, match=f"line {line}: model rejected: .*{message}"):
             parse_config(text)
+
+
+def test_keys_at_fault_together_are_all_named():
+    # neither key is wrong alone; without either one the other is accepted
+    cases = [
+        ("[model]\na = constant\na_value = 0\n", "lines 2 and 3"),
+        ("[model]\na = constant\niota = 0.5\na_value = 5\n", "lines 2 and 4"),
+    ]
+    for text, lines in cases:
+        together = f"\\(the keys at {lines} are at fault together\\)$"
+        with pytest.raises(ConfigError, match="^line 2: model rejected: constant .* " + together):
+            parse_config(text)
+
+
+def test_small_box_is_reported_at_extent_unless_regions_are_given():
+    # the default regions are balls of radius 0.5 about 0; regions given in
+    # the config are judged at their own lines
+    with pytest.raises(ConfigError, match="^line 2: region 'Q' ball exits the box"):
+        parse_config("[grid]\nextent = 1e-30\n")
+    parse_config("[grid]\nextent = 0.5\n")
+    region = '{"t_lo": 0.1, "t_hi": 0.2, "center": [0.0], "radius": 0.5}'
+    with pytest.raises(ConfigError, match="^line 5: region 'Q' ball exits the box"):
+        parse_config(f"[grid]\nextent = 0.25\n\n[regions]\nQ = {region}\n")
 
 
 def test_corrupted_values_found_by_the_property_test():
@@ -796,6 +823,25 @@ def test_model_is_checked_over_the_configured_horizon():
     parse_config(text.format(1.0))
     with pytest.raises(ConfigError, match="line 2: model rejected: ellipticity violated"):
         parse_config(text.format(4.0))
+
+
+@pytest.mark.parametrize("command, config, extra", [
+    ("ensemble", '[regions]\nQ = {"t0": 0.25, "x0": 0.0, "r": 0.5}\n', ["--seed", "5"]),
+    ("jn", "", []),
+], ids=["ensemble", "jn"])
+def test_a_run_checks_its_model_once(monkeypatch, tmp_path, command, config, extra):
+    # parse_config checks the model and the spec carries it, through
+    # dataclasses.replace (named regions, --seed), to every build()
+    calls = []
+
+    def counted(*args, _fn=montecarlo.validate_model, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(montecarlo, "validate_model", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nnpts = 32\n\n[montecarlo]\npaths = 4\nchunk = 2\n\n" + config)
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "out"), *extra, command) == 0
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

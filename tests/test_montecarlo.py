@@ -1,12 +1,14 @@
 """Ensemble plumbing, tail estimators, and the sup/inf experiment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import inf_on, joint_tail
 from spdelab import montecarlo
 from spdelab.errors import (EmptyRegionError, GeometryError,
-                            InsufficientDataError, InvalidArgumentError)
+                            InsufficientDataError, InvalidArgumentError, ModelInvalidError)
 from spdelab.fields import FieldPath, Grid, sup_on
 from spdelab.geometry import Ball, SpaceTimeRect
 from spdelab.montecarlo import (Ensemble, ExperimentSpec, comparison_experiment,
@@ -347,3 +349,22 @@ def test_failed_paths_reach_no_consumer():
     assert np.all(ens.failed) and np.all(ens.fail_steps >= 0)
     for values in (ens.sup["box"], ens.inf["box"], ens.neg_energy):
         assert np.all(np.isnan(values))
+
+
+def test_build_checks_the_model_once_for_its_inputs(monkeypatch):
+    # 1 + t/2 leaves [0.5, 2] after t = 2: a spec made by dataclasses.replace
+    # carries the checked model, which serves only the horizon it was checked over
+    calls = []
+
+    def counted(*args, _fn=montecarlo.validate_model, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(montecarlo, "validate_model", counted)
+    model = ModelParams(a_kind="expr", a_expr="1 + 0.5*t", iota=0.5)
+    spec = ExperimentSpec(grid=Grid.regular(1, 16), model=model, horizon=1.0, n_paths=1)
+    cm = spec.build()[0]
+    assert spec.build()[0] is cm and dataclasses.replace(spec, n_paths=2).build()[0] is cm
+    assert len(calls) == 1
+    with pytest.raises(ModelInvalidError, match="ellipticity violated"):
+        dataclasses.replace(spec, horizon=4.0).build()
+    assert len(calls) == 2

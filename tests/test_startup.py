@@ -1,15 +1,17 @@
 """Start-up cost: scipy is loaded only by the solves that call it.
 
-The FFT solve of an identity or constant A needs nothing from scipy, so
-parsing configs and running a subcommand that never solves with LAPACK
-or `splu` must not import it.  A 1d run, which solves with LAPACK alone,
+Parsing configs and running a subcommand that never solves must not
+import scipy.  A solve loads only the scipy extension it calls, from its
+package's directory: the FFT solve of an identity or constant A loads
+scipy's pocketfft extension, scipy.fft._pocketfft.pypocketfft, and
+neither the scipy.fft package nor numpy.fft; a 1d solve of any other A
 loads scipy's LAPACK extension, scipy.linalg._flapack, and neither the
-scipy.linalg package nor scipy.sparse; a later import of scipy.linalg
+scipy.linalg package nor scipy.sparse.  A later import of the package
 shares that extension.  Each case runs in a fresh interpreter, because
 the test process itself has loaded scipy long before.  The cold runs of
-the scipy solves, by the direct load, by its fallback through
-scipy.linalg.lapack, and on two threads, must give bitwise the results
-computed here.
+the scipy solves, by the direct load, by its fallback through the import
+of the extension's own name, and on two threads, must give bitwise the
+results computed here.
 """
 import json
 import os
@@ -28,11 +30,16 @@ from spdelab.solver import (ModelParams, SolverConfig, build_model, draw_increme
 TESTS = Path(__file__).resolve().parent
 SRC = Path(spdelab.__file__).resolve().parents[1]
 
+FLAPACK = "scipy.linalg._flapack"
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
 # scipy branch -> (n, npts, a_expr, scipy module the solve loads)
 COLD_STEPS = {
-    "lapack-1d-t": (1, 32, "1 + 0.5*sin(3*t)", "scipy.linalg._flapack"),
-    "lapack-1d-u": (1, 32, "1 + 0.5*u/(1+abs(u))", "scipy.linalg._flapack"),
-    "lapack-1d-x": (1, 32, "1 + 0.5*sin(x)", "scipy.linalg._flapack"),
+    "fft-1d": (1, 32, "0.75", POCKETFFT),
+    "fft-2d": (2, 16, "0.75", POCKETFFT),
+    "lapack-1d-t": (1, 32, "1 + 0.5*sin(3*t)", FLAPACK),
+    "lapack-1d-u": (1, 32, "1 + 0.5*u/(1+abs(u))", FLAPACK),
+    "lapack-1d-x": (1, 32, "1 + 0.5*sin(x)", FLAPACK),
     "splu-2d-t": (2, 8, "1 + 0.5*sin(3*t)", "scipy.sparse.linalg"),
 }
 
@@ -101,15 +108,18 @@ def test_scipy_solves_load_it_on_first_use():
         before = {SCIPY_LOADED}
         final = one_step({case!r})
         print(json.dumps({{"before": before, "after": {SCIPY_LOADED},
+                           "numpy.fft": "numpy.fft" in sys.modules,
                            "final": final.tobytes().hex()}}))
     """ for case in cases))
     for case, got in zip(cases, runs):
         assert got["before"] == [], case
         assert COLD_STEPS[case][3] in got["after"], case
         sparse = [m for m in got["after"] if m.startswith("scipy.sparse")]
-        assert bool(sparse) == (COLD_STEPS[case][0] == 2), (case, sparse)
-        if COLD_STEPS[case][0] == 1:
-            assert "scipy.linalg" not in got["after"], case
+        assert bool(sparse) == case.startswith("splu"), (case, sparse)
+        if not sparse:
+            # the extension alone, not its package, and not numpy's FFT
+            assert not {"scipy.linalg", "scipy.fft"} & set(got["after"]), case
+            assert not got["numpy.fft"], case
         assert bytes.fromhex(got["final"]) == one_step(case).tobytes(), case
 
 
@@ -119,20 +129,27 @@ def test_scipy_linalg_imported_after_a_1d_solve_shares_its_routines():
         from spdelab import solver
         from test_startup import one_step
         one_step("lapack-1d-u")
+        one_step("fft-1d")
         before = {SCIPY_LOADED}
-        import scipy.linalg, scipy.sparse.linalg
+        import scipy.fft, scipy.linalg, scipy.sparse.linalg
+        from scipy.fft._pocketfft import pypocketfft
         print(json.dumps({{
-            "package_before": "scipy.linalg" in before,
-            "same": [getattr(scipy.linalg.lapack, name) is solver._lapack(name)
-                     for name in ("dpttrf", "dpttrs")],
+            "package_before": "scipy.linalg" in before or "scipy.fft" in before,
+            "same": [getattr(scipy.linalg.lapack, name)
+                     is solver._scipy_routine({FLAPACK!r}, name)
+                     for name in ("dpttrf", "dpttrs")]
+                    + [getattr(pypocketfft, name) is solver._scipy_routine({POCKETFFT!r}, name)
+                       for name in ("r2c", "c2c", "c2r")],
             "splu": scipy.sparse.linalg.splu is not None}}))
     """)
-    assert got == {"package_before": False, "same": [True, True], "splu": True}
+    assert got == {"package_before": False, "same": [True] * 5, "splu": True}
 
 
-def test_lapack_falls_back_to_scipy_linalg_when_no_extension_is_found():
-    # the direct lookup finds nothing; the import system, asked next for
-    # the same name by scipy.linalg.lapack, is answered as usual
+def falls_back(case: str) -> dict:
+    """One cold solve of a COLD_STEPS case whose extension the direct lookup
+    misses once; the import system, asked next for the same name by the
+    import of that name, is answered as usual."""
+    module = COLD_STEPS[case][3]
     [got] = run_fresh(f"""
         import json, sys
         from importlib.machinery import PathFinder
@@ -141,54 +158,82 @@ def test_lapack_falls_back_to_scipy_linalg_when_no_extension_is_found():
         missed = []
 
         def first_miss(name, path=None, target=None):
-            if name == "scipy.linalg._flapack" and not missed:
+            if name == {module!r} and not missed:
                 missed.append(name)
                 return None
             return find_spec(name, path, target)
 
         PathFinder.find_spec = staticmethod(first_miss)
-        final = one_step("lapack-1d-u")
+        final = one_step({case!r})
         PathFinder.find_spec = find_spec
         from spdelab import solver
-        import scipy.linalg
         print(json.dumps({{"missed": missed, "after": {SCIPY_LOADED},
-                           "fallback": solver._flapack() is scipy.linalg.lapack,
+                           "fallback": solver._scipy_extension({module!r})
+                                       is sys.modules[{module!r}],
                            "final": final.tobytes().hex()}}))
     """)
-    assert got["missed"] == ["scipy.linalg._flapack"]
-    assert got["fallback"] and "scipy.linalg.lapack" in got["after"]
-    assert bytes.fromhex(got["final"]) == one_step("lapack-1d-u").tobytes()
+    assert got["missed"] == [module] and got["fallback"]
+    assert bytes.fromhex(got["final"]) == one_step(case).tobytes()
+    return got
 
 
-def test_two_threads_load_lapack_once_and_write_the_same_tables(tmp_path):
-    # 16 paths in chunks of 8: both threads start a chunk, and reach their
-    # first dpttrf, together
-    import test_golden
-    cfg = tmp_path / "u.cfg"
-    cfg.write_text(test_golden.CONFIG_1D_U)
+def test_lapack_falls_back_to_scipy_linalg_when_no_extension_is_found():
+    got = falls_back("lapack-1d-u")
+    assert "scipy.linalg.lapack" in got["after"]
+
+
+def test_fft_falls_back_to_scipy_fft_when_no_extension_is_found():
+    got = falls_back("fft-2d")
+    assert "scipy.fft" in got["after"]
+
+
+def two_thread_tables(tmp_path, config: str, command: str) -> list:
+    """A cold run of `command` on config with --threads 1 and 2, each in its
+    own interpreter; both must write the same tables.  Returns each run's
+    exit code, count of scipy extensions loaded and scipy packages loaded."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
     runs = run_fresh(*(f"""
         import json, runpy, sys
         sys.argv = ["spdelab", "--config", {str(cfg)!r}, "--out",
-                    {str(tmp_path / threads)!r}, "--threads", {threads!r}, "ensemble"]
+                    {str(tmp_path / threads)!r}, "--threads", {threads!r}, {command!r}]
         try:
             runpy.run_module("spdelab.cli", run_name="__main__")
             code = None
         except SystemExit as exc:
             code = exc.code
         from spdelab import solver
-        print(json.dumps({{"code": code, "loads": solver._flapack.cache_info().misses,
-                           "package": "scipy.linalg" in sys.modules}}))
+        packages = {{"scipy.linalg", "scipy.fft"}} & set(sys.modules)
+        print(json.dumps({{"code": code, "loads": solver._scipy_extension.cache_info().misses,
+                           "packages": sorted(packages)}}))
     """ for threads in ("1", "2")))
-    assert runs == [{"code": 0, "loads": 1, "package": False}] * 2
     tables = [sorted((tmp_path / threads).glob("*.csv")) for threads in ("1", "2")]
     assert [p.name for p in tables[0]] == [p.name for p in tables[1]] != []
     for one, two in zip(*tables):
         assert one.read_bytes() == two.read_bytes(), one.name
+    return runs
+
+
+def test_two_threads_load_lapack_once_and_write_the_same_tables(tmp_path):
+    # 16 paths in chunks of 8: both threads start a chunk, and reach their
+    # first dpttrf, together
+    import test_golden
+    runs = two_thread_tables(tmp_path, test_golden.CONFIG_1D_U, "ensemble")
+    assert runs == [{"code": 0, "loads": 1, "packages": []}] * 2
+
+
+def test_two_threads_load_pocketfft_once_and_write_the_same_harnack_tables(tmp_path):
+    # the default model: both threads reach their first FFT solve together
+    import test_golden
+    runs = two_thread_tables(tmp_path, test_golden.CONFIG_DEFAULT, "harnack")
+    assert runs == [{"code": 0, "loads": 1, "packages": []}] * 2
 
 
 def test_eight_threads_racing_to_first_use_load_lapack_once():
-    # more threads than cores, released together, switching every microsecond
-    [got] = run_fresh("""
+    # more threads than cores, released together, switching every
+    # microsecond; each loads the LAPACK and the pocketfft routines, and
+    # each extension is loaded once
+    [got] = run_fresh(f"""
         import json, sys, threading
         from spdelab import solver
         start = threading.Barrier(8)
@@ -196,7 +241,10 @@ def test_eight_threads_racing_to_first_use_load_lapack_once():
 
         def first_use():
             start.wait(timeout=30)
-            found.append([solver._lapack(name) for name in ("dpttrf", "dpttrs")])
+            found.append([solver._scipy_routine(module, name)
+                          for module, names in (({FLAPACK!r}, ("dpttrf", "dpttrs")),
+                                                ({POCKETFFT!r}, ("r2c", "c2c", "c2r")))
+                          for name in names])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -208,9 +256,9 @@ def test_eight_threads_racing_to_first_use_load_lapack_once():
                 thread.join(timeout=30)
         finally:
             sys.setswitchinterval(interval)
-        print(json.dumps({"alive": sum(thread.is_alive() for thread in threads),
-                          "loads": solver._flapack.cache_info().misses,
-                          "distinct": len({tuple(map(id, f)) for f in found}),
-                          "found": len(found)}))
+        print(json.dumps({{"alive": sum(thread.is_alive() for thread in threads),
+                           "loads": solver._scipy_extension.cache_info().misses,
+                           "distinct": len({{tuple(map(id, f)) for f in found}}),
+                           "found": len(found)}}))
     """)
-    assert got == {"alive": 0, "loads": 1, "distinct": 1, "found": 8}
+    assert got == {"alive": 0, "loads": 2, "distinct": 1, "found": 8}

@@ -1,8 +1,9 @@
 """The implicit step kernel against the general paths it shortcuts.
 
 A free of t and u and constant in space is solved by FFT instead of a
-sparse LU; in 1d, every other A is solved as a cyclic symmetric positive
-definite tridiagonal system by LAPACK with a Sherman-Morrison correction:
+sparse LU, by scipy's pocketfft extension in the bits of numpy's FFT; in
+1d, every other A is solved as a cyclic symmetric positive definite
+tridiagonal system by LAPACK with a Sherman-Morrison correction:
 stacked matrices factored in one dpttrf call (once per call, once per block
 of steps for A that reads t, once per step for A that reads u), then one
 dpttrs call per step; noise declared through `sigma` is formed from
@@ -89,6 +90,38 @@ def test_fft_solve_matches_sparse_lu(n, npts, kind, rng):
     rhs = rng.normal(size=(5, grid.size))
     want = splu(_implicit_matrix(grid, a, dt)).solve(rhs.T).T
     close(_circulant_solve(grid, float(a[0]), dt)(rhs), want)
+
+
+def numpy_circulant_solve(grid, c, dt, rhs):
+    """The FFT solve written with numpy's transforms: rfft of the last axis,
+    then fft of the axis before it in 2d, both parts of each wavenumber
+    multiplied by the reciprocal of its eigenvalue, and the inverses."""
+    N = grid.npts
+    symbol = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(N) / N)
+    half = symbol[:N // 2 + 1]
+    inv = 1.0 / (1.0 + dt / grid.dx**2 * c * (symbol[:, None] + half if grid.n == 2 else half))
+    spec = np.fft.rfft(rhs.reshape(rhs.shape[:-1] + grid.shape))
+    if grid.n == 2:
+        spec = np.fft.fft(spec, axis=-2)
+    spec.view(np.float64)[...] *= np.repeat(inv, 2, axis=-1)
+    if grid.n == 2:
+        spec = np.fft.ifft(spec, axis=-2)
+    return np.fft.irfft(spec, n=N).reshape(rhs.shape)
+
+
+# npts 24 in 2d: a single real inverse over both axes, scaled once by
+# 1/N^2, would round otherwise than numpy's two inverses scaled by 1/N each
+@pytest.mark.parametrize("n, npts", [(1, 31), (1, 32), (1, 64), (1, 128),
+                                     (2, 16), (2, 24), (2, 32)])
+@pytest.mark.parametrize("rows", [1, 64])
+def test_fft_solve_equals_numpy_fft_bitwise(n, npts, rows, rng):
+    grid = Grid.regular(n, npts)
+    dt = rng.uniform(0.25, 2.0) * grid.dx**2
+    for c in (1.0, rng.uniform(0.1, 10.0)):
+        rhs = rng.normal(size=(rows, grid.size)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+        got = _circulant_solve(grid, c, dt)(rhs)
+        want = numpy_circulant_solve(grid, c, dt, rhs)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import json
 import math
 import os
@@ -760,7 +761,10 @@ SUBCOMMANDS = {
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and changes nothing in it."""
     ap = argparse.ArgumentParser(
         prog="spdelab",
         description="Numerical experiments for a stochastic diffusion equation "

@@ -31,11 +31,10 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
-from .fields import FieldPath, FieldSnapshot, Grid, region_rows
+from .fields import FieldSnapshot, Grid, region_rows
 from .geometry import SpaceTimeRect
 from .solver import (
     ModelParams,
-    NoiseStream,
     SolverConfig,
     build_model,
     history_capacity,
@@ -216,10 +215,11 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
     (results do not depend on the chunk), and a single path over that
     budget raises ResourceLimitError before any path runs.
 
-    Each chunk's noise comes from a `solver.NoiseStream` over its paths'
-    seeds, drawn one segment of steps at a time.  Only a run that keeps
+    Each chunk hands `integrate_batch` its paths' seeds, and the step loop
+    draws them one segment of steps at a time.  Only a run that keeps
     histories also keeps each path's whole (M, m) increments, as
-    FieldPath.noise; any other run never holds a chunk's whole noise.
+    FieldPath.noise, so path i equals solve_path(seed=path_seed(s, i)) bit
+    for bit; any other run never holds a chunk's whole noise.
     """
     grid = spec.grid
     cm, u0 = spec.build()
@@ -250,15 +250,9 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
             captures += wanted
 
     def run_chunk(lo: int, hi: int):
-        B = hi - lo
-        noise = record = None
-        if cm.m > 0:
-            # a path's noise is kept whole only alongside its history
-            record = np.empty((B, M, cm.m)) if keep_history else None
-            noise = NoiseStream([path_seed(spec.master_seed, i) for i in range(lo, hi)],
-                                cm.m, dt, record)
-        res = integrate_batch(grid, cm, spec.solver, np.tile(u0_flat, (B, 1)),
-                              times, noise, keep_history=keep_history,
+        seeds = [path_seed(spec.master_seed, i) for i in range(lo, hi)]
+        res = integrate_batch(grid, cm, spec.solver, np.tile(u0_flat, (hi - lo, 1)),
+                              times, seeds, keep_history=keep_history,
                               regions=list(rows.values()), captures=captures)
         for r, name in enumerate(rows):
             sup[name][lo:hi] = res.sup[r]
@@ -270,10 +264,7 @@ def run_ensemble(spec: ExperimentSpec, consumers: Sequence[Callable] = (),
         for b, i in enumerate(range(lo, hi)):
             if res.failed[b]:
                 continue
-            fp = None
-            if keep_history:
-                fp = FieldPath(grid, times, res.history[b],
-                               noise=record[b] if record is not None else None)
+            fp = res.path(grid, times, b) if keep_history else None
             for consume, read in zip(consumers, reads):
                 consume(i, fp if read is None else tuple(c[b] for c in res.captured[read]))
 

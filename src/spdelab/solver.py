@@ -135,8 +135,8 @@ class SolverConfig:
     """Stepping controls of the semi-implicit scheme: the time step.
 
     dt=None selects the parabolic default dx^2/2; the implicit diffusion
-    puts no stability restriction on it. A solved path always records its
-    noise.
+    puts no stability restriction on it. A solved path records its noise,
+    as an ensemble's kept path does, unless the model has none.
     """
 
     dt: float | None = None
@@ -780,43 +780,33 @@ def draw_increments(seed, steps: int, m: int, dt: float) -> np.ndarray:
     return _path_rng(seed).normal(0.0, math.sqrt(dt), size=(steps, m))
 
 
-class NoiseStream:
-    """The Brownian increments of B paths, handed out step-major.
+def _noise_blocks(source, m: int, dt: float, steps: int, K: int, record=None):
+    """Yield the increments of B paths for steps 0..K-1, K..2K-1, ... up to
+    `steps`, each block a contiguous (k, B, m) array valid until the next.
 
-    rows is either the (B, M, m) increments themselves or B seeds, one
+    source is either the (B, steps, m) increments themselves or B seeds, one
     per path.  A seeded row draws its own stream through draw_increments,
-    one segment at a time, so the stream never holds more than one
-    segment: R steps of (B, m) increments, R being as many whole blocks as
-    fit in _STEP_BLOCK_BYTES, and at least one.  record, when given, is a
-    (B, M, m) array that every drawn segment is copied into, for a caller
-    that keeps each path's noise.  Seeded rows are read once: their
-    generators move on as they draw.
+    one segment at a time, so no more than one segment is held: R steps of
+    (B, m) increments, R being as many whole blocks as fit in
+    _STEP_BLOCK_BYTES, and at least one.  record, when given, is a
+    (B, steps, m) array that every segment is copied into.
     """
-
-    def __init__(self, rows, m: int, dt: float, record=None):
-        if isinstance(rows, np.ndarray):
-            self.rows = rows
+    arrays = isinstance(source, np.ndarray)
+    rows = source if arrays else [_path_rng(seed) for seed in source]
+    B = len(rows)
+    R = min(steps, max(1, _STEP_BLOCK_BYTES // (8 * B * m * K)) * K)
+    seg = np.empty((R, B, m))
+    for lo in range(0, steps, R):
+        part = seg[:min(R, steps - lo)]
+        if arrays:
+            part[...] = rows[:, lo:lo + len(part)].swapaxes(0, 1)
         else:
-            self.rows = [_path_rng(seed) for seed in rows]
-        self.m, self.dt, self.record = m, dt, record
-
-    def blocks(self, steps: int, K: int):
-        """Yield the increments of steps 0..K-1, K..2K-1, ... up to `steps`,
-        each block a contiguous (k, B, m) array valid until the next one."""
-        B = len(self.rows)
-        R = min(steps, max(1, _STEP_BLOCK_BYTES // (8 * B * self.m * K)) * K)
-        seg = np.empty((R, B, self.m))
-        for lo in range(0, steps, R):
-            part = seg[:min(R, steps - lo)]
-            if isinstance(self.rows, np.ndarray):
-                part[...] = self.rows[:, lo:lo + len(part)].swapaxes(0, 1)
-            else:
-                for b, rng in enumerate(self.rows):
-                    part[:, b] = draw_increments(rng, len(part), self.m, self.dt)
-                if self.record is not None:
-                    self.record[:, lo:lo + len(part)] = part.swapaxes(0, 1)
-            for i in range(0, len(part), K):
-                yield part[i:i + K]
+            for b, rng in enumerate(rows):
+                part[:, b] = draw_increments(rng, len(part), m, dt)
+        if record is not None:
+            record[:, lo:lo + len(part)] = part.swapaxes(0, 1)
+        for i in range(0, len(part), K):
+            yield part[i:i + K]
 
 
 def time_axis(t0: float, horizon: float, dt: float) -> np.ndarray:
@@ -844,6 +834,9 @@ class IntegrationResult:
     """The batch's history when kept, its failures, per-path statistics
     taken in the step loop, and the captured rows.
 
+    noise holds the (B, M, m) increments the batch was stepped with when
+    the history is kept and noise was given, else None, as for m = 0; a
+    seeded row's record equals one draw of its whole stream, bit for bit.
     sup/inf have shape (R, B), over each requested region; neg_energy has
     shape (B,), the running max over snapshots of dx^n * sum(min(u, 0)^2),
     and neg_min shape (B,), the least min(u, 0) over every snapshot and
@@ -861,6 +854,12 @@ class IntegrationResult:
     neg_energy: np.ndarray
     neg_min: np.ndarray
     captured: list
+    noise: np.ndarray | None
+
+    def path(self, grid: Grid, times: np.ndarray, b: int) -> FieldPath:
+        """Row b's kept history, with its noise when recorded, as a FieldPath."""
+        return FieldPath(grid, times, self.history[b],
+                         noise=None if self.noise is None else self.noise[b])
 
 
 # integrate_batch takes as many steps per block as (B, S) snapshots fit in
@@ -895,13 +894,16 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
                     captures: Sequence = ()) -> IntegrationResult:
     """Advance a batch of paths through all steps of `times`.
 
-    u0b has shape (B, S).  dWb is the noise: a NoiseStream, the (B, M, m)
-    increments themselves (read through a NoiseStream), or None when m = 0.
-    Each block of K steps reads its increments as one contiguous (K, B, m)
-    block, so the loop holds no more of the noise than the stream's
-    current segment.  A path that turns non-finite (or exceeds the blow-up
-    limit) is frozen at NaN and reported in failed/fail_step; other rows
-    are unaffected.
+    u0b has shape (B, S).  dWb is the noise: the (B, M, m) increments as
+    an array, B seeds (integers or SeedSequences, as `path_seed` gives), or
+    None; a model with m = 0 reads none of it.  Any other shape or number
+    of seeds raises DimensionMismatchError before any step.  Each block of
+    K steps reads its increments as one contiguous (K, B, m) block of a
+    segment that `_noise_blocks` fills, a seeded row drawing its own
+    stream, so the loop holds one segment of the noise; keep_history also
+    keeps the whole of it, as IntegrationResult.noise.  A path that turns
+    non-finite (or exceeds the blow-up limit) is frozen at NaN and reported
+    in failed/fail_step; other rows are unaffected.
 
     regions are `(steps, nodes)` rows from `fields.region_rows`: step j
     of a region reads snapshot j, the left endpoint of that step.  The
@@ -936,6 +938,11 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     B, S = u0b.shape
     M = times.size - 1
     dt = float(times[1] - times[0])
+    if isinstance(dWb, np.ndarray):
+        if dWb.shape != (B, M, cm.m):
+            raise DimensionMismatchError(f"noise shape {dWb.shape} != {(B, M, cm.m)}")
+    elif dWb is not None and len(dWb) != B:
+        raise DimensionMismatchError(f"{len(dWb)} noise seeds for a batch of {B} paths")
     xs = grid.coords_flat()
     K = max(1, min(M, _STEP_BLOCK_BYTES // (8 * B * S)))
     buf = np.empty((K + 1, B, S))
@@ -980,9 +987,9 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
 
     noisy = cm.m > 0 and dWb is not None
     sig = np.asarray(cm.sigma(xs), dtype=float) if noisy and cm.sigma is not None else None
+    kept = np.empty((B, M, cm.m)) if noisy and keep_history else None
     if noisy:
-        stream = dWb if isinstance(dWb, NoiseStream) else NoiseStream(dWb, cm.m, dt)
-        noise = stream.blocks(M, K)
+        noise = _noise_blocks(dWb, cm.m, dt, M, K, kept)
     solve = None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, M, K):
@@ -1038,37 +1045,30 @@ def integrate_batch(grid: Grid, cm: CoefficientModel, cfg: SolverConfig,
     sup[:, failed] = inf[:, failed] = neg_energy[failed] = neg_min[failed] = np.nan
     return IntegrationResult(history=hist, failed=failed, fail_step=fail_step,
                              sup=sup, inf=inf, neg_energy=neg_energy, neg_min=neg_min,
-                             captured=captured)
+                             captured=captured, noise=kept)
 
 
 def solve_path(u0: FieldSnapshot, cm: CoefficientModel, cfg: SolverConfig,
                horizon: float, seed, increments=None) -> FieldPath:
     """Integrate one path from u0 over [u0.t, u0.t + horizon].
 
-    seed may be an integer or a SeedSequence; explicit `increments`
-    (steps x m) override the seeded draw and are recorded as given.  A
+    The path is a one-row batch, so solve_path(seed=path_seed(s, i)) is
+    row i of an ensemble with master seed s, history and noise, bit for
+    bit.  seed may be an integer or a SeedSequence; explicit `increments`
+    (steps x m) replace the seeded draw and are recorded as given.  A
     history over _HISTORY_BYTES is refused before anything is integrated.
     """
     if not (horizon > 0.0):
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
     grid = u0.grid
-    dt = cfg.step_size(grid)
-    times = time_axis(u0.t, horizon, dt)
-    M = times.size - 1
-    history_capacity(M, grid.size)
-    if increments is not None:
-        dW = np.asarray(increments, dtype=float)
-        if dW.shape != (M, cm.m):
-            raise DimensionMismatchError(
-                f"increments shape {dW.shape} != {(M, cm.m)}")
-    else:
-        dW = draw_increments(seed, M, cm.m, dt)
-    res = integrate_batch(grid, cm, cfg, u0.flat()[None, :], times,
-                          dW[None] if cm.m else None, keep_history=True)
+    times = time_axis(u0.t, horizon, cfg.step_size(grid))
+    history_capacity(times.size - 1, grid.size)
+    noise = [seed] if increments is None else np.asarray(increments, dtype=float)[None]
+    res = integrate_batch(grid, cm, cfg, u0.flat()[None, :], times, noise, keep_history=True)
     if res.failed[0]:
         raise BlowUpError(f"path blew up at step {int(res.fail_step[0])}",
                           step_index=int(res.fail_step[0]))
-    return FieldPath(grid, times, res.history[0], noise=dW)
+    return res.path(grid, times, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""The noise stream: step-major blocks drawn one segment at a time.
+"""The noise of a batch: step-major blocks drawn one segment at a time.
 
-`solver.NoiseStream` hands `integrate_batch` the increments of a batch as
+`integrate_batch` takes a batch's noise as the (B, M, m) increments or as
+B seeds, and its private `solver._noise_blocks` hands the step loop
 consecutive (k, B, m) blocks.  A seeded row draws its own Philox stream in
 segments, so its blocks, joined, must equal one draw of the whole path
 bit for bit, whatever the block and segment sizes; a row that fails must
-not move another row's noise or result; and an ensemble that keeps no
+not move another row's noise or result; an ensemble that keeps no
 history must hold its noise one segment at a time, never as a (B, M, m)
-array.
+array; a kept path's record, `IntegrationResult.noise`, is the noise it
+was stepped with, and a solved path is an ensemble row, noise and all.
+Noise of any other shape is refused before any step.
 """
 import dataclasses
 import tracemalloc
@@ -15,11 +18,12 @@ import numpy as np
 import pytest
 
 from spdelab import solver
+from spdelab.errors import DimensionMismatchError
 from spdelab.fields import Grid
 from spdelab.montecarlo import ExperimentSpec, run_ensemble
-from spdelab.solver import (ModelParams, NoiseStream, SolverConfig, build_model,
-                            draw_increments, integrate_batch, make_initial_condition,
-                            path_seed, time_axis)
+from spdelab.solver import (ModelParams, SolverConfig, build_model, draw_increments,
+                            integrate_batch, make_initial_condition, path_seed, solve_path,
+                            time_axis)
 
 SEED = 29
 
@@ -29,9 +33,9 @@ def whole(rows, steps, m, dt):
     return np.stack([draw_increments(path_seed(SEED, i), steps, m, dt) for i in rows])
 
 
-def joined(stream, steps, K):
-    """Every block the stream yields for `steps` steps, joined as (B, steps, m)."""
-    blocks = [block.copy() for block in stream.blocks(steps, K)]
+def joined(blocks, K):
+    """Every block of a `_noise_blocks` generator, joined as (B, steps, m)."""
+    blocks = [block.copy() for block in blocks]
     assert all(len(b) == K for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= K
     return np.concatenate(blocks).swapaxes(0, 1)
 
@@ -46,12 +50,12 @@ def test_blocks_joined_equal_one_draw_per_row(monkeypatch, K, blocks_per_segment
     rows = range(4, 4 + B)
     want = whole(rows, steps, m, dt)
     record = np.full((B, steps, m), np.nan)
-    stream = NoiseStream([path_seed(SEED, i) for i in rows], m, dt, record)
-    got = joined(stream, steps, K)
+    seeds = [path_seed(SEED, i) for i in rows]
+    got = joined(solver._noise_blocks(seeds, m, dt, steps, K, record), K)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert record.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     # an array goes through the same reader and comes out as it went in
-    again = joined(NoiseStream(want, m, dt), steps, K)
+    again = joined(solver._noise_blocks(want, m, dt, steps, K), K)
     assert again.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -68,19 +72,16 @@ def test_a_failing_row_leaves_the_other_rows_noise_and_results(monkeypatch):
     monkeypatch.setattr(solver, "_STEP_BLOCK_BYTES", 3 * 8 * u0b.size)
 
     def run(rows):
-        record = np.empty((len(rows), M, cm.m))
-        stream = NoiseStream([path_seed(SEED, i) for i in rows], cm.m, 0.25, record)
-        res = integrate_batch(grid, cm, SolverConfig(dt=0.25), u0b[rows], times, stream,
-                              keep_history=True)
-        return res, record
+        return integrate_batch(grid, cm, SolverConfig(dt=0.25), u0b[rows], times,
+                               [path_seed(SEED, i) for i in rows], keep_history=True)
 
-    res, record = run([0, 1, 2])
+    res = run([0, 1, 2])
     assert list(res.failed) == [True, False, False]
     assert 3 < res.fail_step[0] < M - 3
     want = whole([0, 1, 2], M, cm.m, 0.25)
-    assert record.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert res.noise.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     for b in (1, 2):
-        alone, _ = run([b])
+        alone = run([b])
         assert not alone.failed[0]
         np.testing.assert_array_equal(alone.history[0].view(np.uint64),
                                       res.history[b].view(np.uint64))
@@ -120,3 +121,47 @@ def test_a_kept_history_keeps_the_noise_it_was_stepped_with():
     paths = {}
     run_ensemble(quiet, consumers=(lambda i, path: paths.__setitem__(i, path.noise),))
     assert set(paths) == set(range(spec.n_paths)) and all(v is None for v in paths.values())
+
+
+def test_noise_of_the_wrong_shape_is_refused_before_any_step(monkeypatch):
+    grid = Grid.regular(1, 16)
+    cm = build_model(ModelParams(m=2), 1, grid.extent)
+    times = time_axis(0.0, 0.25, 0.0625)
+    B, M = 3, times.size - 1
+    u0b = np.ones((B, grid.size))
+
+    def step(*args):
+        raise AssertionError("a step ran with mis-shaped noise")
+    monkeypatch.setattr(solver, "_coef_fields", step)
+    wrong = [np.zeros((B, M + 5, 2)), np.zeros((B, M - 1, 2)), np.zeros((B, M, 3)),
+             np.zeros((B + 1, M, 2)), np.zeros((B - 1, M, 2)), np.zeros((M, 2)),
+             [path_seed(SEED, i) for i in range(B + 1)], [SEED] * (B - 1)]
+    for dW in wrong:
+        with pytest.raises(DimensionMismatchError):
+            integrate_batch(grid, cm, SolverConfig(), u0b, times, dW)
+    # the same rule holds for a solved path's explicit increments
+    u0 = make_initial_condition("bump", grid, amplitude=0.5)
+    with pytest.raises(DimensionMismatchError):
+        solve_path(u0, cm, SolverConfig(dt=0.0625), 0.25, seed=0,
+                   increments=np.zeros((M + 5, 2)))
+
+
+def test_a_solved_path_is_its_ensemble_row_bit_for_bit():
+    # row 3 of 5 shares its chunk of 4 with rows 0-2
+    spec = ExperimentSpec(grid=Grid.regular(1, 16), horizon=0.5, n_paths=5, chunk=4,
+                          master_seed=SEED)
+    kept = {}
+    run_ensemble(spec, consumers=(lambda i, path: kept.__setitem__(i, path),))
+    cm, u0 = spec.build()
+    path = solve_path(u0, cm, spec.solver, spec.horizon, seed=path_seed(SEED, 3))
+    row = kept[3]
+    assert path.times.tolist() == row.times.tolist()
+    assert path.values.view(np.uint64).tolist() == row.values.view(np.uint64).tolist()
+    assert path.noise.view(np.uint64).tolist() == row.noise.view(np.uint64).tolist()
+
+
+def test_a_solved_path_without_noise_records_none_as_an_ensemble_row_does():
+    grid = Grid.regular(1, 16)
+    cm = build_model(ModelParams(g_kind="zero", m=0), 1, grid.extent)
+    u0 = make_initial_condition("bump", grid, amplitude=0.5)
+    assert solve_path(u0, cm, SolverConfig(), 0.25, seed=0).noise is None
